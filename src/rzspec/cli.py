@@ -117,13 +117,15 @@ def _load_cache(path: Path) -> zeta_mod.ZeroDatabase | None:
 def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
                   count_needed: int | None = None) -> zeta_mod.ZeroDatabase:
     """Load the cache and extend it (append-only) to cover the request."""
+    db = _load_cache(cfg.cache)
     if count_needed is not None:
-        t_req = _t_for_count(count_needed)
-        t_needed = max(t_needed or 0.0, t_req)
+        # a cache holding enough zeros serves as is, even past the scan budget
+        if db is not None and len(db) >= count_needed and t_needed is None:
+            return db
+        t_needed = max(t_needed or 0.0, _t_for_count(count_needed))
     if t_needed is None:
         raise ValueError("nothing requested")
     t_needed = min(float(t_needed), zeta_mod.T_BUDGET)
-    db = _load_cache(cfg.cache)
     if db is not None and db.t_max_verified >= t_needed:
         return db
     if db is None or len(db) == 0:
@@ -246,11 +248,12 @@ def _cmd_perron(cfg: RunConfig) -> None:
     at_zero = bool(len(ts)) and float(np.min(np.abs(ts - e_val))) < 1e-6
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial,
                                          at_zero_mode=at_zero)
-    rows = []
-    for n in range(2, n_max + 1):
-        d = perron.m_z_direct(n, e_val, primed=True)
-        p = perron.m_z_perron(n, e_val, rcfg)
-        rows.append((n, d.real, d.imag, p.real, p.imag, abs(d), abs(p)))
+    ns = np.arange(2, n_max + 1)
+    terms = perron._dirichlet_terms(max(n_max, 1), e_val)
+    direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
+    resid = perron.m_z_perron(ns, e_val, rcfg)
+    rows = [(n, d.real, d.imag, p.real, p.imag, abs(d), abs(p))
+            for n, d, p in zip(ns, direct, resid)]
     _write_csv(cfg.out / "perron.csv",
                ["n_or_x", "direct_re", "direct_im", "perron_re", "perron_im",
                 "abs_direct", "abs_perron"], rows)
@@ -266,9 +269,10 @@ def _cmd_mertens(cfg: RunConfig) -> None:
     x_max = cfg.n_max if cfg.n_max is not None else 100
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial)
-    xs = [k + 0.5 for k in range(2, int(x_max))]
-    exact = [perron.mertens(x) for x in xs]
-    recon = [perron.mertens_residue(x, rcfg) for x in xs]
+    ks = np.arange(2, int(x_max))
+    xs = ks + 0.5
+    exact = np.cumsum(perron.moebius_sieve(max(int(x_max) - 1, 1)))[ks]
+    recon = perron.mertens_residue(xs, rcfg)
     rows = [(x, m, r, abs(r - m)) for x, m, r in zip(xs, exact, recon)]
     _write_csv(cfg.out / "mertens.csv",
                ["x", "mertens_exact", "mertens_residue", "abs_error"], rows)

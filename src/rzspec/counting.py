@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OnZeroError, SubcriticalEnergy
-from .zeta import im_log_zeta_half, theta_rs
+from .errors import ConsistencyError, OnZeroError, SubcriticalEnergy
+from .zeta import exact_zero_count, theta_rs
 
 __all__ = [
     "ModelScales",
@@ -76,10 +76,12 @@ def n_exact(t: float) -> float:
     Raises :class:`OnZeroError` when t sits close enough to a zero that
     the fluctuating term loses its integrality.
     """
-    raw = n_average(t) + im_log_zeta_half(t) / math.pi
-    if abs(raw - round(raw)) > 1e-6:
-        raise OnZeroError(f"n_exact({t:g}) = {raw:.8f} is not integral; too close to a zero")
-    return float(round(raw))
+    if t <= 0:
+        raise ValueError("t must be positive")
+    try:
+        return float(exact_zero_count(t))
+    except ConsistencyError as exc:
+        raise OnZeroError(f"n_exact({t:g}): {exc}") from exc
 
 
 def n_dirac_smooth(E: float, s: ModelScales) -> float:

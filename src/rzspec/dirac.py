@@ -26,17 +26,17 @@ from enum import Enum
 
 import numpy as np
 
-from .counting import ModelScales, n_dirac_smooth, n_exact
-from .errors import MissedZeroError, OnZeroError, ToleranceNotMet
+from .counting import ModelScales, n_dirac_smooth
+from .errors import MissedZeroError, ToleranceNotMet
 from .roots import brent, scan_sign_changes
 from .specfun import (
     QuadratureSpec,
+    _refine_panels,
     bessel_k_complex_order,
     log_gamma,
     oscillatory_edges,
-    panel_integral,
 )
-from .zeta import zeta
+from .zeta import _count_avoiding_zeros, zeta
 
 __all__ = [
     "SpectralFunctionKind",
@@ -198,16 +198,8 @@ def xi_via_fourier(kind: SpectralFunctionKind, t: float,
         return phi(beta) * np.cos(0.5 * t * beta)
 
     edges = oscillatory_edges(0.0, _BETA_MAX, lambda u: omega, q.node_count / 6.0)
-    val = panel_integral(integrand, edges, q.node_count)
-    for _ in range(4):
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate([edges, mids]))
-        val2 = panel_integral(integrand, edges, q.node_count)
-        err = abs(val2 - val)
-        val = val2
-        if err <= max(q.target_abs_tol, 1e-13 * abs(val)):
-            return _FOURIER_SCALE[kind] * float(np.real(val))
-    raise ToleranceNotMet("xi_via_fourier refinement stalled")
+    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol)
+    return _FOURIER_SCALE[kind] * float(np.real(val))
 
 
 def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
@@ -241,17 +233,6 @@ def _smooth_count(kind_or_boundary, t: float) -> float:
     raise ValueError(kind_or_boundary)
 
 
-def _exact_count_near(t: float) -> int:
-    if t < 1.0:
-        return 0
-    for shift in (0.0, 0.017, -0.017, 0.041):
-        try:
-            return int(n_exact(t + shift))
-        except OnZeroError:
-            continue
-    raise OnZeroError(f"no zero-free evaluation point near t = {t:g}")
-
-
 def find_dirac_zeros(target, t_min: float, t_max: float,
                      q: QuadratureSpec | None = None) -> list[float]:
     """All real zeros of the chosen spectral function in (t_min, t_max),
@@ -275,7 +256,7 @@ def find_dirac_zeros(target, t_min: float, t_max: float,
     roots = [brent(f, a, b, xtol=1e-10) for a, b in brackets]
 
     if target is SpectralFunctionKind.XI_RIEMANN:
-        expected = _exact_count_near(t_max) - _exact_count_near(t_min)
+        expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
         if len(roots) != expected:
             raise MissedZeroError(
                 f"found {len(roots)} zeros, counting formula gives {expected}")

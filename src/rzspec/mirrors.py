@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCharacter, NotAZero, UnimodularReflection, ZeroModulus
-from .perron import moebius_sieve
+from .perron import _dirichlet_terms, moebius_sieve
 from .zeta import theta_rs, z_function, z_prime, zeta
 
 __all__ = [
@@ -427,9 +427,9 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
     """
     if not 2 <= N <= DIAGNOSTIC_N_BUDGET:
         raise ValueError(f"need 2 <= N <= {DIAGNOSTIC_N_BUDGET}")
-    m = moebius_mirrors(N, epsilon=epsilon,
-                        boundary_phase=vartheta % (2.0 * math.pi))
-    mz = m_z_cumulative(m, E, N)
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    mz = np.cumsum(_dirichlet_terms(N, E))
     mod = np.abs(mz)
     cosd = np.cos(vartheta + np.angle(mz))  # cos(vartheta - Phi_z(n))
     n = np.arange(1, N + 1)

@@ -68,24 +68,20 @@ def moebius(n: int) -> int:
 
 
 def moebius_sieve(n_max: int) -> np.ndarray:
-    """mu(1..n_max) as an int array (index 0 unused)."""
+    """mu(1..n_max) as an int array (index 0 unused).
+
+    Only the primes p <= sqrt(n_max) sieve; where the product of those
+    dividing n falls short of n, one larger prime factor flips mu(n) again.
+    """
     mu = np.ones(n_max + 1, dtype=np.int64)
+    small = np.ones(n_max + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n_max) + 1):
+        if small[p] == 1:  # no smaller prime divides p
+            mu[p::p] *= -1
+            small[p::p] *= p
+            mu[p * p::p * p] = 0
+    mu[small < np.arange(n_max + 1)] *= -1
     mu[0] = 0
-    primes = []
-    is_comp = np.zeros(n_max + 1, dtype=bool)
-    for i in range(2, n_max + 1):
-        if not is_comp[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > n_max:
-                break
-            is_comp[ip] = True
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
     return mu
 
 
@@ -97,6 +93,12 @@ def mertens(x: float) -> int:
     return int(moebius_sieve(n)[1:].sum())
 
 
+def _dirichlet_terms(n_max: int, E: float) -> np.ndarray:
+    # mu(n) n^(-1/2 - iE) for n = 1..n_max; M_z(n) is their running sum
+    n = np.arange(1, n_max + 1)
+    return moebius_sieve(n_max)[1:] * np.exp(-complex(0.5, E) * np.log(n))
+
+
 def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
     """Partial sum sum_{n <= x} mu(n) n^(-1/2 - iE).
 
@@ -106,9 +108,7 @@ def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
     if x < 1:
         raise ValueError("m_z_direct defined for x >= 1")
     n_top = int(math.floor(x + 1e-12))
-    mu = moebius_sieve(n_top)
-    n = np.arange(1, n_top + 1)
-    w = mu[1:].astype(complex) * np.exp(-complex(0.5, E) * np.log(n))
+    w = _dirichlet_terms(n_top, E)
     if primed and abs(x - n_top) < 1e-12:
         w[-1] *= 0.5
     return complex(w.sum())
@@ -170,33 +170,42 @@ class ResidueExpansionConfig:
         return out
 
 
-def _nontrivial_sum(x: float, z: complex, cfg: ResidueExpansionConfig,
-                    exclude_t: float | None = None) -> complex:
+def _nontrivial_sum(x, z: complex, cfg: ResidueExpansionConfig,
+                    exclude_t: float | None = None):
+    # one zero pair at a time, so memory stays O(len x)
     acc = 0.0 + 0.0j
     for rho, zp in cfg.pairs():
         if exclude_t is not None and abs(rho - z) < 1e-6:
             continue
-        acc += x ** (rho - z) / ((rho - z) * zp)
+        acc = acc + x ** (rho - z) / ((rho - z) * zp)
     return acc
 
 
-def _trivial_sum(x: float, z: complex, n_trivial: int) -> complex:
+def _trivial_sum(x, z: complex, n_trivial: int):
     acc = 0.0 + 0.0j
     for n in range(1, n_trivial + 1):
-        acc += x ** (-2.0 * n - z) / (-(2.0 * n + z) * zeta_prime_trivial(n))
+        acc = acc + x ** (-2.0 * n - z) / (-(2.0 * n + z) * zeta_prime_trivial(n))
     return acc
 
 
-def m_z_perron(x: float, E: float, cfg: ResidueExpansionConfig) -> complex:
+def _check_x(x):
+    # a scalar stays a Python float: its arithmetic is cheaper than numpy's
+    x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    if np.any(x <= 1):
+        raise ValueError("x > 1 required")
+    return x
+
+
+def m_z_perron(x, E: float, cfg: ResidueExpansionConfig):
     """Residue-series reconstruction of M_z(x), z = 1/2 + iE.
 
     Off a zero: 1/zeta(z) + zero terms + trivial tail.  In at-zero mode
     (E within 1e-6 of a database ordinate) the s = 0 double pole gives
     log x / zeta'(z) - zeta''(z) / (2 zeta'(z)^2) instead, and the
-    coinciding zero is excluded from the sum.
+    coinciding zero is excluded from the sum.  ``x`` may be a scalar or
+    an array of abscissae; the result has the same shape.
     """
-    if x <= 1:
-        raise ValueError("x > 1 required")
+    x = _check_x(x)
     z = complex(0.5, E)
     if cfg.at_zero_mode:
         ts = cfg.zero_db.ordinates()
@@ -206,7 +215,7 @@ def m_z_perron(x: float, E: float, cfg: ResidueExpansionConfig) -> complex:
         if abs(zp) < 1e-8:
             raise NoSimpleZero(f"zeta'({z}) ~ 0; multiple zero not supported")
         zpp = zeta_second_prime(z)
-        head = math.log(x) / zp - zpp / (2.0 * zp * zp)
+        head = np.log(x) / zp - zpp / (2.0 * zp * zp)
         tail = _nontrivial_sum(x, z, cfg, exclude_t=E)
     else:
         zv = zeta(z)
@@ -218,23 +227,19 @@ def m_z_perron(x: float, E: float, cfg: ResidueExpansionConfig) -> complex:
     return head + tail + _trivial_sum(x, z, cfg.n_trivial)
 
 
-def mertens_residue_complex(x: float, cfg: ResidueExpansionConfig) -> complex:
-    """Untruncated-imaginary version of :func:`mertens_residue`."""
-    if x <= 1:
-        raise ValueError("x > 1 required")
-    acc = -2.0 + 0.0j
-    for rho, zp in cfg.pairs():
-        acc += x ** rho / (rho * zp)
-    for n in range(1, cfg.n_trivial + 1):
-        acc += x ** (-2.0 * n) / (-2.0 * n * zeta_prime_trivial(n))
-    return acc
+def mertens_residue_complex(x, cfg: ResidueExpansionConfig):
+    """Untruncated-imaginary version of :func:`mertens_residue`: the
+    residue series of M_z at z = 0.  Accepts a scalar or an array of x."""
+    x = _check_x(x)
+    return -2.0 + _nontrivial_sum(x, 0j, cfg) + _trivial_sum(x, 0j, cfg.n_trivial)
 
 
-def mertens_residue(x: float, cfg: ResidueExpansionConfig) -> float:
+def mertens_residue(x, cfg: ResidueExpansionConfig):
     """Residue-series reconstruction of the Mertens function:
     -2 + sum over zero pairs of x^rho/(rho zeta'(rho)) + trivial tail.
 
-    Non-integer x recommended (the direct sum jumps at integers).
+    Non-integer x recommended (the direct sum jumps at integers).  ``x``
+    may be a scalar or an array of abscissae.
     """
     return mertens_residue_complex(x, cfg).real
 
@@ -307,9 +312,6 @@ def growth_fit(E: float, n_range) -> GrowthFitReport:
     ns = sorted(int(n) for n in n_range)
     if not ns or ns[0] < 2:
         raise ValueError("n_range must contain integers >= 2")
-    mu = moebius_sieve(ns[-1])
-    n = np.arange(1, ns[-1] + 1)
-    terms = mu[1:].astype(complex) * np.exp(-complex(0.5, E) * np.log(n))
-    csum = np.cumsum(terms)
+    csum = np.cumsum(_dirichlet_terms(ns[-1], E))
     vals = [csum[k - 1] for k in ns]
     return fit_growth_sequence(ns, vals)

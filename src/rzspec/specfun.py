@@ -108,6 +108,19 @@ def _halve(edges):
     return out
 
 
+def _refine_panels(integrand, edges, node_count, tol, scale=1.0):
+    # halve every panel until successive sums agree on the prefactor's scale
+    val = panel_integral(integrand, edges, node_count)
+    for _ in range(4):
+        edges = _halve(edges)
+        val2 = panel_integral(integrand, edges, node_count)
+        err = abs(val2 - val)
+        val = val2
+        if err * scale <= max(tol, 1e-13 * abs(val) * scale):
+            return val
+    raise ToleranceNotMet("panel refinement stalled")
+
+
 def oscillatory_edges(lo, hi, freq_at, cycles_per_panel, max_panels=40000):
     """Panel edges sized against a local angular-frequency estimate.
 
@@ -254,17 +267,9 @@ def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None) -> complex:
     edges = oscillatory_edges(u_lo, u_hi, freq, cycles)
 
     prefactor = 0.5 * cmath.exp(1j * nu * alpha)
-    scale = abs(prefactor)
-    val = panel_integral(integrand, edges, q.node_count)
-    for _ in range(4):
-        edges = _halve(edges)
-        val2 = panel_integral(integrand, edges, q.node_count)
-        err = abs(val2 - val)
-        val = val2
-        if err * scale <= max(q.target_abs_tol, 1e-13 * abs(val) * scale):
-            result = prefactor * val
-            return result.conjugate() if conj_flag else result
-    raise ToleranceNotMet("bessel_k_complex_order: panel refinement stalled")
+    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol, abs(prefactor))
+    result = prefactor * val
+    return result.conjugate() if conj_flag else result
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
 import math
+import shutil
 
+import numpy as np
 import pytest
 
-from rzspec import cli
+from rzspec import cli, perron
+from rzspec import zeta as ze
 
 
 def run(args):
@@ -83,12 +86,64 @@ class TestSweepCommands:
         assert mid[3] == pytest.approx(2.0 * math.exp(-2.0 * math.pi), rel=1e-9)
 
 
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+
+
+def assert_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= rel * np.maximum(np.abs(want), 1e-300))
+
+
+class TestResidueCommands:
+    """The vectorised CSV columns equal the scalar library calls."""
+
+    def test_mertens_columns(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        assert run(["mertens", "--n-max", "40", "--n-zeros", "20", "--n-trivial", "10",
+                    "--out", str(tmp_path), "--cache", str(cache)]) == 0
+        rows = read_csv(tmp_path / "mertens.csv")
+        rcfg = perron.ResidueExpansionConfig(ze.ingest_zeros(cache), 20, 10)
+        xs = rows[:, 0]
+        assert xs.tolist() == [k + 0.5 for k in range(2, 40)]
+        assert rows[:, 1].tolist() == [perron.mertens(x) for x in xs]
+        assert_close(rows[:, 2], [perron.mertens_residue(x, rcfg) for x in xs])
+
+    @pytest.mark.parametrize("height, at_zero", [("20", False), ("14.1347", True)])
+    def test_perron_columns(self, tmp_path, height, at_zero):
+        cache = tmp_path / "cache.json"
+        assert run(["perron", "--t-min", height, "--n-max", "30", "--n-zeros", "10",
+                    "--out", str(tmp_path), "--cache", str(cache)]) == 0
+        rows = read_csv(tmp_path / "perron.csv")
+        db = ze.ingest_zeros(cache)
+        e_val = cli._snap_to_ordinate(float(height), db)
+        rcfg = perron.ResidueExpansionConfig(db, 10, 20, at_zero_mode=at_zero)
+        ns = rows[:, 0].astype(int)
+        assert ns.tolist() == list(range(2, 31))
+        direct = [perron.m_z_direct(n, e_val, primed=True) for n in ns]
+        resid = [perron.m_z_perron(n, e_val, rcfg) for n in ns]
+        assert_close(rows[:, 1] + 1j * rows[:, 2], direct)
+        assert_close(rows[:, 3] + 1j * rows[:, 4], resid)
+
+
 class TestErrorsAndConfig:
     def test_error_json_on_overdraft(self, tmp_path, capsys):
         code = run(["perron", "--n-zeros", "5000", "--out", str(tmp_path)])
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RZError"
+
+    @pytest.mark.parametrize("command", ["mertens", "perron"])
+    def test_published_table_serves_beyond_scan_budget(self, tmp_path, data_dir, command):
+        # 1000 zeros reach t ~ 1419, past the computed-scan budget; a cache
+        # that already holds them is used as is and left untouched
+        cache = tmp_path / "zeros_1000.txt"
+        shutil.copyfile(data_dir / "zeros_1000.txt", cache)
+        before = cache.read_bytes()
+        assert run([command, "--n-zeros", "1000", "--n-max", "20", "--cache", str(cache),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert cache.read_bytes() == before
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

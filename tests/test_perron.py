@@ -30,9 +30,12 @@ class TestMoebius:
             assert perron.moebius(a * b) == perron.moebius(a) * perron.moebius(b)
 
     def test_sieve_matches_scalar(self):
-        mu = perron.moebius_sieve(500)
-        for n in range(1, 501):
-            assert mu[n] == perron.moebius(n)
+        # 10007 is prime and 10201 = 101^2: both need the step that flips
+        # the sign for the one prime factor above sqrt(n_max)
+        for n_max in (500, 10007, 10201):
+            mu = perron.moebius_sieve(n_max)
+            assert mu[0] == 0 and len(mu) == n_max + 1
+            assert mu[1:].tolist() == [perron.moebius(n) for n in range(1, n_max + 1)]
 
 
 class TestMertens:

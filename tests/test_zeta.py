@@ -145,6 +145,10 @@ class TestZeroFinding:
         with pytest.raises(ValueError):
             ze.find_zeros(0.0, 501.0)
 
+    def test_exact_count_refuses_a_zero(self, zero_db):
+        with pytest.raises(ConsistencyError):
+            ze.exact_zero_count(zero_db.records[0].t)
+
     def test_sign_alternation(self, zero_db):
         signs = np.sign([r.z_prime for r in zero_db.records])
         assert np.all(signs[:-1] * signs[1:] < 0)
