@@ -81,6 +81,12 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _require_n_max(n_max: int, least: int, what: str) -> None:
+    # checked before any artifact or cache write, so a refused run leaves nothing
+    if n_max < least:
+        raise RZError(f"--n-max {n_max}: the {what} needs n_max >= {least}")
+
+
 def _map_ordered(fn, items):
     if len(items) < 8:
         return [fn(x) for x in items]
@@ -194,6 +200,7 @@ def _cmd_polya(cfg: RunConfig) -> None:
 def _cmd_landau(cfg: RunConfig) -> None:
     e_max = cfg.t_max if cfg.t_max is not None else 20.0
     grid_n = cfg.n_max if cfg.n_max is not None else 200
+    _require_n_max(grid_n, 1, "|psi| grid")
     geom = landau.LandauGeometry(magnetic_length=1.0, box_size=cfg.l_over_ell)
     levels = landau.landau_levels(e_max, geom)
     _write_csv(cfg.out / "landau_levels.csv", ["k", "E"],
@@ -205,9 +212,10 @@ def _cmd_landau(cfg: RunConfig) -> None:
                   labels=["smooth count", "levels"], title="box-quantized level count",
                   x_label="E", y_label="n")
     xs = np.linspace(-10.0, 10.0, grid_n)
-    amp, _bound = landau.psi_abs_grid(10.0, xs, xs, geom)
-    rows = [(xs[i], xs[j], amp[i, j]) for i in range(grid_n) for j in range(grid_n)]
-    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi"], rows)
+    amp, bound = landau.psi_abs_grid(10.0, xs, xs, geom)
+    rows = ((xs[i], xs[j], amp[i, j], bound[i, j])
+            for i in range(grid_n) for j in range(grid_n))
+    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows)
 
 
 def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:
@@ -242,6 +250,7 @@ def _cmd_mirror(cfg: RunConfig) -> None:
 def _cmd_perron(cfg: RunConfig) -> None:
     e_val = cfg.t_min if cfg.t_min > 0 else 20.0
     n_max = cfg.n_max if cfg.n_max is not None else 50
+    _require_n_max(n_max, 3, "n sweep from 2 to n_max")
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
     e_val = _snap_to_ordinate(e_val, db)
     ts = db.ordinates()
@@ -267,6 +276,7 @@ def _cmd_perron(cfg: RunConfig) -> None:
 
 def _cmd_mertens(cfg: RunConfig) -> None:
     x_max = cfg.n_max if cfg.n_max is not None else 100
+    _require_n_max(x_max, 4, "x sweep from 2.5 to n_max - 0.5")
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial)
     ks = np.arange(2, int(x_max))

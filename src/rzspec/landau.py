@@ -69,11 +69,14 @@ def psi_minus(E: float, x: float, y: float, g: LandauGeometry) -> complex:
 
 
 def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
-    """|psi| on the tensor grid xs x ys, plus certified absolute error bounds.
+    """|psi| on the tensor grid xs x ys, plus absolute error bounds.
 
-    Cells whose series cancellation exhausts the working precision do not
-    raise; their (small) bound column lets callers exclude them rigorously
-    from, e.g., a ridge search.  Returns arrays of shape (len(xs), len(ys)).
+    A bound is the certified Kummer bound (see ``kummer_m_grid``) at the
+    double argument (x - iy)^2 / 2l^2, times the Gaussian and |x - iy|
+    factors; the rounding of that argument and of the Gaussian exponent
+    is not counted.  Cells whose series cancellation exhausts the working
+    precision do not raise; their bound lets callers exclude them from,
+    e.g., a ridge search.  Returns arrays of shape (len(xs), len(ys)).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

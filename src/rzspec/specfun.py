@@ -279,21 +279,55 @@ def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None) -> complex:
 KUMMER_RADIUS = 200.0   # documented series budget
 _KUMMER_KMAX = 1600
 _NOISE_PER_TERM = 5e-31  # double-double rounding per term, conservative
+_KUMMER_BLOCK = 4096     # cells summed together; each block runs to its slowest cell
+# Rounding the double-double sum to double costs at most u|M| (u = eps/2).
+# On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
+# each, plus the rounding of their product) and the complex product with
+# it sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 2007): 8.3u in
+# all, which 5 eps = 10u covers with room for the second-order terms.
+_ROUNDING_EPS = 5.0 * np.finfo(float).eps
 
 
 def _kummer_series_dd(a, b_re: float, z):
     """Power series sum_k (a)_k z^k / ((b)_k k!) in double-double arithmetic.
 
     ``a`` and ``z`` are complex numpy arrays of equal shape, ``b`` real.
-    Returns (values, certified absolute error bounds).
+    Each cell stops at its own last term, the first k > |z| + 6 with
+    |term_k| <= 1e-34 sum_j<=k |term_j|, and its value and bound are those
+    of that k, whatever the other cells are: a cell gives the same bits
+    alone as in any grid.  The bound is ``_NOISE_PER_TERM`` times the
+    number of terms times sum |term|, the double-double rounding of the
+    series; it does not cover the rounding of the result to double.
+    Cells are summed in blocks of ``_KUMMER_BLOCK`` taken in |z| order, so
+    the cells of a block need about as many terms.  Returns (values,
+    bounds) of the shape of ``z``.
     """
-    a = np.asarray(a, dtype=complex)
     z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    a = np.asarray(a, dtype=complex).ravel()
+    z = z.ravel()
+    parts = [np.empty(z.size) for _ in range(4)]  # re_hi, re_lo, im_hi, im_lo
+    noise = np.empty(z.size)
+    order = np.argsort(np.abs(z), kind="stable")
+    for start in range(0, z.size, _KUMMER_BLOCK):
+        cells = order[start:start + _KUMMER_BLOCK]
+        for cell, acc, s_abs, k in _kummer_block(a[cells], b_re, z[cells]):
+            idx = cells[cell]
+            for part, v in zip(parts, (acc.rh, acc.rl, acc.ih, acc.il)):
+                part[idx] = v[cell]
+            noise[idx] = _NOISE_PER_TERM * (k + 1) * s_abs[cell]
+    vals = CDD(*parts).to_complex()
+    return vals.reshape(shape), noise.reshape(shape)
+
+
+def _kummer_block(a, b_re: float, z):
+    # Sums all cells of the block every round and yields (cells, acc,
+    # sum_abs, k) for the cells whose last term is k; ends with the block.
     term = CDD.from_complex(np.ones_like(z))
     acc = CDD.from_complex(np.ones_like(z))
     sum_abs = np.ones_like(z, dtype=float)
-    hump = float(np.max(np.abs(z))) + 6.0
-    n_terms = _KUMMER_KMAX
+    hump = np.abs(z) + 6.0
+    left = z.size
     for k in range(_KUMMER_KMAX):
         fac = a + k  # exact in double for moderate k
         term = term.mul_dc(fac.real, fac.imag)
@@ -303,22 +337,30 @@ def _kummer_series_dd(a, b_re: float, z):
         acc = acc.add(term)
         t_abs = term.abs_estimate()
         sum_abs += t_abs
-        if k > hump and np.all(t_abs <= 1e-34 * sum_abs):
-            n_terms = k + 1
-            break
-    else:
-        raise ToleranceNotMet("kummer series did not converge within the term budget")
-    noise = _NOISE_PER_TERM * n_terms * sum_abs
-    return acc.to_complex(), noise
+        done = np.flatnonzero((k > hump) & (t_abs <= 1e-34 * sum_abs))
+        if done.size:
+            yield done, acc, sum_abs, k
+            hump[done] = np.inf  # a finished cell is never recorded again
+            left -= done.size
+            if not left:
+                return
+    raise ToleranceNotMet("kummer series did not converge within the term budget")
 
 
 def kummer_m_grid(a, b, z):
     """Vectorized M(a, b, z) over an array of arguments.
 
-    Returns ``(values, bounds)`` where ``bounds`` are certified absolute
-    error estimates; no exception is raised for cells whose cancellation
-    exhausts the working precision -- callers decide what to do with the
-    bound.  b must be real (all uses here have b = 1/2 or 3/2).
+    Returns ``(values, bounds)``.  Each cell is summed to its own last term
+    (see ``_kummer_series_dd``), so every cell equals the one-cell
+    :func:`kummer_m_bounded` call bit for bit, value and bound, and does
+    not depend on the other cells of the array.  A bound covers, for the
+    given double z, the double-double rounding of the series and the
+    rounding of the result to double, including the factor e^z of the
+    Kummer transformation; no
+    exception is raised for cells whose cancellation exhausts the working
+    precision -- callers decide what to do with the bound.  An empty ``z``
+    gives two empty arrays; a NaN or infinite z raises ``ValueError``.  b
+    must be real (all uses here have b = 1/2 or 3/2).
     """
     b = complex(b)
     if b.imag == 0.0 and b.real == math.floor(b.real) and b.real <= 0.0:
@@ -326,6 +368,8 @@ def kummer_m_grid(a, b, z):
     if b.imag != 0.0:
         raise NotImplementedError("kummer_m_grid supports real b only")
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("kummer_m_grid needs finite z")
     if z.size and float(np.max(np.abs(z))) > KUMMER_RADIUS:
         raise ToleranceNotMet(f"|z| beyond the documented series budget {KUMMER_RADIUS:g}")
     a_arr = np.broadcast_to(np.asarray(a, dtype=complex), z.shape).copy()
@@ -336,7 +380,8 @@ def kummer_m_grid(a, b, z):
     w = np.where(flip, -z, z)
     vals, noise = _kummer_series_dd(a_eff, b.real, w)
     pref = np.where(flip, np.exp(z), 1.0 + 0j)
-    return vals * pref, noise * np.abs(pref)
+    m = vals * pref
+    return m, noise * np.abs(pref) + _ROUNDING_EPS * np.abs(m)
 
 
 def kummer_m_bounded(a, b, z):

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rzspec import cli, perron
+from rzspec import cli, landau, perron
 from rzspec import zeta as ze
 
 
@@ -161,6 +161,31 @@ class TestErrorsAndConfig:
         cfgfile.write_text(json.dumps({"bogus": 1}))
         assert run(["zeros", "--t-max", "15", "--config", str(cfgfile)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestSweepSizes:
+    @pytest.mark.parametrize("args", [["perron", "--n-max", "1"], ["perron", "--n-max", "2"],
+                                      ["mertens", "--n-max", "3"], ["landau", "--n-max", "0"]])
+    def test_too_short_sweep_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RZError"
+        assert list(out.iterdir()) == []
+
+
+class TestLandauCommand:
+    def test_psi_csv_carries_bound_and_is_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run(["landau", "--n-max", "40", "--out", str(out)]) == 0
+        psi = (a / "landau_psi.csv").read_bytes()
+        assert psi == (b / "landau_psi.csv").read_bytes()
+        assert psi.decode().splitlines()[0] == "x,y,abs_psi,abs_psi_bound"
+        rows = read_csv(a / "landau_psi.csv")
+        xs = np.linspace(-10.0, 10.0, 40)
+        amp, bound = landau.psi_abs_grid(10.0, xs, xs, landau.LandauGeometry(1.0, 100.0))
+        assert rows[:, 2].tolist() == amp.ravel().tolist()
+        assert rows[:, 3].tolist() == bound.ravel().tolist()
 
 
 class TestAtZeroSnap:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rzspec import specfun
 from rzspec.errors import PoleError, ToleranceNotMet
 from rzspec.specfun import (
     KUMMER_RADIUS,
@@ -21,6 +22,17 @@ from rzspec.specfun import (
 LOGGAMMA_QUARTER_5I = complex(-7.3370880842091811, 2.6565750329571056)
 K_HALF_7I_2PI = complex(1.3935871058549974e-5, 1.0473149412003543e-5)
 M_EXAMPLE = complex(1.0949105136486249, 4.0249315749327309)
+
+# (a, b) of the even and odd Landau sectors at E = 10
+LANDAU_SECTORS = [(0.25 + 5j, 0.5), (0.75 + 5j, 1.5)]
+
+
+def landau_z(n):
+    """Kummer arguments (x - iy)^2 / 2 of the n x n Landau grid on [-10, 10]^2."""
+    xs = np.linspace(-10.0, 10.0, n)
+    x, y = np.meshgrid(xs, xs, indexing="ij")
+    w = x - 1j * y
+    return (0.5 * w * w).ravel()
 
 
 class TestLogGamma:
@@ -144,6 +156,48 @@ class TestKummer:
             assert abs(kummer_m(0.25 + 5j, 0.5, complex(z)) - v) < 1e-12 * max(abs(v), 1.0)
         assert np.all(bounds >= 0)
         assert KUMMER_RADIUS >= 200.0
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
+    def test_grid_cells_are_one_cell_calls(self, a, b, monkeypatch):
+        # each cell stops at its own last term, so it does not depend on the
+        # other cells: bit-equal to its one-cell call and to any regrouping
+        z = landau_z(5)
+        vals, bounds = kummer_m_grid(a, b, z)
+        assert np.abs(z).max() == 100.0
+        assert np.any(bounds > 1e-6 * np.abs(vals))  # over-budget cells included
+        for zc, v, e in zip(z, vals, bounds):
+            assert kummer_m_bounded(a, b, zc) == (v, e)
+        perm = np.random.default_rng(7).permutation(z.size)
+        monkeypatch.setattr(specfun, "_KUMMER_BLOCK", 7)
+        pv, pb = kummer_m_grid(a, b, z[perm])
+        assert np.array_equal(pv, vals[perm]) and np.array_equal(pb, bounds[perm])
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
+    def test_bound_covers_error_on_landau_grid(self, a, b):
+        # the bound also covers rounding to double and the e^z factor of
+        # flipped cells, where the series noise alone is far below an ulp
+        mp = pytest.importorskip("mpmath")
+        z = landau_z(200)
+        vals, bounds = kummer_m_grid(a, b, z)
+        rel = bounds / np.abs(vals)
+        over = np.flatnonzero(rel > 1e-6)
+        cells = (set(np.argsort(rel)[-10:].tolist()) | set(over[::over.size // 20].tolist())
+                 | set(range(0, z.size, 571)))
+        with mp.workdps(60):
+            for k in sorted(cells):
+                want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b,
+                                         mp.mpc(z[k].real, z[k].imag)))
+                assert abs(vals[k] - want) <= bounds[k], (k, z[k])
+
+    def test_grid_empty(self):
+        vals, bounds = kummer_m_grid(0.25 + 5j, 0.5, np.array([], dtype=complex))
+        assert vals.shape == (0,) and bounds.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(1.0, math.inf),
+                                     complex(-math.inf, 0.0)])
+    def test_grid_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0 + 1.0j, bad]))
 
 
 class TestQuadratureSpec:
