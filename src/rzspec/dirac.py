@@ -27,8 +27,8 @@ from enum import Enum
 import numpy as np
 
 from .counting import ModelScales, n_dirac_smooth
-from .errors import MissedZeroError, ToleranceNotMet
-from .roots import brent, scan_sign_changes
+from .errors import ToleranceNotMet
+from .roots import find_all
 from .specfun import (
     QuadratureSpec,
     _refine_panels,
@@ -252,17 +252,8 @@ def find_dirac_zeros(target, t_min: float, t_max: float,
             SpectralFunctionKind.XI_DIRAC_H: lambda t: xi_h(t, q),
         }[target]
         step = _SCAN_STEP[target.value]
-    brackets = scan_sign_changes(f, t_min, t_max, step)
-    roots = [brent(f, a, b, xtol=1e-10) for a, b in brackets]
-
     if target is SpectralFunctionKind.XI_RIEMANN:
         expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
-        if len(roots) != expected:
-            raise MissedZeroError(
-                f"found {len(roots)} zeros, counting formula gives {expected}")
-    else:
-        expected = _smooth_count(target, t_max) - _smooth_count(target, t_min)
-        if abs(len(roots) - expected) > 2.5:
-            raise MissedZeroError(
-                f"found {len(roots)} zeros vs smooth estimate {expected:.2f}")
-    return roots
+        return find_all(f, t_min, t_max, step, expected)
+    expected = _smooth_count(target, t_max) - _smooth_count(target, t_min)
+    return find_all(f, t_min, t_max, step, expected, slack=2.5)

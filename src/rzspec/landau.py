@@ -7,8 +7,9 @@ turns the critical-line phase into the quantization condition
 
     2 theta(E) - E log(L^2 / (2 pi l^2)) = 0  (mod 2 pi),
 
-whose roots are the levels.  The level count reproduces the cutoff
-counting formula with Lambda = L / l.
+whose roots are the levels: the sign changes of sin(phase / 2), found
+by the shared verified-root scan.  The level count reproduces the cutoff
+counting formula with Lambda = L / l and is reconciled with it to +-1.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissedZeroError
-from .roots import brent
+from .roots import find_all
 from .specfun import kummer_m_bounded, kummer_m_grid
-from .zeta import theta_rs
+from .zeta import _diff5, theta_rs
 
 __all__ = [
     "LandauGeometry",
@@ -91,18 +91,17 @@ def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     return np.abs(M) * gauss * pref, bound * gauss * pref
 
 
+def _phase(E: float, g: LandauGeometry) -> float:
+    return 2.0 * theta_rs(E) - E * g.log_cutoff
+
+
 def quantization_residual(E: float, g: LandauGeometry) -> float:
     """Box-quantization phase 2 theta(E) - E log(L^2/2 pi l^2), reduced
     mod 2 pi to (-pi, pi]; levels are its zeros."""
-    w = 2.0 * theta_rs(E) - E * g.log_cutoff
-    r = math.remainder(w, 2.0 * math.pi)
+    r = math.remainder(_phase(E, g), 2.0 * math.pi)
     if r <= -math.pi:
         r += 2.0 * math.pi
     return r
-
-
-def _phase(E: float, g: LandauGeometry) -> float:
-    return 2.0 * theta_rs(E) - E * g.log_cutoff
 
 
 def n_landau(E: float, g: LandauGeometry) -> float:
@@ -113,39 +112,19 @@ def n_landau(E: float, g: LandauGeometry) -> float:
 def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     """Positive roots of the quantization condition below E_max.
 
-    The unreduced phase is continuous, so roots are located as crossings
-    of integer multiples of 2 pi -- no spurious branch-cut roots.  The
-    root count is reconciled with ``n_landau`` to +-1.
+    The levels are the sign changes of sin(phase / 2): continuous in E
+    and zero exactly where the unreduced phase crosses a multiple of
+    2 pi, so the branch cut of the reduced residual adds no spurious
+    roots.  The scan step lets at most 0.8 pi of phase pass; the phase
+    slope 2 theta'(E) - log(L^2/2 pi l^2) increases with E, so its
+    largest size on [0, E_max] is at an end.  The root count is
+    reconciled with ``n_landau`` to +-1; a scan misses levels only in
+    pairs, so a miss raises :class:`MissedZeroError`.
     """
     if E_max <= 0:
         raise ValueError("E_max must be positive")
-    # local level spacing ~ 2 pi / |d phase/dE|; sample well below it
-    grid = [1e-9]
-    E = 1e-9
-    while E < E_max:
-        dphi = abs(2.0 * _theta_prime_est(E) - g.log_cutoff) + 0.5
-        E = min(E_max, E + min(0.5, 0.8 * math.pi / dphi))
-        grid.append(E)
-    roots = []
-    w_prev = _phase(grid[0], g)
-    for a, b in zip(grid, grid[1:]):
-        w_next = _phase(b, g)
-        k_lo = math.ceil(min(w_prev, w_next) / (2.0 * math.pi))
-        k_hi = math.floor(max(w_prev, w_next) / (2.0 * math.pi))
-        for k in range(k_lo, k_hi + 1):
-            f = lambda t, k2pi=2.0 * math.pi * k: _phase(t, g) - k2pi
-            if f(a) == 0.0 or f(a) * f(b) > 0:
-                continue
-            roots.append(brent(f, a, b, xtol=1e-10))
-        w_prev = w_next
-    roots = sorted(r for r in roots if r > 1e-8)
-    expected = n_landau(E_max, g)
-    if abs(len(roots) - expected) > 1.0 + 1e-9:
-        raise MissedZeroError(
-            f"{len(roots)} levels below E={E_max:g} vs smooth count {expected:.3f}")
-    return roots
-
-
-def _theta_prime_est(E: float) -> float:
-    # asymptotic slope of theta, floored for small E
-    return 0.5 * math.log(max(E, 2.0 * math.pi) / (2.0 * math.pi))
+    phase = lambda E: _phase(E, g)
+    slope = max(abs(_diff5(phase, E, 1e-3)) for E in (0.0, E_max))
+    # phase(0) = 0 is not a level; the scan steps off a zero at its start
+    return find_all(lambda E: math.sin(0.5 * phase(E)), 0.0, E_max,
+                    0.8 * math.pi / slope, n_landau(E_max, g), slack=1.0)

@@ -1,16 +1,19 @@
-"""Bracketing root refinement for oscillatory real functions.
+"""Verified roots of oscillatory real functions.
 
-A plain sign-change scan over a uniform grid feeds a Brent-style
-bracketed refiner.  Nothing here knows about zeta; the zero finders for
-Z, the spectral functions and the quantization residuals all share these
-two helpers.
+``find_all`` is the one verified-root path: a sign-change scan over a
+uniform grid feeds a Brent-style bracketed refiner (Brent 1973), and the
+number of roots found is reconciled with an independent count.  Nothing
+here knows about zeta; the zeros of Z, of the Dirac/Polya spectral
+functions and the Landau levels all come from ``find_all``.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["brent", "scan_sign_changes"]
+from .errors import MissedZeroError
+
+__all__ = ["brent", "find_all", "scan_sign_changes"]
 
 _EPS = 2.220446049250313e-16
 
@@ -91,3 +94,19 @@ def scan_sign_changes(f, t_min, t_max, step):
         if t >= t_max:
             break
     return brackets
+
+
+def find_all(f, lo, hi, step, expected, slack=0.0):
+    """Every root of f in (lo, hi), refined to 1e-10, checked against a count.
+
+    ``expected`` is the number of roots an independent formula predicts;
+    :class:`MissedZeroError` is raised when the scan's count differs from it
+    by more than ``slack`` (0 for an exact count, more for a smooth one).
+    A sign-change scan misses roots only in pairs, inside one step.
+    """
+    roots = [brent(f, a, b, xtol=1e-10) for a, b in scan_sign_changes(f, lo, hi, step)]
+    if abs(len(roots) - expected) > slack:
+        raise MissedZeroError(
+            f"found {len(roots)} roots in ({lo:g}, {hi:g}) "
+            f"but the count gives {expected:g} (slack {slack:g})")
+    return roots

@@ -30,11 +30,10 @@ _log = logging.getLogger(__name__)
 from .errors import (
     ConsistencyError,
     FormatError,
-    MissedZeroError,
     MonotonicityError,
     PoleError,
 )
-from .roots import brent, scan_sign_changes
+from .roots import find_all
 from .specfun import log_gamma
 
 __all__ = [
@@ -295,14 +294,9 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     """
     if not (0.0 <= t_min < t_max <= T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
-    brackets = scan_sign_changes(z_function, t_min, t_max, ZERO_GRID_STEP)
-    roots = [brent(z_function, a, b, xtol=1e-10) for a, b in brackets]
-    lo = 0 if t_min < 1.0 else _count_avoiding_zeros(t_min)
-    hi = _count_avoiding_zeros(t_max)
-    if hi - lo != len(roots):
-        raise MissedZeroError(
-            f"found {len(roots)} zeros in ({t_min:g}, {t_max:g}) "
-            f"but the counting formula gives {hi - lo}")
+    lo = _count_avoiding_zeros(t_min)
+    roots = find_all(z_function, t_min, t_max, ZERO_GRID_STEP,
+                     _count_avoiding_zeros(t_max) - lo)
     records = []
     for k, t in enumerate(roots):
         rec = ZeroRecord(index=lo + k + 1, t=t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rzspec import landau
+from rzspec.errors import MissedZeroError
 from rzspec.landau import LandauGeometry
 from rzspec.zeta import theta_rs
 
@@ -77,6 +78,21 @@ class TestQuantization:
     def test_count_matches_smooth(self):
         lv = landau.landau_levels(20.0, GEOM)
         assert abs(len(lv) - round(landau.n_landau(20.0, GEOM))) <= 1
+
+    @pytest.mark.parametrize("box_size", [30.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("e_max", [2.0, 20.0, 200.0])
+    def test_count_is_floor_of_smooth_and_levels_on_phase(self, box_size, e_max):
+        g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
+        lv = landau.landau_levels(e_max, g)
+        assert len(lv) == math.floor(landau.n_landau(e_max, g))
+        for e in lv:
+            assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
+
+    def test_phase_turning_back_raises(self):
+        # above E = L^2 the phase turns back and re-crosses the same multiples
+        # of 2 pi, so the level count leaves the smooth count behind
+        with pytest.raises(MissedZeroError):
+            landau.landau_levels(200.0, LandauGeometry(magnetic_length=1.0, box_size=10.0))
 
     def test_spacing_near_10(self):
         lv = landau.landau_levels(13.0, GEOM)

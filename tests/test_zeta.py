@@ -10,6 +10,7 @@ from rzspec import zeta as ze
 from rzspec.errors import (
     ConsistencyError,
     FormatError,
+    MissedZeroError,
     MonotonicityError,
     PoleError,
 )
@@ -144,6 +145,12 @@ class TestZeroFinding:
     def test_budget(self):
         with pytest.raises(ValueError):
             ze.find_zeros(0.0, 501.0)
+
+    def test_coarse_scan_trips_count_guard(self, monkeypatch):
+        # a step of 2 puts the zeros 48.005 and 49.774 in one step [48, 50]
+        monkeypatch.setattr(ze, "ZERO_GRID_STEP", 2.0)
+        with pytest.raises(MissedZeroError):
+            ze.find_zeros(0.0, 50.0)
 
     def test_exact_count_refuses_a_zero(self, zero_db):
         with pytest.raises(ConsistencyError):
