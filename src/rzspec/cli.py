@@ -47,6 +47,11 @@ _DEFAULTS = {
 
 _WORKERS = min(8, os.cpu_count() or 1)
 
+# config-file options that take an integer or a string; the others take a
+# number, and null is accepted only where the default is null
+_CONFIG_INTS = {"n_max", "n_zeros", "n_trivial", "character_modulus"}
+_CONFIG_STRS = {"out", "cache"}
+
 
 @dataclass
 class RunConfig:
@@ -164,8 +169,7 @@ def _cmd_zeros(cfg: RunConfig) -> None:
     _write_csv(cfg.out / "zeros.csv",
                ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"], rows)
     ts = np.arange(max(cfg.t_min, 0.0), t_max + 1e-9, 0.05)
-    zs = _map_ordered(zeta_mod.z_function, list(ts))
-    svg.line_plot(cfg.out / "zeros.svg", ts, [zs], labels=["Z(t)"],
+    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod.z_function(ts)], labels=["Z(t)"],
                   title="Hardy Z on the critical line", x_label="t", y_label="Z")
 
 
@@ -362,14 +366,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_config(file_cfg) -> None:
+    if not isinstance(file_cfg, dict):
+        raise RZError("a config file holds one JSON object of option values")
+    unknown = set(file_cfg) - set(_DEFAULTS)
+    if unknown:
+        raise RZError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in file_cfg.items():
+        if val is None and _DEFAULTS[key] is None:
+            continue
+        if key in _CONFIG_STRS:
+            types, kind = str, "a string"
+        elif key in _CONFIG_INTS:
+            types, kind = int, "an integer"
+        else:
+            types, kind = (int, float), "a number"
+        if isinstance(val, bool) or not isinstance(val, types):
+            raise RZError(f"config key {key!r}: expected {kind}, got {json.dumps(val)}")
+
+
 def resolve_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = set(file_cfg) - set(_DEFAULTS)
-        if unknown:
-            raise RZError(f"unknown config keys: {sorted(unknown)}")
+        _check_config(file_cfg)
 
     def pick(name):
         flag = getattr(args, name)

@@ -252,6 +252,7 @@ def find_dirac_zeros(target, t_min: float, t_max: float,
             SpectralFunctionKind.XI_DIRAC_H: lambda t: xi_h(t, q),
         }[target]
         step = _SCAN_STEP[target.value]
+    f = np.vectorize(f, otypes=[float])  # the scan passes its whole grid
     if target is SpectralFunctionKind.XI_RIEMANN:
         expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
         return find_all(f, t_min, t_max, step, expected)

@@ -126,5 +126,5 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     phase = lambda E: _phase(E, g)
     slope = max(abs(_diff5(phase, E, 1e-3)) for E in (0.0, E_max))
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
-    return find_all(lambda E: math.sin(0.5 * phase(E)), 0.0, E_max,
+    return find_all(lambda E: np.sin(0.5 * phase(E)), 0.0, E_max,
                     0.8 * math.pi / slope, n_landau(E_max, g), slack=1.0)

@@ -17,7 +17,7 @@ which keeps the Mertens reconstruction real to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,6 +151,7 @@ class ResidueExpansionConfig:
     n_nontrivial: int = 100
     n_trivial: int = 20
     at_zero_mode: bool = False
+    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nontrivial > len(self.zero_db):
@@ -160,14 +161,16 @@ class ResidueExpansionConfig:
 
     def pairs(self):
         """(rho, zeta'(rho)) for the first n_nontrivial zeros and their
-        conjugates, ordered by |Im rho| ascending."""
-        self.zero_db.ensure_derivatives(self.n_nontrivial)
-        out = []
-        for rec in self.zero_db.records[: self.n_nontrivial]:
-            zp = rec.zeta_prime_at_rho
-            out.append((complex(0.5, rec.t), zp))
-            out.append((complex(0.5, -rec.t), zp.conjugate()))
-        return out
+        conjugates, ordered by |Im rho| ascending; built on the first call."""
+        if self._pairs is None:
+            self.zero_db.ensure_derivatives(self.n_nontrivial)
+            out = []
+            for rec in self.zero_db.records[: self.n_nontrivial]:
+                zp = rec.zeta_prime_at_rho
+                out.append((complex(0.5, rec.t), zp))
+                out.append((complex(0.5, -rec.t), zp.conjugate()))
+            self._pairs = tuple(out)
+        return self._pairs
 
 
 def _nontrivial_sum(x, z: complex, cfg: ResidueExpansionConfig,

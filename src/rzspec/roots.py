@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import MissedZeroError
 
 __all__ = ["brent", "find_all", "scan_sign_changes"]
@@ -70,41 +72,37 @@ def brent(f, a, b, xtol=1e-12, max_iter=200):
 def scan_sign_changes(f, t_min, t_max, step):
     """Brackets (a, b) with f(a)*f(b) < 0 on a uniform grid of the given step.
 
-    Grid points that land exactly on a root are nudged by step/64 so the
-    bracket survives.
+    ``f`` maps an array to an array and is called once on the whole grid
+    t_min + k*step, clipped at t_max.  Grid points that land exactly on a
+    root are nudged by step/64, in one more call, so the bracket survives.
     """
     n = max(2, int(math.ceil((t_max - t_min) / step)) + 1)
-    brackets = []
-    t_prev = t_min
-    f_prev = f(t_prev)
-    if f_prev == 0.0:
-        t_prev += step / 64.0
-        f_prev = f(t_prev)
-    for k in range(1, n + 1):
-        t = min(t_min + k * step, t_max)
-        if t <= t_prev:
-            break
-        ft = f(t)
-        if ft == 0.0:
-            t += step / 64.0
-            ft = f(t)
-        if f_prev * ft < 0:
-            brackets.append((t_prev, t))
-        t_prev, f_prev = t, ft
-        if t >= t_max:
-            break
-    return brackets
+    ts = np.minimum(t_min + np.arange(n + 1) * step, t_max)
+    ts = ts[: np.argmax(ts >= t_max) + 1]
+    fs = np.asarray(f(ts), dtype=float)
+    hit = np.flatnonzero(fs == 0.0)
+    if len(hit):
+        ts[hit] += step / 64.0
+        fs[hit] = f(ts[hit])
+        ts = ts[: np.argmax(ts >= t_max) + 1]  # a nudge past t_max ends the grid
+        fs = fs[: len(ts)]
+    k = np.flatnonzero(fs[:-1] * fs[1:] < 0)
+    return list(zip(ts[k].tolist(), ts[k + 1].tolist()))
 
 
 def find_all(f, lo, hi, step, expected, slack=0.0):
     """Every root of f in (lo, hi), refined to 1e-10, checked against a count.
 
-    ``expected`` is the number of roots an independent formula predicts;
-    :class:`MissedZeroError` is raised when the scan's count differs from it
-    by more than ``slack`` (0 for an exact count, more for a smooth one).
-    A sign-change scan misses roots only in pairs, inside one step.
+    ``f`` takes a float or an array: the scan calls it once on its whole
+    grid, Brent on one float at a time.  ``expected`` is the number of
+    roots an independent formula predicts; :class:`MissedZeroError` is
+    raised when the scan's count differs from it by more than ``slack``
+    (0 for an exact count, more for a smooth one).  A sign-change scan
+    misses roots only in pairs, inside one step.
     """
-    roots = [brent(f, a, b, xtol=1e-10) for a, b in scan_sign_changes(f, lo, hi, step)]
+    f_scalar = lambda x: float(f(x))
+    roots = [brent(f_scalar, a, b, xtol=1e-10)
+             for a, b in scan_sign_changes(f, lo, hi, step)]
     if abs(len(roots) - expected) > slack:
         raise MissedZeroError(
             f"found {len(roots)} roots in ({lo:g}, {hi:g}) "

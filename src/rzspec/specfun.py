@@ -163,15 +163,15 @@ _LANCZOS_C = (
 )
 
 
-def _log_gamma_right(z: complex) -> complex:
+def _log_gamma_right(z, log=cmath.log):
     # Lanczos sum for Re z >= 1/2; series argument shifted so the pole
-    # terms are z-1+k with k >= 1.
+    # terms are z-1+k with k >= 1.  z is a complex, or an array with log=np.log.
     zm1 = z - 1.0
     s = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         s += _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(s)
+    return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * log(t) - t + log(s)
 
 
 def _clog1p(x: complex) -> complex:
@@ -190,12 +190,39 @@ def _log_sin_pi(z: complex) -> complex:
     return _log_sin_pi(z.conjugate()).conjugate()
 
 
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma for complex z.
+def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
+    # _log_sin_pi elementwise: its upper half-plane formula, conjugated
+    # onto the lower half-plane
+    lower = z.imag < 0
+    z = np.where(lower, z.conj(), z)
+    x = -np.exp(2j * math.pi * z)
+    log1p = np.where(np.abs(x) < 1e-4, x * (1.0 + x * (-0.5 + x / 3.0)), np.log(1.0 + x))
+    out = -1j * math.pi * z + log1p - math.log(2.0) + 0.5j * math.pi
+    return np.where(lower, out.conj(), out)
+
+
+def _log_gamma_array(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    pole = (z.imag == 0.0) & (z.real == np.floor(z.real)) & (z.real <= 0.0)
+    if pole.any():
+        raise PoleError(f"log_gamma pole at z = {z[pole].flat[0].real:g}")
+    right = z.real >= 0.5
+    out = _log_gamma_right(np.where(right, z, 1.0 - z), log=np.log)
+    left = ~right
+    out[left] = math.log(math.pi) - _log_sin_pi_array(z[left]) - out[left]
+    return out
+
+
+def log_gamma(z):
+    """Principal-branch log Gamma for complex z, or elementwise for an ndarray.
 
     ``exp(log_gamma(z)) == Gamma(z)``; raises :class:`PoleError` at the
-    poles z = 0, -1, -2, ...
+    poles z = 0, -1, -2, ...  An ndarray takes the same Lanczos table and
+    reflection as a scalar, so both give the branch continuous along
+    vertical lines that theta_rs relies on.
     """
+    if isinstance(z, np.ndarray):
+        return _log_gamma_array(z)
     z = complex(z)
     if z.imag == 0.0 and z.real == math.floor(z.real) and z.real <= 0.0:
         raise PoleError(f"log_gamma pole at z = {z.real:g}")

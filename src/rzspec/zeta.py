@@ -19,6 +19,8 @@ import cmath
 import json
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +36,7 @@ from .errors import (
     PoleError,
 )
 from .roots import find_all
-from .specfun import log_gamma
+from .specfun import _log_sin_pi_array, log_gamma
 
 __all__ = [
     "zeta",
@@ -72,8 +74,17 @@ def _bernoulli_over_factorial(count):
 _EM_COEF = _bernoulli_over_factorial(30)
 
 
+def _em_cutoff(abs_s):
+    # cutoff N of the main sum for |s|, a float or an array; the correction
+    # series then converges at better than 1e-17 for |Im s| up to a few thousand
+    q = (abs_s + 55.0) / 2.6
+    if isinstance(q, np.ndarray):
+        return np.maximum(18, q.astype(np.int64) + 1)
+    return max(18, int(q) + 1)
+
+
 def _zeta_em(s: complex) -> complex:
-    n_base = max(18, int((abs(s) + 55.0) / 2.6) + 1)
+    n_base = _em_cutoff(abs(s))
     n = np.arange(1, n_base)
     acc = np.exp(-s * np.log(n)).sum()
     acc += 0.5 * n_base ** (-s) + n_base ** (1.0 - s) / (s - 1.0)
@@ -95,8 +106,51 @@ def _zeta_em(s: complex) -> complex:
     return complex(acc)
 
 
-def zeta(s) -> complex:
-    """zeta(s) for complex s != 1; raises :class:`PoleError` at s = 1."""
+_ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB at t = 500
+
+
+def _zeta_em_array(s: np.ndarray) -> np.ndarray:
+    # _zeta_em on a 1-d array with Re s >= 0.  The main sum runs over the
+    # points that share a cutoff N, a block at a time, each row summed as the
+    # scalar path sums it; every point stops its correction series on its
+    # own, by the scalar rules.
+    n_base = _em_cutoff(np.abs(s))
+    acc = np.empty(len(s), dtype=complex)
+    order = np.argsort(n_base, kind="stable")
+    for grp in np.split(order, np.flatnonzero(np.diff(n_base[order])) + 1):
+        if not len(grp):
+            continue
+        log_n = np.log(np.arange(1, n_base[grp[0]]))
+        for b in range(0, len(grp), _ZETA_BLOCK):
+            idx = grp[b:b + _ZETA_BLOCK]
+            acc[idx] = np.exp(-s[idx, None] * log_n).sum(axis=1)
+    nb = n_base.astype(float)
+    acc += 0.5 * nb ** (-s) + nb ** (1.0 - s) / (s - 1.0)
+    live = np.arange(len(s))  # points whose series is still running
+    rising = s.copy()
+    npow = nb ** (-s - 1.0)
+    inv_n2 = 1.0 / (nb * nb)
+    prev = np.full(len(s), math.inf)
+    for k, coef in enumerate(_EM_COEF, start=1):
+        term = coef * rising * npow
+        mag = np.abs(term)
+        add = ~(mag > prev)  # a diverging tail stops before its term
+        acc[live[add]] += term[add]
+        more = add & ~(mag < 1e-18 * np.abs(acc[live]))
+        if not more.any():
+            break
+        live, prev = live[more], mag[more]
+        sl = s[live]
+        rising = rising[more] * ((sl + 2 * k - 1) * (sl + 2 * k))
+        npow = npow[more] * inv_n2[live]
+    return acc
+
+
+def zeta(s):
+    """zeta(s) for complex s != 1, or elementwise for an ndarray of s;
+    raises :class:`PoleError` at s = 1."""
+    if isinstance(s, np.ndarray):
+        return _zeta_array(s)
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta pole at s = 1")
@@ -110,31 +164,66 @@ def zeta(s) -> complex:
     return cmath.exp(log_chi) * _zeta_em(w)
 
 
+def _zeta_array(s) -> np.ndarray:
+    s = np.asarray(s, dtype=complex)
+    if np.any(s == 1.0):
+        raise PoleError("zeta pole at s = 1")
+    flat = s.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    right = flat.real >= 0.0
+    out[right] = _zeta_em_array(flat[right])
+    if not right.all():
+        sl = flat[~right]
+        w = 1.0 - sl
+        log_chi = (sl * math.log(2.0) + (sl - 1.0) * math.log(math.pi)
+                   + _log_sin_pi_array(sl / 2.0) + log_gamma(w))
+        out[~right] = np.exp(log_chi) * _zeta_em_array(w)
+    return out.reshape(s.shape)
+
+
 def _log_sin_half_pi(s: complex) -> complex:
     # log sin(pi s / 2), stable for large |Im s|
     from .specfun import _log_sin_pi
     return _log_sin_pi(s / 2.0)
 
 
-def theta_rs(t: float) -> float:
+def theta_rs(t):
     """Riemann-Siegel theta, the phase of zeta on the critical line.
 
-    Continuous branch with theta(0) = 0; odd in t.
+    Continuous branch with theta(0) = 0; odd in t.  ``t`` is a float or an
+    ndarray (elementwise).
     """
-    return log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * math.log(math.pi)
+    return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
-def z_function(t: float) -> float:
+def z_function(t):
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
 
+    ``t`` is a float or an ndarray (elementwise, one array evaluation).
     The imaginary residue of the product is expected below 1e-9; larger
     residues are reported, and beyond 1e-6 the evaluation is rejected.
     """
+    if isinstance(t, np.ndarray):
+        return _z_array(t)
     w = cmath.exp(1j * theta_rs(t)) * zeta(complex(0.5, t))
     if abs(w.imag) > 1e-6:
         raise ConsistencyError(f"Z({t:g}): imaginary residue {w.imag:.3e}")
     if abs(w.imag) > 1e-9:
         _log.debug("Z(%g): imaginary residue %.3e above the 1e-9 watermark", t, w.imag)
+    return w.real
+
+
+def _z_array(t: np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    w = np.exp(1j * theta_rs(t)) * zeta(0.5 + 1j * t)
+    resid = np.abs(w.imag)
+    if np.any(resid > 1e-6):
+        k = int(np.argmax(resid.ravel()))
+        raise ConsistencyError(
+            f"Z({t.flat[k]:g}): imaginary residue {w.imag.flat[k]:.3e}")
+    if np.any(resid > 1e-9):
+        _log.debug("Z: %d imaginary residues above the 1e-9 watermark",
+                   int(np.count_nonzero(resid > 1e-9)))
     return w.real
 
 
@@ -319,7 +408,12 @@ def build_database(t_max: float) -> ZeroDatabase:
 # --------------------------------------------------------------------------
 
 def persist_zeros(db: ZeroDatabase, path) -> None:
-    """Write the database as a JSON document (floats round-trip exactly)."""
+    """Write the database as a JSON document (floats round-trip exactly).
+
+    The document goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step: a failed write leaves the previous file
+    as it was.
+    """
     doc = {
         "zeros": [
             {
@@ -334,7 +428,15 @@ def persist_zeros(db: ZeroDatabase, path) -> None:
         "t_max_verified": db.t_max_verified,
         "source": db.source,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    path = Path(path)
+    # one name per process and thread, so concurrent writers never share it
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_text_table(text: str) -> list[float]:

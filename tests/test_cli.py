@@ -163,6 +163,19 @@ class TestErrorsAndConfig:
         assert "bogus" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("doc", [{"n_max": [1]}, {"t_max": "16"}, {"n_zeros": 1.5},
+                                     {"n_trivial": True}, {"out": 3}, {"epsilon": None},
+                                     [["n_max", 1]]])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, doc):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["zeros", "--t-max", "15", "--config", str(cfgfile),
+                    "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RZError"
+        assert not out.exists()
+
+
 class TestSweepSizes:
     @pytest.mark.parametrize("args", [["perron", "--n-max", "1"], ["perron", "--n-max", "2"],
                                       ["mertens", "--n-max", "3"], ["landau", "--n-max", "0"]])

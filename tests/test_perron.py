@@ -134,6 +134,21 @@ class TestResidueExpansion:
         (slope, _), *_ = np.linalg.lstsq(A, np.array(vals), rcond=None)
         assert slope == pytest.approx(1.0 / abs(zero_db.records[0].z_prime), rel=0.1)
 
+    def test_pairs_built_once(self, zero_db, monkeypatch):
+        cfg = perron.ResidueExpansionConfig(zero_db, 50, 10)
+        first = cfg.pairs()
+        assert len(first) == 100
+        assert first[0] == (complex(0.5, zero_db.records[0].t),
+                            zero_db.records[0].zeta_prime_at_rho)
+        assert first[1] == (complex(0.5, -zero_db.records[0].t),
+                            zero_db.records[0].zeta_prime_at_rho.conjugate())
+        walks = []
+        monkeypatch.setattr(type(zero_db), "ensure_derivatives",
+                            lambda self, upto=None: walks.append(upto))
+        perron.mertens_residue(10.5, cfg)
+        perron.mertens_residue(np.array([2.5, 20.5]), cfg)
+        assert cfg.pairs() is first and walks == []
+
     def test_config_validation(self, zero_db):
         with pytest.raises(ValueError):
             perron.ResidueExpansionConfig(zero_db, len(zero_db) + 1, 5)

@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
+
 import pytest
 
 from rzspec.errors import MissedZeroError
-from rzspec.roots import find_all
+from rzspec.roots import find_all, scan_sign_changes
 
 
 class TestFindAll:
     def test_known_roots(self):
-        roots = find_all(math.sin, 0.5, 10.0, 0.1, 3)
+        roots = find_all(np.sin, 0.5, 10.0, 0.1, 3)
         assert len(roots) == 3
         for k, r in enumerate(roots, start=1):
             assert r == pytest.approx(k * math.pi, abs=1e-9)
@@ -26,6 +28,18 @@ class TestFindAll:
 
     def test_smooth_count_beyond_slack_raises(self):
         # three roots; a smooth count of 5.4 is within 2.5, one of 5.6 is not
-        assert len(find_all(math.sin, 0.5, 10.0, 0.1, 5.4, slack=2.5)) == 3
+        assert len(find_all(np.sin, 0.5, 10.0, 0.1, 5.4, slack=2.5)) == 3
         with pytest.raises(MissedZeroError):
-            find_all(math.sin, 0.5, 10.0, 0.1, 5.6, slack=2.5)
+            find_all(np.sin, 0.5, 10.0, 0.1, 5.6, slack=2.5)
+
+    def test_grid_point_on_a_root_is_nudged(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return (x - 1.0) * (x - 3.0)
+        # 1.0 and 3.0 are grid points; f vanishes there exactly
+        assert scan_sign_changes(f, 0.0, 4.0, 0.25) == [
+            (0.75, 1.0 + 0.25 / 64.0), (2.75, 3.0 + 0.25 / 64.0)]
+        assert calls == [(17,), (2,)]  # the whole grid, then the two nudged points
+        assert find_all(f, 0.0, 4.0, 0.25, 2) == pytest.approx([1.0, 3.0], abs=1e-9)

@@ -63,6 +63,19 @@ class TestLogGamma:
         z = 0.3 + 11.0j
         assert log_gamma(z.conjugate()) == log_gamma(z).conjugate()
 
+    def test_array_matches_scalar(self):
+        # both half-planes, both signs of Im z, the real axis off the poles
+        re, im = np.meshgrid(np.linspace(-6.29, 6.31, 43), np.linspace(-900.0, 900.0, 41))
+        z = re + 1j * im
+        got = log_gamma(z)
+        assert got.shape == z.shape
+        ref = np.array([log_gamma(complex(v)) for v in z.ravel()]).reshape(z.shape)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+    def test_array_pole(self):
+        with pytest.raises(PoleError):
+            log_gamma(np.array([0.5 + 1j, -3.0]))
+
 
 class TestBesselK:
     def test_half_order_closed_form(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,55 @@ class TestZFunction:
         assert abs(ze.z_function(14.134725141734694)) < 1e-4
 
 
+class TestArrayLayer:
+    # an ndarray takes the array kernels; a float takes the scalar code
+    SCAN_GRID = np.arange(0.0, 500.0 + 1e-9, ze.ZERO_GRID_STEP)
+
+    def test_z_and_zeta_match_scalar_on_scan_grid(self):
+        ts = self.SCAN_GRID
+        z_arr = ze.z_function(ts)
+        z_sc = np.array([ze.z_function(float(t)) for t in ts])
+        assert np.all(np.abs(z_arr - z_sc) <= 1e-14 * np.maximum(1.0, np.abs(z_sc)))
+        zeta_arr = ze.zeta(0.5 + 1j * ts)
+        zeta_sc = np.array([ze.zeta(complex(0.5, t)) for t in ts])
+        assert np.all(np.abs(zeta_arr - zeta_sc) <= 1e-14 * np.maximum(1.0, np.abs(zeta_sc)))
+
+    def test_zeta_off_the_line_and_shape(self):
+        s = np.array([[2.0 + 3.0j, 0.0, 0.3 - 40.0j], [-1.5 + 10.0j, -3.0 + 0.5j, -2.5 + 40.0j]])
+        got = ze.zeta(s)
+        assert got.shape == s.shape
+        ref = np.array([[ze.zeta(complex(v)) for v in row] for row in s])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+        assert ze.zeta(np.array([], dtype=complex)).shape == (0,)
+        with pytest.raises(PoleError):
+            ze.zeta(np.array([0.5 + 1j, 1.0]))
+
+    def test_theta_matches_scalar_both_signs(self):
+        ts = np.linspace(-2000.0, 2000.0, 8001)
+        th = ze.theta_rs(ts)
+        ref = np.array([ze.theta_rs(float(t)) for t in ts])
+        assert np.all(np.abs(th - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        # continuous branch: theta' <= log(2000 / 2 pi) / 2 < 3, so a step of
+        # 0.5 moves it by less than 1.5 and a 2 pi jump would stand out
+        assert np.max(np.abs(np.diff(th))) < 1.5
+
+    def test_against_mpmath_siegelz(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 25
+        ts = self.SCAN_GRID[::200]  # 51 points of the scan grid
+        got = ze.z_function(ts)
+        ref = np.array([float(mp.siegelz(t)) for t in ts])
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        th_ref = np.array([float(mp.siegeltheta(t)) for t in ts])
+        assert np.all(np.abs(ze.theta_rs(ts) - th_ref) <= 1e-12 * np.maximum(1.0, np.abs(th_ref)))
+
+    def test_array_residue_above_budget_raises(self, monkeypatch):
+        theta = ze.theta_rs
+        monkeypatch.setattr(ze, "theta_rs", lambda t: theta(t) + 1e-3)
+        with pytest.raises(ConsistencyError):
+            ze.z_function(np.linspace(10.0, 20.0, 11))
+
+
 class TestDerivatives:
     def test_zeta_prime_at_zero_point(self):
         assert abs(ze.zeta_prime(0j) - (-0.5 * math.log(2.0 * math.pi))) < 1e-9
@@ -216,6 +266,26 @@ class TestDatabaseIO:
         for a, b in zip(small.records, back.records):
             assert (a.index, a.t, a.z_prime) == (b.index, b.t, b.z_prime)
             assert a.zeta_prime_at_rho == b.zeta_prime_at_rho
+
+    def test_failed_write_keeps_previous_cache(self, tmp_path, zero_db, monkeypatch):
+        p = tmp_path / "cache.json"
+        ze.persist_zeros(ze.ZeroDatabase(records=zero_db.records[:5], source="computed",
+                                         t_max_verified=33.0), p)
+        before = p.read_bytes()
+
+        def torn_write(self, text, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            ze.persist_zeros(ze.ZeroDatabase(records=zero_db.records[:8], source="computed",
+                                             t_max_verified=44.0), p)
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert len(ze.ingest_zeros(p)) == 5
+        assert list(tmp_path.iterdir()) == [p]  # the partial temporary file is gone
 
     def test_format_error(self, tmp_path):
         p = tmp_path / "bad.txt"
