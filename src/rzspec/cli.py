@@ -70,15 +70,18 @@ class RunConfig:
     cache: Path
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: Path, header, rows) -> None:
+    # an int value is written as an int, any other as a float to 17
+    # significant digits; one format string per row's tuple of types
+    formats = {}
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
+                                      for v in row)
+        lines.append(formats[kinds] % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -366,27 +369,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_config(file_cfg) -> None:
-    if not isinstance(file_cfg, dict):
+def _check_config(opts) -> None:
+    # option values from a config file or from flags; a bad one is refused
+    # here, before any cache or artifact write
+    if not isinstance(opts, dict):
         raise RZError("a config file holds one JSON object of option values")
-    unknown = set(file_cfg) - set(_DEFAULTS)
+    unknown = set(opts) - set(_DEFAULTS)
     if unknown:
         raise RZError(f"unknown config keys: {sorted(unknown)}")
-    for key, val in file_cfg.items():
+    for key, val in opts.items():
         if val is None and _DEFAULTS[key] is None:
             continue
         if key in _CONFIG_STRS:
-            types, kind = str, "a string"
+            ok, kind = isinstance(val, str), "a string"
         elif key in _CONFIG_INTS:
-            types, kind = int, "an integer"
+            ok, kind = isinstance(val, int) and not isinstance(val, bool), "an integer"
         else:
-            types, kind = (int, float), "a number"
-        if isinstance(val, bool) or not isinstance(val, types):
-            raise RZError(f"config key {key!r}: expected {kind}, got {json.dumps(val)}")
+            # the bound is false for NaN, the infinities and ints no float holds
+            ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
+                  and abs(val) <= sys.float_info.max)
+            kind = "a finite number"
+        if not ok:
+            raise RZError(f"option {key!r}: expected {kind}, got {json.dumps(val)}")
 
 
 def resolve_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
+    _check_config({k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None})
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))

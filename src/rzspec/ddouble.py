@@ -1,10 +1,11 @@
-"""Double-double arithmetic on numpy arrays.
+"""Double-double arithmetic on Python floats or numpy arrays.
 
-A value is carried as an unevaluated sum ``hi + lo`` of two float64 arrays
+A value is carried as an unevaluated sum ``hi + lo`` of two float64s
 with ``|lo| <= ulp(hi)/2``, giving roughly 31 significant decimal digits.
 Only the handful of operations needed by the confluent-hypergeometric
-series are provided.  All functions are elementwise and broadcast like
-numpy ufuncs; complex numbers are carried as two double-double parts.
+series are provided.  Every function takes Python floats or float64
+arrays (elementwise, broadcasting like numpy ufuncs) and gives the same
+bits on either; complex numbers are carried as two double-double parts.
 
 The error-free transformations are the classical ones of Dekker and
 Knuth; no FMA is assumed.
@@ -68,13 +69,14 @@ def dd_mul_d(xh, xl, y):
 
 def dd_div(xh, xl, yh, yl):
     q1 = xh / yh
-    rh, rl = dd_add(xh, xl, *dd_neg(*dd_mul(yh, yl, q1, np.zeros_like(q1))))
+    rh, rl = dd_add(xh, xl, *dd_neg(*dd_mul_d(yh, yl, q1)))
     q2 = (rh + rl) / yh
     return quick_two_sum(q1, q2)
 
 
 class CDD:
-    """Complex double-double: four float64 arrays (re_hi, re_lo, im_hi, im_lo)."""
+    """Complex double-double: four float64s or float64 arrays
+    (re_hi, re_lo, im_hi, im_lo)."""
 
     __slots__ = ("rh", "rl", "ih", "il")
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ToleranceNotMet
 from .roots import find_all
 from .specfun import kummer_m_bounded, kummer_m_grid
 from .zeta import _diff5, theta_rs
@@ -32,6 +33,10 @@ __all__ = [
     "landau_levels",
     "n_landau",
 ]
+
+# level-scan budget: the scan step shrinks as the phase slope grows, so
+# E_max = 1e4 at L / l = 1e4 already takes about 1e5 scan points
+LANDAU_E_BUDGET = 1e4
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,13 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     slope 2 theta'(E) - log(L^2/2 pi l^2) increases with E, so its
     largest size on [0, E_max] is at an end.  The root count is
     reconciled with ``n_landau`` to +-1; a scan misses levels only in
-    pairs, so a miss raises :class:`MissedZeroError`.
+    pairs, so a miss raises :class:`MissedZeroError`.  E_max above
+    ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` before scanning.
     """
     if E_max <= 0:
         raise ValueError("E_max must be positive")
+    if E_max > LANDAU_E_BUDGET:
+        raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
     phase = lambda E: _phase(E, g)
     slope = max(abs(_diff5(phase, E, 1e-3)) for E in (0.0, E_max))
     # phase(0) = 0 is not a level; the scan steps off a zero at its start

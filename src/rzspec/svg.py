@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
@@ -41,19 +43,20 @@ def line_plot(path, xs, series, labels=None, title="", x_label="", y_label="",
     ``series`` is a list of y-arrays; with ``y_log`` the plot shows
     log10|y| and drops non-finite points.
     """
-    xs = [float(x) for x in xs]
+    xs = np.asarray(xs, dtype=float)
     rows = []
     for ys in series:
         if y_log:
-            rows.append([math.log10(abs(float(y))) if y != 0 and math.isfinite(float(y))
-                         else math.nan for y in ys])
+            rows.append(np.array([math.log10(abs(float(y))) if y != 0 and math.isfinite(float(y))
+                                  else math.nan for y in ys]))
         else:
-            rows.append([float(y) if math.isfinite(float(y)) else math.nan for y in ys])
-    finite = [v for row in rows for v in row if math.isfinite(v)]
-    if not finite or len(xs) < 2:
+            rows.append(np.asarray(ys, dtype=float))
+    finite = np.concatenate(rows)
+    finite = finite[np.isfinite(finite)]
+    if not finite.size or len(xs) < 2:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(finite), max(finite)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(finite.min()), float(finite.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.04 * (y_hi - y_lo)
@@ -92,21 +95,16 @@ def line_plot(path, xs, series, labels=None, title="", x_label="", y_label="",
         label = ("log10|" + y_label + "|") if y_log else y_label
         parts.append(f'<text x="14" y="{_H // 2}" text-anchor="middle" font-size="11" '
                      f'font-family="sans-serif" transform="rotate(-90 14 {_H // 2})">{label}</text>')
+    x_px = px(xs).tolist()
     for i, row in enumerate(rows):
         color = _COLORS[i % len(_COLORS)]
-        pts = []
-        chunks = []
-        for x, y in zip(xs, row):
-            if math.isfinite(y):
-                pts.append(f"{_fmt(px(x))},{_fmt(py(y))}")
-            elif pts:
-                chunks.append(pts)
-                pts = []
-        if pts:
-            chunks.append(pts)
-        for chunk in chunks:
-            if len(chunk) > 1:
-                parts.append(f'<polyline points="{" ".join(chunk)}" fill="none" '
+        y_px = py(row).tolist()
+        # one polyline per run of at least two finite points
+        ok = np.concatenate(([False], np.isfinite(row), [False]))
+        for lo, hi in np.flatnonzero(ok[1:] != ok[:-1]).reshape(-1, 2).tolist():
+            if hi - lo > 1:
+                chunk = " ".join(["%.6g,%.6g" % p for p in zip(x_px[lo:hi], y_px[lo:hi])])
+                parts.append(f'<polyline points="{chunk}" fill="none" '
                              f'stroke="{color}" stroke-width="1.2"/>')
         if labels:
             parts.append(f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 14 * i}" '

@@ -165,7 +165,8 @@ class TestErrorsAndConfig:
 
     @pytest.mark.parametrize("doc", [{"n_max": [1]}, {"t_max": "16"}, {"n_zeros": 1.5},
                                      {"n_trivial": True}, {"out": 3}, {"epsilon": None},
-                                     [["n_max", 1]]])
+                                     [["n_max", 1]], {"t_max": math.nan},
+                                     {"l_over_ell": -math.inf}, {"epsilon": 10 ** 400}])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, doc):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(doc))
@@ -184,6 +185,42 @@ class TestSweepSizes:
         assert run(args + ["--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "RZError"
         assert list(out.iterdir()) == []
+
+
+class TestNonFiniteAndOverBudget:
+    @pytest.mark.parametrize("args, error", [
+        (["landau", "--t-max", "nan"], "RZError"),
+        (["mirror", "--epsilon", "nan", "--n-max", "100"], "RZError"),
+        (["zeros", "--t-max", "inf"], "RZError"),
+        (["xih", "--t-min=-inf"], "RZError"),
+        (["mirror", "--vartheta", "nan"], "RZError"),
+        (["landau", "--t-max", "1e9", "--n-max", "2"], "ToleranceNotMet")])
+    def test_refused_before_any_write(self, tmp_path, capsys, args, error):
+        # no traceback, no cache and no partial artifact set
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(args + ["--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert list(out.iterdir()) == []
+
+
+def fmt_per_value(v) -> str:
+    """The per-value CSV rule: an int as an int, anything else as a %.17g float."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+class TestWriters:
+    VALUES = [0, 7, -3, np.int64(-12), 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300,
+              5e-324, 2.5e-310, np.float64(0.1), 1.0 / 3.0, -1.7976931348623157e308,
+              np.float32(0.1)]
+
+    def test_csv_rows_match_per_value_formatting(self, tmp_path):
+        rows = [(a, b, a) for a in self.VALUES for b in self.VALUES] + [[1, 2.5], ()]
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
+        want = ["a,b,c"] + [",".join(fmt_per_value(v) for v in row) for row in rows]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
 
 class TestLandauCommand:

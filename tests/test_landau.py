@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rzspec import landau
-from rzspec.errors import MissedZeroError
+from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
 from rzspec.zeta import theta_rs
 
@@ -87,6 +87,12 @@ class TestQuantization:
         assert len(lv) == math.floor(landau.n_landau(e_max, g))
         for e in lv:
             assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
+
+    def test_energy_budget_refused_before_scanning(self):
+        # 1e9 would ask for a scan grid of billions of points
+        for e_max in (1.0001 * landau.LANDAU_E_BUDGET, 1e9):
+            with pytest.raises(ToleranceNotMet):
+                landau.landau_levels(e_max, GEOM)
 
     def test_phase_turning_back_raises(self):
         # above E = L^2 the phase turns back and re-crosses the same multiples

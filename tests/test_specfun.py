@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rzspec import specfun
+from rzspec import landau, specfun
 from rzspec.errors import PoleError, ToleranceNotMet
 from rzspec.specfun import (
     KUMMER_RADIUS,
@@ -23,8 +23,14 @@ LOGGAMMA_QUARTER_5I = complex(-7.3370880842091811, 2.6565750329571056)
 K_HALF_7I_2PI = complex(1.3935871058549974e-5, 1.0473149412003543e-5)
 M_EXAMPLE = complex(1.0949105136486249, 4.0249315749327309)
 
-# (a, b) of the even and odd Landau sectors at E = 10
+# (a, b) of the even and odd Landau sectors at E = 10, and at E = 40
 LANDAU_SECTORS = [(0.25 + 5j, 0.5), (0.75 + 5j, 1.5)]
+LANDAU_SECTORS_40 = [(0.25 + 20j, 0.5), (0.75 + 20j, 1.5)]
+
+
+def bits(*values):
+    """The bytes of complex/float values, so that -0.0 and 0.0 differ."""
+    return np.array(values, dtype=complex).tobytes()
 
 
 def landau_z(n):
@@ -75,6 +81,15 @@ class TestLogGamma:
     def test_array_pole(self):
         with pytest.raises(PoleError):
             log_gamma(np.array([0.5 + 1j, -3.0]))
+
+    @pytest.mark.parametrize("z", [complex(0.25, math.nan), complex(math.inf, 1.0),
+                                   complex(-math.inf, 0.0), complex(0.5, -math.inf)])
+    def test_non_finite_raises(self, z):
+        # with a NaN imaginary part the reflection would recurse without end
+        with pytest.raises(ValueError):
+            log_gamma(z)
+        with pytest.raises(ValueError):
+            log_gamma(np.array([0.5 + 1j, z]))
 
 
 class TestBesselK:
@@ -170,20 +185,40 @@ class TestKummer:
         assert np.all(bounds >= 0)
         assert KUMMER_RADIUS >= 200.0
 
-    @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_grid_cells_are_one_cell_calls(self, a, b, monkeypatch):
         # each cell stops at its own last term, so it does not depend on the
-        # other cells: bit-equal to its one-cell call and to any regrouping
-        z = landau_z(5)
+        # other cells: bit-equal to its one-cell call, which runs on Python
+        # floats, and to any regrouping.  The cells take in z = 0, flipped
+        # cells (Re z < 0), both signs of Re z at the budget |z| = 200, and
+        # three default-grid cells whose bound would move if the float path
+        # took |term| from math.hypot instead of np.hypot.
+        z = np.concatenate([landau_z(5), landau_z(200)[[560, 35760, 36200]],
+                            [KUMMER_RADIUS, -KUMMER_RADIUS]])
         vals, bounds = kummer_m_grid(a, b, z)
-        assert np.abs(z).max() == 100.0
+        assert np.any(z == 0.0) and np.any(z.real < 0.0)
         assert np.any(bounds > 1e-6 * np.abs(vals))  # over-budget cells included
+        assert kummer_m_bounded(a, b, 0.0)[0] == 1.0
         for zc, v, e in zip(z, vals, bounds):
-            assert kummer_m_bounded(a, b, zc) == (v, e)
+            assert bits(*kummer_m_bounded(a, b, zc)) == bits(v, e)
         perm = np.random.default_rng(7).permutation(z.size)
         monkeypatch.setattr(specfun, "_KUMMER_BLOCK", 7)
         pv, pb = kummer_m_grid(a, b, z[perm])
         assert np.array_equal(pv, vals[perm]) and np.array_equal(pb, bounds[perm])
+
+    def test_one_cell_calls_never_enter_the_block_sum(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-cell call entered _kummer_block")
+
+        monkeypatch.setattr(specfun, "_kummer_block", refuse)
+        with pytest.raises(AssertionError):
+            kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0, 2.0j]))
+        v, bound = kummer_m_bounded(0.25 + 5j, 0.5, 1.0 + 2.0j)
+        assert abs(v - M_EXAMPLE) < 1e-12 * abs(M_EXAMPLE) and bound < 1e-14 * abs(v)
+        assert kummer_m(0.25 + 5j, 0.5, 1.0 + 2.0j) == v
+        g = landau.LandauGeometry(magnetic_length=1.0, box_size=100.0)
+        assert landau.psi_plus(10.0, 1.5, -2.0, g) != 0.0
+        assert landau.psi_minus(10.0, 1.5, -2.0, g) != 0.0
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
     def test_bound_covers_error_on_landau_grid(self, a, b):
