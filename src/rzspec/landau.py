@@ -76,12 +76,15 @@ def psi_minus(E: float, x: float, y: float, g: LandauGeometry) -> complex:
 def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     """|psi| on the tensor grid xs x ys, plus absolute error bounds.
 
-    A bound is the certified Kummer bound (see ``kummer_m_grid``) at the
-    double argument (x - iy)^2 / 2l^2, times the Gaussian and |x - iy|
-    factors; the rounding of that argument and of the Gaussian exponent
-    is not counted.  Cells whose series cancellation exhausts the working
-    precision do not raise; their bound lets callers exclude them from,
-    e.g., a ridge search.  Returns arrays of shape (len(xs), len(ys)).
+    A bound is the Kummer bound of ``kummer_m_grid`` (certified on series
+    cells, only in its truncation on asymptotic ones) at the double argument
+    z = (x - iy)^2 / 2l^2, plus the rounding of the inputs: z is within
+    5u|z| of its exact value (u = eps/2), which moves M by at most 5u
+    |z dM/dz|, and the Gaussian exponent x^2 / 2l^2 = q within 3uq; the
+    Gaussian, the |x - iy| factor and the products add 8u.  Cells whose
+    cancellation exhausts every route's precision do not raise; their
+    bound lets callers exclude them from, e.g., a ridge search.  Returns
+    arrays of shape (len(xs), len(ys)).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -90,10 +93,14 @@ def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     Z = 0.5 * W * W
     a = complex(0.75, 0.5 * E) if odd else complex(0.25, 0.5 * E)
     b = 1.5 if odd else 0.5
-    M, bound = kummer_m_grid(a, b, Z)
-    gauss = np.exp(-0.5 * (X / g.magnetic_length) ** 2)
+    grid = kummer_m_grid(a, b, Z)
+    M, bound = grid
+    q = 0.5 * (X / g.magnetic_length) ** 2
+    gauss = np.exp(-q)
     pref = np.abs(W * g.magnetic_length) if odd else 1.0
-    return np.abs(M) * gauss * pref, bound * gauss * pref
+    amp = np.abs(M) * gauss * pref
+    u = 0.5 * np.finfo(float).eps
+    return amp, (bound + 5.0 * u * grid.sens) * gauss * pref + (3.0 * q + 8.0) * u * amp
 
 
 def _phase(E: float, g: LandauGeometry) -> float:

@@ -17,13 +17,14 @@ Three evaluators live here:
   stays accurate even where ``|K| ~ exp(-pi*|Im nu|/2)`` underflows the
   integrand scale by dozens of orders of magnitude.
 
-* :func:`kummer_m` -- the confluent hypergeometric function M(a, b, z) by
-  direct power series, accumulated in double-double arithmetic so that the
-  cancellation for strongly complex z (up to the documented budget
-  ``|z| <= 200``) is absorbed by the extra precision.  A certified absolute
-  error bound accompanies every evaluation.  A grid of cells is summed on
-  numpy arrays; a one-cell call runs the same recurrence on Python floats,
-  with the same bits at about a tenth of the cost.
+* :func:`kummer_m_grid` -- the confluent hypergeometric function
+  M(a, b, z) for ``|z| <= 200``, each cell by the cheapest valid route:
+  the power series in complex double, the large-|z| asymptotic expansion
+  (DLMF 13.7.2), or the power series in double-double arithmetic, which
+  absorbs the cancellation of strongly complex z.  Every value carries an
+  absolute error bound, certified on the series routes and, in its
+  truncation part, on the asymptotic one.  A one-cell call gives its grid
+  cell's bits.
 
 All evaluators are pure functions and safe for concurrent use.
 """
@@ -203,11 +204,15 @@ def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
     return np.where(lower, out.conj(), out)
 
 
+def _gamma_pole(z: np.ndarray) -> np.ndarray:
+    return (z.imag == 0.0) & (z.real == np.floor(z.real)) & (z.real <= 0.0)
+
+
 def _log_gamma_array(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("log_gamma needs a finite z")
-    pole = (z.imag == 0.0) & (z.real == np.floor(z.real)) & (z.real <= 0.0)
+    pole = _gamma_pole(z)
     if pole.any():
         raise PoleError(f"log_gamma pole at z = {z[pole].flat[0].real:g}")
     right = z.real >= 0.5
@@ -320,6 +325,106 @@ _KUMMER_BLOCK = 4096     # cells summed together; each block runs to its slowest
 # it sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 2007): 8.3u in
 # all, which 5 eps = 10u covers with room for the second-order terms.
 _ROUNDING_EPS = 5.0 * np.finfo(float).eps
+_U = 0.5 * np.finfo(float).eps
+# relative bounds that end the routing on the asymptotic expansion (where
+# the double-double series is long) and on the plain series (where it is short)
+_ROUTE_REL_TOLS = (1e-10, 1e-13)
+_ASYM_RADIUS = 20.0      # the asymptotic route runs from |w| = 2|a| + _ASYM_RADIUS
+
+
+def _kummer_series_plain(a: complex, b_re: float, w):
+    # The power series in complex double, each cell to its own last term,
+    # the first k > |w| + 6 with |term_k| <= 1e-20 sum|term|.  Term j is
+    # within 8j u (two complex products and the ratio a step), the partial
+    # sums S_j add u sum|S_j| <= u sum (k + 1 - j)|term_j|: the bound u (7
+    # sum j|term_j| + (k + 2) sum|term|) also covers the tail.  sens bounds
+    # |w M'(w)| = |sum j term_j|.
+    ks = np.arange(_KUMMER_KMAX, dtype=float)
+    ratios = ((a + ks) / ((b_re + ks) * (ks + 1.0))).tolist()  # term_k+1 = term_k w ratio_k
+    term, acc, acc_sum = np.ones_like(w), np.ones_like(w), np.ones_like(w)
+    sum_abs, sum_j_abs = np.ones(w.size), np.zeros(w.size)
+    vals, bounds, sens = np.empty_like(w), np.empty(w.size), np.empty(w.size)
+    hump = np.abs(w) + 6.0
+    first, left = hump.min(initial=np.inf), w.size
+    for k, ratio in enumerate(ratios):
+        term = term * w * ratio
+        acc = acc + term
+        acc_sum = acc_sum + acc
+        t_abs = np.abs(term)
+        sum_abs += t_abs
+        sum_j_abs += (k + 1) * t_abs
+        if k <= first:
+            continue
+        done = ((k > hump) & (t_abs <= 1e-20 * sum_abs)).nonzero()[0]
+        if done.size:
+            err = _U * (7.0 * sum_j_abs[done] + (k + 3) * sum_abs[done])
+            vals[done], bounds[done] = acc[done], err
+            # sum_j j term_j = (k + 2) S_k+1 - sum_j S_j over the partial
+            # sums S_0..S_k+1, within 3(k + 2) err
+            sens[done] = np.abs((k + 2) * acc[done] - acc_sum[done]) + 3.0 * (k + 2) * err
+            hump[done] = np.inf
+            left -= done.size
+            if not left:
+                return vals, bounds, sens
+    raise ToleranceNotMet("kummer series did not converge within the term budget")
+
+
+def _kummer_asymptotic(a: complex, b_re: float, w):
+    """M(a, b, w), Re w >= 0, by DLMF 13.7.2: M = Gamma(b) [e^w w^(a-b) S1 /
+    Gamma(a) + e^(+-i pi a) w^(-a) S2 / Gamma(b-a)] = T1 S1 + T2 S2, upper
+    sign for Im w >= 0, S1 and S2 expanding U(b - a, b, -w) and U(a, b, w).
+
+    The bound covers each sum's truncation by DLMF 13.7.5 (C_n = chi(n) <=
+    sqrt(pi (n + 1) / 2) for S1, 1 for S2; it needs |w| > |b - 2a|) and
+    rounding, 8(n + 2) u sum|term|; as estimates, the rounding of the
+    exponents, 4u (|w| + |a - b||log w| + |log Gamma| + 8), and within pi/4
+    of ph w = 0, the Stokes line of T2 S2, twice its size under either
+    sign.  Otherwise, or where not below |M|, it is infinite.  sens
+    estimates |w M'(w)| by (|w| + |a - b|)|T1 S1| + |a||T2 S2|.
+    """
+    # S1 and S2 as two rows, term_s+1 = term_s x (c1 + s)(c2 + s) / (s + 1),
+    # whose size only grows past s = max(|c1|, |c2|): a sum ends before the
+    # first term there that the next does not undercut, or below 1e-20 sum|term|.
+    c1, c2 = np.array([[1.0 - a], [a]]), np.array([[b_re - a], [a - b_re + 1.0]])
+    ss = np.arange(_KUMMER_KMAX, dtype=float)
+    x = np.array([[1.0], [-1.0]]) / w
+    s_min = np.maximum(np.abs(c1), np.abs(c2))
+    term, acc, t_abs, sum_abs = np.ones_like(x), np.zeros_like(x), np.ones(x.shape), np.zeros(x.shape)
+    sums, omitted, n, s_abs = np.empty_like(x), np.full(x.shape, np.inf), np.empty(x.shape), np.empty(x.shape)
+    live = np.ones(x.shape, dtype=bool)
+    for s, ratio in enumerate(((c1 + ss) * (c2 + ss) / (ss + 1.0)).T[:, :, None]):
+        nxt = term * x * ratio
+        n_abs = np.abs(nxt)
+        done = (live & (((n_abs >= t_abs) & (s >= s_min)) | (t_abs <= 1e-20 * sum_abs))).nonzero()
+        if done[0].size:
+            sums[done], omitted[done], n[done], s_abs[done] = acc[done], t_abs[done], s, sum_abs[done]
+            live[done] = False
+            if not live.any():
+                break
+        acc = acc + term
+        sum_abs += t_abs
+        term, t_abs = nxt, n_abs
+    log_w = np.log(w)
+    lg_b, lg_a, lg_ba = log_gamma(b_re), log_gamma(a), log_gamma(b_re - a)
+    t1 = np.exp(lg_b - lg_a + w + (a - b_re) * log_w)
+    base2 = np.exp(lg_b - lg_ba - a * log_w)
+    t2 = base2 * np.where(w.imag >= 0.0, cmath.exp(1j * math.pi * a), cmath.exp(-1j * math.pi * a))
+    p1, p2 = t1 * sums[0], t2 * sums[1]
+    m1, m2 = np.abs(p1), np.abs(p2)
+    sigma = abs(b_re - 2.0 * a) / np.abs(w)  # sigma, alpha, rho of DLMF 13.7.7, alike for both sums
+    alpha = 1.0 / (1.0 - sigma)
+    rho = 0.5 * abs(2.0 * a * (a - b_re) + b_re) + sigma * (1.0 + 0.25 * sigma) * alpha * alpha
+    c_n = np.stack([np.sqrt(0.5 * math.pi * (n[0] + 1.0)), np.ones(w.size)])
+    c_1 = np.array([[0.5 * math.pi], [1.0]])
+    trunc = 2.0 * alpha * c_n * omitted * np.exp(2.0 * alpha * rho * c_1 / np.abs(w)) + 8.0 * _U * (n + 2.0) * s_abs
+    expo = 4.0 * _U * (m1 * (np.abs(w) + abs(a - b_re) * np.abs(log_w) + abs(lg_a) + abs(lg_b) + 8.0)
+                       + m2 * (abs(a) * (np.abs(log_w) + math.pi) + abs(lg_ba) + abs(lg_b) + 8.0))
+    stokes = np.where(np.abs(log_w.imag) < 0.25 * math.pi,
+                      4.0 * math.cosh(math.pi * a.imag) * np.abs(base2 * sums[1]), 0.0)
+    value = p1 + p2
+    bound = np.abs(t1) * trunc[0] + np.abs(t2) * trunc[1] + 8.0 * _U * (m1 + m2) + expo + stokes
+    sens = (np.abs(w) + abs(a - b_re)) * m1 + abs(a) * m2
+    return value, np.where((bound < np.abs(value)) & (sigma < 1.0), bound, np.inf), sens
 
 
 def _kummer_series_dd(a, b_re: float, z):
@@ -406,59 +511,105 @@ def _kummer_cell(a, b_re: float, z):
     raise ToleranceNotMet("kummer series did not converge within the term budget")
 
 
-def kummer_m_grid(a, b, z):
-    """Vectorized M(a, b, z) over an array of arguments.
+class _KummerGrid(tuple):
+    """(values, bounds), unpacking as a pair, plus ``sens``, a bound on |z dM/dz|."""
 
-    Returns ``(values, bounds)``.  Each cell is summed to its own last term
-    (see ``_kummer_series_dd``), so every cell equals the one-cell
-    :func:`kummer_m_bounded` call bit for bit, value and bound, and does
-    not depend on the other cells of the array.  A bound covers, for the
-    given double z, the double-double rounding of the series and the
-    rounding of the result to double, including the factor e^z of the
-    Kummer transformation; no
-    exception is raised for cells whose cancellation exhausts the working
-    precision -- callers decide what to do with the bound.  An empty ``z``
-    gives two empty arrays; a NaN or infinite z raises ``ValueError``.  b
-    must be real (all uses here have b = 1/2 or 3/2).
-    """
-    b = complex(b)
+
+def _kummer_routed(a, b, z, rel_tols):
+    a, b = complex(a), complex(b)
     if b.imag == 0.0 and b.real == math.floor(b.real) and b.real <= 0.0:
         raise PoleError(f"kummer_m pole at b = {b.real:g}")
     if b.imag != 0.0:
         raise NotImplementedError("kummer_m_grid supports real b only")
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("kummer_m_grid needs finite z")
+    if not (cmath.isfinite(a) and np.all(np.isfinite(z))):
+        raise ValueError("kummer_m_grid needs finite a and z")
     if z.size and float(np.max(np.abs(z))) > KUMMER_RADIUS:
         raise ToleranceNotMet(f"|z| beyond the documented series budget {KUMMER_RADIUS:g}")
-    a_arr = np.broadcast_to(np.asarray(a, dtype=complex), z.shape).copy()
+    zf = z.ravel()
     # Kummer transformation M(a,b,z) = e^z M(b-a, b, -z) keeps Re(argument)
     # nonnegative, which minimizes the cancellation of the series.
-    flip = z.real < 0
-    a_eff = np.where(flip, b - a_arr, a_arr)
-    w = np.where(flip, -z, z)
-    vals, noise = _kummer_series_dd(a_eff, b.real, w)
-    pref = np.where(flip, np.exp(z), 1.0 + 0j)
-    m = vals * pref
-    return m, noise * np.abs(pref) + _ROUNDING_EPS * np.abs(m)
+    flip = zf.real < 0
+    w = np.where(flip, -zf, zf)
+    r = np.abs(w)
+    vals, bounds, sens = np.zeros(w.size, dtype=complex), np.full(w.size, np.inf), np.zeros(w.size)
+    pending = np.ones(w.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_eff, side in ((a, ~flip), (b.real - a, flip)):
+            # the asymptotic expansion needs |w| well above |a|; at a pole of
+            # Gamma(a) or Gamma(b - a) M is a polynomial, left to the series
+            asym = side & (r >= 2.0 * abs(a_eff) + _ASYM_RADIUS)
+            if _gamma_pole(np.array([a_eff, b.real - a_eff])).any():
+                asym[:] = False
+            for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain), (asym, side), rel_tols):
+                # _KUMMER_BLOCK cells at a time, in |w| order so that the
+                # cells of a block need about as many terms
+                cells = np.flatnonzero(pending & tried)
+                cells = cells[np.argsort(r[cells], kind="stable")]
+                for start in range(0, cells.size, _KUMMER_BLOCK):
+                    blk = cells[start:start + _KUMMER_BLOCK]
+                    v, e, s = route(a_eff, b.real, w[blk])
+                    take = e < bounds[blk]
+                    vals[blk[take]], bounds[blk[take]], sens[blk[take]] = v[take], e[take], s[take]
+                    pending[blk[take & (e <= tol * np.abs(v))]] = False
+    cells = np.flatnonzero(pending)
+    v, e = _kummer_series_dd(np.where(flip[cells], b.real - a, a), b.real, w[cells])
+    take = e < bounds[cells]
+    vals[cells[take]], bounds[cells[take]] = v[take], e[take]
+    pref = np.ones_like(vals)
+    pref[flip] = np.exp(zf[flip])
+    m = vals * pref  # out of place: numpy's in-place complex product may round differently
+    apref, am = np.abs(pref), np.abs(m)
+    bounds *= apref
+    bounds += _ROUNDING_EPS * am
+    sens *= apref
+    sens[flip] += r[flip] * am[flip]
+    out = _KummerGrid((m.reshape(z.shape), bounds.reshape(z.shape)))
+    out.sens = sens.reshape(z.shape)
+    return out
+
+
+def kummer_m_grid(a, b, z):
+    """Vectorized M(a, b, z) over an array of arguments.
+
+    Returns ``(values, bounds)`` for a scalar a and real b (all uses here
+    have b = 1/2 or 3/2).  After the Kummer transformation to Re z >= 0 a
+    cell ends on the first route whose bound is small enough: from |z| =
+    2|a| + 20 the large-|z| asymptotic expansion (DLMF 13.7.2), within
+    1e-10 of |M|; the power series in complex double, within 1e-13; or the
+    power series in double-double arithmetic.  It keeps the value with the
+    smallest bound.  Every route stops each cell at its own last term, so
+    a cell equals its one-cell :func:`kummer_m_bounded` call bit for bit.
+
+    A bound covers, for the given double z, the rounding of the route and
+    of the result to double, including the factor e^z of the Kummer
+    transformation.  It is certified on series cells; on asymptotic cells
+    only the truncation is (DLMF 13.7.5).  Cells whose cancellation
+    exhausts every route's precision do not raise -- callers decide what
+    to do with the bound.  An empty ``z`` gives two empty arrays; a NaN or
+    infinite a or z raises ``ValueError``.  The pair also carries ``sens``,
+    a bound on |z dM/dz|.
+    """
+    return _kummer_routed(a, b, z, _ROUTE_REL_TOLS)
 
 
 def kummer_m_bounded(a, b, z):
-    """Scalar M(a, b, z) returning ``(value, certified_abs_error)``."""
+    """Scalar M(a, b, z) returning ``(value, abs_error_bound)``."""
     vals, noise = kummer_m_grid(a, b, np.array([complex(z)]))
     return complex(vals[0]), float(noise[0])
 
 
 def kummer_m(a, b, z, rel_tol: float = 1e-12) -> complex:
-    """Confluent hypergeometric M(a, b, z) by direct power series.
+    """Confluent hypergeometric M(a, b, z) by every route of
+    :func:`kummer_m_grid`, keeping the value with the smallest bound.
 
-    Summed in double-double arithmetic; raises :class:`ToleranceNotMet`
-    when |z| exceeds the documented budget ``KUMMER_RADIUS`` or when the
-    certified error exceeds ``rel_tol`` relative to the result, rather
-    than returning silently degraded values.  Raises :class:`PoleError`
-    for b a non-positive integer.
+    Raises :class:`ToleranceNotMet` when |z| exceeds the documented budget
+    ``KUMMER_RADIUS`` or when the error bound exceeds ``rel_tol`` relative
+    to the result, rather than returning silently degraded values.  Raises
+    :class:`PoleError` for b a non-positive integer.
     """
-    value, err = kummer_m_bounded(a, b, z)
+    vals, bounds = _kummer_routed(a, b, np.array([complex(z)]), (0.0, 0.0))
+    value, err = complex(vals[0]), float(bounds[0])
     if err > rel_tol * max(abs(value), 1e-300):
         raise ToleranceNotMet(
             f"kummer_m cancellation leaves error {err:.2e} on |M| = {abs(value):.2e}")

@@ -36,6 +36,22 @@ class TestWavefunctions:
         # certified bounds: no excluded cell can challenge the argmax
         assert np.all(amp + bound <= amp[i, j] + bound[i, j] + amp[i, j] * 1e-9)
 
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_bound_covers_error_at_exact_point(self, odd):
+        # against mpmath at the exact (x, y), so the bound must also cover
+        # the rounding of (x - iy)^2 / 2 and of the Gaussian exponent
+        mp = pytest.importorskip("mpmath")
+        xs = np.linspace(-10.0, 10.0, 200)
+        amp, bound = landau.psi_abs_grid(10.0, xs, xs, GEOM, odd=odd)
+        a, b = mp.mpc(0.75 if odd else 0.25, 5.0), mp.mpf(1.5 if odd else 0.5)
+        with mp.workdps(40):
+            for k in range(0, amp.size, 90):
+                i, j = divmod(k, xs.size)
+                x, y = mp.mpf(float(xs[i])), mp.mpf(float(xs[j]))
+                w = mp.mpc(x, -y)
+                want = abs(mp.exp(-x * x / 2) * mp.hyp1f1(a, b, w * w / 2) * (w if odd else 1))
+                assert abs(amp[i, j] - want) <= bound[i, j], (xs[i], xs[j])
+
     def test_grid_matches_scalar(self):
         xs = np.array([0.5, 3.0])
         amp, _ = landau.psi_abs_grid(7.0, xs, xs, GEOM)

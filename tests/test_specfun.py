@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ M_EXAMPLE = complex(1.0949105136486249, 4.0249315749327309)
 # (a, b) of the even and odd Landau sectors at E = 10, and at E = 40
 LANDAU_SECTORS = [(0.25 + 5j, 0.5), (0.75 + 5j, 1.5)]
 LANDAU_SECTORS_40 = [(0.25 + 20j, 0.5), (0.75 + 20j, 1.5)]
+# an E = 40 cell that no route covers: its bound exceeds |M|
+UNCOVERED = (0.25 + 20j, 0.5, 1.0 + 50.0j)
 
 
 def bits(*values):
@@ -39,6 +42,29 @@ def landau_z(n):
     x, y = np.meshgrid(xs, xs, indexing="ij")
     w = x - 1j * y
     return (0.5 * w * w).ravel()
+
+
+@functools.lru_cache(maxsize=None)
+def flipped_routes(a, b):
+    """Each Kummer route on every cell of the 41 x 41 Landau grid, after the
+    flip to M(a_eff, b, w) with Re w >= 0: (a_eff, w, {route: (values,
+    bounds)}); the asymptotic route from |w| = 10, with infinite bounds
+    below, and the double-double bound with the rounding to double."""
+    z = landau_z(41)
+    flip = z.real < 0
+    a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
+    routes = {}
+    for name, route, r_min in (("plain", specfun._kummer_series_plain, 0.0),
+                               ("asymptotic", specfun._kummer_asymptotic, 10.0)):
+        v, e = np.zeros(z.size, dtype=complex), np.full(z.size, np.inf)
+        for a_g in (a, b - a):
+            cells = np.flatnonzero((a_eff == a_g) & (np.abs(w) >= r_min))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                v[cells], e[cells], _ = route(a_g, b, w[cells])
+        routes[name] = v, e
+    v, e = specfun._kummer_series_dd(a_eff, b, w)
+    routes["double-double"] = v, e + specfun._ROUNDING_EPS * np.abs(v)
+    return a_eff, w, routes
 
 
 class TestLogGamma:
@@ -163,12 +189,19 @@ class TestKummer:
 
     def test_cancellation_raises(self):
         with pytest.raises(ToleranceNotMet):
-            kummer_m(0.25 + 5j, 0.5, 1.0 - 99.0j)
+            kummer_m(*UNCOVERED)
 
     def test_certified_bound_covers_error(self):
-        # the 1-99j cell is out of budget, but the bound must say so
-        v, bound = kummer_m_bounded(0.25 + 5j, 0.5, 1.0 - 99.0j)
+        # the cell is out of budget on every route, but the bound must say so
+        v, bound = kummer_m_bounded(*UNCOVERED)
         assert bound > 1e3 * max(abs(v), 1.0) or bound > 1e6
+
+    def test_kummer_m_falls_back_to_double_double(self):
+        # 45 - 5j at E = 10: the asymptotic bound meets 1e-10 but not 1e-12
+        a, b, z = 0.25 + 5j, 0.5, 45.0 - 5.0j
+        v, bound = kummer_m_bounded(a, b, z)
+        assert 1e-12 * abs(v) < bound <= 1e-10 * abs(v)
+        assert abs(kummer_m(a, b, z) - v) <= bound
 
     @given(st.complex_numbers(max_magnitude=12.0, allow_nan=False, allow_infinity=False))
     def test_kummer_transformation(self, z):
@@ -188,16 +221,17 @@ class TestKummer:
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_grid_cells_are_one_cell_calls(self, a, b, monkeypatch):
         # each cell stops at its own last term, so it does not depend on the
-        # other cells: bit-equal to its one-cell call, which runs on Python
-        # floats, and to any regrouping.  The cells take in z = 0, flipped
-        # cells (Re z < 0), both signs of Re z at the budget |z| = 200, and
-        # three default-grid cells whose bound would move if the float path
-        # took |term| from math.hypot instead of np.hypot.
+        # other cells: bit-equal to its one-cell call and to any regrouping.
+        # The cells take in z = 0, flipped cells (Re z < 0), both signs of
+        # Re z at the budget |z| = 200, three default-grid cells whose bound
+        # would move if the double-double float path took |term| from
+        # math.hypot instead of np.hypot, and the uncovered E = 40 cell.
         z = np.concatenate([landau_z(5), landau_z(200)[[560, 35760, 36200]],
-                            [KUMMER_RADIUS, -KUMMER_RADIUS]])
+                            [KUMMER_RADIUS, -KUMMER_RADIUS, UNCOVERED[2]]])
         vals, bounds = kummer_m_grid(a, b, z)
         assert np.any(z == 0.0) and np.any(z.real < 0.0)
-        assert np.any(bounds > 1e-6 * np.abs(vals))  # over-budget cells included
+        if (a, b) in LANDAU_SECTORS_40:
+            assert np.any(bounds > 1e-6 * np.abs(vals))  # over-budget cells included
         assert kummer_m_bounded(a, b, 0.0)[0] == 1.0
         for zc, v, e in zip(z, vals, bounds):
             assert bits(*kummer_m_bounded(a, b, zc)) == bits(v, e)
@@ -211,8 +245,8 @@ class TestKummer:
             raise AssertionError("a one-cell call entered _kummer_block")
 
         monkeypatch.setattr(specfun, "_kummer_block", refuse)
-        with pytest.raises(AssertionError):
-            kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0, 2.0j]))
+        with pytest.raises(AssertionError):  # two cells that both end on the double-double series
+            kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0 + 2.0j, 2.0j]))
         v, bound = kummer_m_bounded(0.25 + 5j, 0.5, 1.0 + 2.0j)
         assert abs(v - M_EXAMPLE) < 1e-12 * abs(M_EXAMPLE) and bound < 1e-14 * abs(v)
         assert kummer_m(0.25 + 5j, 0.5, 1.0 + 2.0j) == v
@@ -220,22 +254,75 @@ class TestKummer:
         assert landau.psi_plus(10.0, 1.5, -2.0, g) != 0.0
         assert landau.psi_minus(10.0, 1.5, -2.0, g) != 0.0
 
-    @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_bound_covers_error_on_landau_grid(self, a, b):
         # the bound also covers rounding to double and the e^z factor of
-        # flipped cells, where the series noise alone is far below an ulp
+        # flipped cells, where the series noise alone is far below an ulp;
+        # over-budget cells remain at E = 40 only
         mp = pytest.importorskip("mpmath")
         z = landau_z(200)
         vals, bounds = kummer_m_grid(a, b, z)
         rel = bounds / np.abs(vals)
         over = np.flatnonzero(rel > 1e-6)
-        cells = (set(np.argsort(rel)[-10:].tolist()) | set(over[::over.size // 20].tolist())
+        assert (over.size > 0) == ((a, b) in LANDAU_SECTORS_40)
+        cells = (set(np.argsort(rel)[-10:].tolist()) | set(over[::max(1, over.size // 20)].tolist())
                  | set(range(0, z.size, 571)))
         with mp.workdps(60):
             for k in sorted(cells):
                 want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b,
                                          mp.mpc(z[k].real, z[k].imag)))
                 assert abs(vals[k] - want) <= bounds[k], (k, z[k])
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_each_route_against_mpmath(self, a, b):
+        # every route on every cell of the 41 x 41 grid where its bound is
+        # finite (the asymptotic one from |w| = 10, below its domain)
+        mp = pytest.importorskip("mpmath")
+        a_eff, w, routes = flipped_routes(a, b)
+        with mp.workdps(40):
+            want = np.array([complex(mp.hyp1f1(mp.mpc(p.real, p.imag), b, mp.mpc(q.real, q.imag)))
+                             for p, q in zip(a_eff, w)])
+        for name, (v, e) in routes.items():
+            checked = np.isfinite(e)
+            # at E = 40 the DLMF 13.7.5 bound leaves the asymptotic route few cells
+            sparse = name == "asymptotic" and (a, b) in LANDAU_SECTORS_40
+            assert np.count_nonzero(checked) >= (20 if sparse else 200), name
+            bad = np.flatnonzero(checked & ~(np.abs(v - want) <= e))
+            assert bad.size == 0, (name, w[bad[:5]])
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_routes_agree_where_both_accept(self, a, b):
+        _, w, routes = flipped_routes(a, b)
+        accept = {n: e <= 1e-10 * np.abs(v) for n, (v, e) in routes.items()}
+        assert (accept["plain"] & accept["double-double"]).any()
+        names = list(routes)
+        for i, n1 in enumerate(names):
+            for n2 in names[i + 1:]:
+                (v1, e1), (v2, e2) = routes[n1], routes[n2]
+                both = accept[n1] & accept[n2]
+                assert np.all(np.abs(v1 - v2)[both] <= (e1 + e2)[both]), (n1, n2)
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_one_cell_calls_match_grid_on_every_route(self, a, b):
+        # cells that end on the asymptotic expansion, on the plain series
+        # and on the double-double series (no E = 40 cell of this grid ends
+        # on the asymptotic expansion)
+        a_eff, w, routes = flipped_routes(a, b)
+        (av, ae), (pv, pe) = routes["asymptotic"], routes["plain"]
+        asym_tol, plain_tol = specfun._ROUTE_REL_TOLS
+        asym = (np.abs(w) >= 2.0 * np.abs(a_eff) + specfun._ASYM_RADIUS) & (ae <= asym_tol * np.abs(av))
+        plain = ~asym & (pe <= plain_tol * np.abs(pv))
+        z = landau_z(41)
+        vals, bounds = kummer_m_grid(a, b, z)
+        for name, mask in (("asymptotic", asym), ("plain", plain), ("double-double", ~asym & ~plain)):
+            cells = np.flatnonzero(mask)
+            assert cells.size or (name == "asymptotic" and (a, b) in LANDAU_SECTORS_40), name
+            for k in cells[::max(1, cells.size // 12)]:
+                assert bits(*kummer_m_bounded(a, b, z[k])) == bits(vals[k], bounds[k]), z[k]
+
+    def test_grid_takes_a_scalar_a(self):
+        with pytest.raises(TypeError):
+            kummer_m_grid(np.array([0.25 + 5j, 0.75 + 5j]), 0.5, np.array([1.0, 2.0]))
 
     def test_grid_empty(self):
         vals, bounds = kummer_m_grid(0.25 + 5j, 0.5, np.array([], dtype=complex))
@@ -246,6 +333,8 @@ class TestKummer:
     def test_grid_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0 + 1.0j, bad]))
+        with pytest.raises(ValueError):
+            kummer_m_grid(bad, 0.5, np.array([1.0 + 1.0j, 2.0]))
 
 
 class TestQuadratureSpec:
