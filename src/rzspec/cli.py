@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +44,8 @@ _DEFAULTS = {
     "cache": None,
 }
 
+# The commands start no threads; the value stays because the benchmark's
+# host record (perfbench/run.py) reports it.
 _WORKERS = min(8, os.cpu_count() or 1)
 
 # config-file options that take an integer or a string; the others take a
@@ -93,13 +94,6 @@ def _require_n_max(n_max: int, least: int, what: str) -> None:
     # checked before any artifact or cache write, so a refused run leaves nothing
     if n_max < least:
         raise RZError(f"--n-max {n_max}: the {what} needs n_max >= {least}")
-
-
-def _map_ordered(fn, items):
-    if len(items) < 8:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -179,13 +173,10 @@ def _cmd_zeros(cfg: RunConfig) -> None:
 def _cmd_xih(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 60.0
     ts = np.arange(cfg.t_min, t_max + 1e-9, 0.25)
-    vals = _map_ordered(
-        lambda t: (dirac.xi_h(t), dirac.polya_xi_star(t), dirac.riemann_xi(t)),
-        [float(t) for t in ts])
-    rows = [(t, a, b, c) for t, (a, b, c) in zip(ts, vals)]
-    _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"], rows)
-    svg.line_plot(cfg.out / "xih.svg", ts,
-                  [[v[0] for v in vals], [v[1] for v in vals], [v[2] for v in vals]],
+    cols = [dirac.xi_h(ts), dirac.polya_xi_star(ts), dirac.riemann_xi(ts)]
+    _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"],
+               zip(ts.tolist(), *(c.tolist() for c in cols)))
+    svg.line_plot(cfg.out / "xih.svg", ts, cols,
                   labels=["xi_H", "xi*", "xi"], title="spectral functions",
                   x_label="t", y_label="xi", y_log=True)
 
@@ -195,10 +186,9 @@ def _cmd_polya(cfg: RunConfig) -> None:
     kinds = [dirac.SpectralFunctionKind.XI_RIEMANN,
              dirac.SpectralFunctionKind.XI_POLYA_STAR,
              dirac.SpectralFunctionKind.XI_DIRAC_H]
-    cols = [[dirac.phi_kernel(k, float(b)) for b in betas] for k in kinds]
-    rows = list(zip(betas, *cols))
-    _write_csv(cfg.out / "polya.csv",
-               ["beta", "phi_riemann", "phi_polya_star", "phi_dirac_h"], rows)
+    cols = [dirac.phi_kernel(k, betas) for k in kinds]
+    _write_csv(cfg.out / "polya.csv", ["beta", "phi_riemann", "phi_polya_star", "phi_dirac_h"],
+               zip(betas.tolist(), *(c.tolist() for c in cols)))
     svg.line_plot(cfg.out / "polya.svg", betas, cols,
                   labels=["Phi", "Phi*", "Phi_H"], title="cosine-transform kernels",
                   x_label="beta", y_label="Phi")

@@ -9,6 +9,11 @@ an equal footing:
                      the classical surrogate with provably real zeros;
 * ``riemann_xi``  -- (1/4) s (s-1) Gamma(s/2) pi^(-s/2) zeta(s) on s = 1/2 + it.
 
+Each takes a float t or an ndarray of t; an array is one call of the
+array Bessel K (or of the array log Gamma and zeta), so the zero scans
+pass their whole grid, and each Brent iteration its open brackets, in
+one evaluation, with no threads.
+
 Each also has a Fourier-side evaluation as the cosine transform of a
 rapidly decaying kernel; the two routes agree to quadrature accuracy and
 are cross-checked in the test suite.  Note the kernel route for the
@@ -78,15 +83,15 @@ class BoundaryData:
             raise ValueError("m_lx must be positive")
 
 
-def xi_h(t: float, q: QuadratureSpec | None = None) -> float:
+def xi_h(t, q: QuadratureSpec | None = None):
     """K_(1/2+it/2)(2 pi) + K_(1/2-it/2)(2 pi); real and even in t."""
-    k = bessel_k_complex_order(complex(0.5, 0.5 * abs(t)), 2.0 * math.pi, q)
+    k = bessel_k_complex_order(0.5 + 0.5j * np.abs(t), 2.0 * math.pi, q)
     return 2.0 * k.real
 
 
-def polya_xi_star(t: float, q: QuadratureSpec | None = None) -> float:
+def polya_xi_star(t, q: QuadratureSpec | None = None):
     """4 pi^2 (K_(9/4+it/2)(2 pi) + conjugate order); real and even in t."""
-    k = bessel_k_complex_order(complex(2.25, 0.5 * abs(t)), 2.0 * math.pi, q)
+    k = bessel_k_complex_order(2.25 + 0.5j * np.abs(t), 2.0 * math.pi, q)
     return 8.0 * math.pi ** 2 * k.real
 
 
@@ -105,31 +110,31 @@ def polya_xi_star_envelope(t: float) -> float:
     return 2.0 ** 0.75 * math.pi ** 0.25 * t ** 1.75 * math.exp(-math.pi * t / 4.0)
 
 
-def eigen_residual(E: float, b: BoundaryData, q: QuadratureSpec | None = None) -> complex:
+def eigen_residual(E, b: BoundaryData, q: QuadratureSpec | None = None):
     """Boundary-condition residual e^{i vartheta} K_(1/2-iE/2)(m l_x)
     - K_(1/2+iE/2)(m l_x); its real zeros are the eigenvalues."""
-    kp = bessel_k_complex_order(complex(0.5, 0.5 * E), b.m_lx, q)
-    km = bessel_k_complex_order(complex(0.5, -0.5 * E), b.m_lx, q)
+    kp = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx, q)
+    km = bessel_k_complex_order(0.5 - 0.5j * E, b.m_lx, q)
     return cmath.exp(1j * b.vartheta) * km - kp
 
 
-def _eigen_scan_function(E: float, b: BoundaryData, q=None) -> float:
+def _eigen_scan_function(E, b: BoundaryData, q=None):
     # The residual vanishes iff arg K_(1/2+iE/2)(m l_x) = vartheta/2 (mod pi);
     # this real function changes sign exactly there and is insensitive to
     # the principal-branch jumps of the argument.
-    k = bessel_k_complex_order(complex(0.5, 0.5 * E), b.m_lx, q)
-    return math.sin(cmath.phase(k) - 0.5 * b.vartheta)
+    k = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx, q)
+    return np.sin(np.angle(k) - 0.5 * b.vartheta)
 
 
-def riemann_xi(t: float) -> float:
+def riemann_xi(t):
     """Quarter-normalized completed zeta on the critical line; even in t."""
     return _riemann_xi_complex(t).real
 
 
-def _riemann_xi_complex(t: float) -> complex:
-    s = complex(0.5, t)
+def _riemann_xi_complex(t):
+    s = 0.5 + 1j * t
     log_part = log_gamma(0.5 * s) - 0.5 * s * math.log(math.pi)
-    return 0.25 * s * (s - 1.0) * cmath.exp(log_part) * zeta(s)
+    return 0.25 * s * (s - 1.0) * np.exp(log_part) * zeta(s)
 
 
 # --------------------------------------------------------------------------
@@ -176,8 +181,11 @@ _FOURIER_SCALE = {
 }
 
 
-def phi_kernel(kind: SpectralFunctionKind, beta: float) -> float:
-    """Cosine-transform kernel of the chosen spectral function."""
+def phi_kernel(kind: SpectralFunctionKind, beta):
+    """Cosine-transform kernel of the chosen spectral function at a float
+    beta, or elementwise on an ndarray of beta in one evaluation."""
+    if isinstance(beta, np.ndarray):
+        return _PHI[kind](beta)
     return float(_PHI[kind](np.array([beta]))[0])
 
 
@@ -194,12 +202,12 @@ def xi_via_fourier(kind: SpectralFunctionKind, t: float,
     phi = _PHI[kind]
     omega = 0.5 * abs(t)
 
-    def integrand(beta):
+    def integrand(beta, rows):
         return phi(beta) * np.cos(0.5 * t * beta)
 
     edges = oscillatory_edges(0.0, _BETA_MAX, lambda u: omega, q.node_count / 6.0)
-    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol)
-    return _FOURIER_SCALE[kind] * float(np.real(val))
+    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol)[0]
+    return _FOURIER_SCALE[kind] * float(val.real)
 
 
 def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
@@ -252,7 +260,6 @@ def find_dirac_zeros(target, t_min: float, t_max: float,
             SpectralFunctionKind.XI_DIRAC_H: lambda t: xi_h(t, q),
         }[target]
         step = _SCAN_STEP[target.value]
-    f = np.vectorize(f, otypes=[float])  # the scan passes its whole grid
     if target is SpectralFunctionKind.XI_RIEMANN:
         expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
         return find_all(f, t_min, t_max, step, expected)

@@ -7,7 +7,8 @@ Three evaluators live here:
   Re z >= 1/2, continued to the left with the reflection formula.
 
 * :func:`bessel_k_complex_order` -- the modified Bessel function
-  ``K_nu(z)`` for complex order and real z > 0, computed from
+  ``K_nu(z)`` for complex order, one order or an ndarray of orders, and
+  real z > 0, computed from
 
       K_nu(z) = (1/2) * integral exp(-z cosh(beta) + nu*beta) dbeta
 
@@ -15,7 +16,9 @@ Three evaluators live here:
   the saddle height removes the catastrophic oscillatory cancellation that
   makes the real-axis integral useless for |Im nu| >> z, so the evaluator
   stays accurate even where ``|K| ~ exp(-pi*|Im nu|/2)`` underflows the
-  integrand scale by dozens of orders of magnitude.
+  integrand scale by dozens of orders of magnitude.  An array of orders
+  is integrated in numpy blocks, one Gauss-Legendre pass per refinement
+  round over the panels of every order still open; no threads are used.
 
 * :func:`kummer_m_grid` -- the confluent hypergeometric function
   M(a, b, z) for ``|z| <= 200``, each cell by the cheapest valid route:
@@ -87,59 +90,82 @@ def _gl_rule(n: int):
     return _GL_CACHE[n]
 
 
-def panel_integral(f, edges, node_count):
-    """Composite Gauss-Legendre integral of a vectorized integrand.
+def panel_integral(f, lo, hi, node_count):
+    """Gauss-Legendre sums of a vectorized integrand, one per panel.
 
-    ``edges`` is an increasing 1-d array of panel boundaries; ``f`` maps a
-    flat numpy array of abscissae to (possibly complex) values.
+    ``lo`` and ``hi`` are 1-d arrays of panel ends; ``f`` maps the
+    (panel, node) array of abscissae to (possibly complex) values.
     """
     x, w = _gl_rule(node_count)
-    edges = np.asarray(edges, dtype=float)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return ((vals * w[None, :]).sum(axis=1) * half).sum()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (f(mid[:, None] + half[:, None] * x) * w).sum(axis=1) * half
 
 
-def _halve(edges):
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    out = np.empty(2 * len(edges) - 1)
-    out[0::2] = edges
-    out[1::2] = mids
-    return out
+def _row_sums(integrand, lo, hi, rows, n_rows, node_count):
+    s = panel_integral(lambda u: integrand(u, rows), lo, hi, node_count)
+    # bincount adds each row's panels in order, whatever the other rows hold
+    return np.bincount(rows, s.real, n_rows) + 1j * np.bincount(rows, s.imag, n_rows)
 
 
-def _refine_panels(integrand, edges, node_count, tol, scale=1.0):
-    # halve every panel until successive sums agree on the prefactor's scale
-    val = panel_integral(integrand, edges, node_count)
-    for _ in range(4):
-        edges = _halve(edges)
-        val2 = panel_integral(integrand, edges, node_count)
-        err = abs(val2 - val)
-        val = val2
-        if err * scale <= max(tol, 1e-13 * abs(val) * scale):
-            return val
+def _refine_panels(integrand, edges, node_count, tol, scale=1.0, halvings=4):
+    """Integrals of ``integrand`` over the panels of each row of ``edges``.
+
+    ``edges`` is an increasing 1-d array of panel edges, or a 2-d array
+    with one such row per integral (a row may end in repeats of its last
+    edge).  ``integrand(u, rows)`` maps the (panel, node) array of
+    abscissae and the row of each panel to values.  Each round halves the
+    panels of the rows still open and makes one :func:`panel_integral`
+    call over all of them; a row closes when two successive sums agree to
+    max(tol, 1e-13 |sum| scale) / scale, with ``scale`` one number or one
+    per row.  A row still open after ``halvings`` rounds raises
+    :class:`ToleranceNotMet`.
+    """
+    edges = np.atleast_2d(edges)
+    n = len(edges)
+    scale = np.broadcast_to(scale, (n,))
+    step = edges[:, 1:] > edges[:, :-1]
+    rows = np.nonzero(step)[0]
+    lo, hi = edges[:, :-1][step], edges[:, 1:][step]
+    prev = _row_sums(integrand, lo, hi, rows, n, node_count)
+    out = np.empty(n, dtype=complex)
+    live = np.ones(n, dtype=bool)
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        rows = np.repeat(rows, 2)
+        val = _row_sums(integrand, lo, hi, rows, n, node_count)
+        done = live & (np.abs(val - prev) * scale
+                       <= np.maximum(tol, 1e-13 * np.abs(val) * scale))
+        out[done] = val[done]
+        live &= ~done
+        if not live.any():
+            return out
+        keep = live[rows]
+        lo, hi, rows, prev = lo[keep], hi[keep], rows[keep], val
     raise ToleranceNotMet("panel refinement stalled")
 
 
-def oscillatory_edges(lo, hi, freq_at, cycles_per_panel, max_panels=40000):
+def oscillatory_edges(lo, hi, freq_at, cycles_per_panel, max_width=0.5, max_panels=40000):
     """Panel edges sized against a local angular-frequency estimate.
 
     ``freq_at(u)`` returns an upper bound on |d(phase)/du| near u; each
     panel spans at most ``cycles_per_panel`` oscillation cycles and at most
-    0.5 in width.
+    ``max_width``.  ``lo`` and ``hi`` may be arrays of one length, with
+    ``freq_at`` working elementwise on that length: the intervals are then
+    marched in lockstep, and row k of the result holds the edges of
+    interval k, padded after ``hi[k]`` with repeats of it.
     """
-    edges = [lo]
-    u = lo
-    while u < hi:
-        h = min(0.5, 2.0 * math.pi * cycles_per_panel / (freq_at(u) + 1.0))
-        u = min(hi, u + h)
-        edges.append(u)
-        if len(edges) > max_panels:
+    u = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    cols = [u]
+    while np.any(u < hi):
+        h = np.minimum(max_width, 2.0 * math.pi * cycles_per_panel / (freq_at(u) + 1.0))
+        u = np.minimum(hi, u + h)
+        cols.append(u)
+        if len(cols) > max_panels:
             raise ToleranceNotMet("oscillatory panel budget exhausted")
-    return np.array(edges)
+    return np.stack(cols, axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -249,66 +275,88 @@ def log_gamma(z):
 # --------------------------------------------------------------------------
 
 _TRUNC_LOG = -math.log(1e-18)
+_K_BLOCK = 16  # orders per quadrature block; node temporaries stay near 1 MB
 
 
-def _contour_height(a: float, mu: float, z: float) -> float:
-    # Height of the integration line.  Below the turning point mu = z the
-    # saddle sits at asin(mu/z) and the lifted contour passes through it;
-    # above it the saddle parks at pi/2 and we stop a distance delta short,
-    # chosen so the residual cancellation stays within ~e^12.
-    if mu < 0.99 * z:
-        return math.asin(mu / z)
-    delta = min(0.8, max(0.02, 12.0 / (mu - z + 2.0)))
-    return 0.5 * math.pi - delta
+def _contour_height(mu, z: float):
+    # Height of the integration line, per order.  Below the turning point
+    # mu = z the saddle sits at asin(mu/z) and the lifted contour passes
+    # through it; above it the saddle parks at pi/2 and we stop a distance
+    # delta short, chosen so the residual cancellation stays within ~e^12.
+    with np.errstate(divide="ignore"):
+        delta = np.clip(12.0 / (mu - z + 2.0), 0.02, 0.8)
+    return np.where(mu < 0.99 * z, np.arcsin(np.minimum(mu / z, 1.0)), 0.5 * math.pi - delta)
 
 
-def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None) -> complex:
+def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None):
     """Modified Bessel function K_nu(z) for complex order nu and real z > 0.
 
+    ``nu`` is a number, giving a complex, or an ndarray of orders, giving
+    a complex ndarray of its shape.  Contour heights and truncation points
+    of all orders are computed at once; the quadrature runs on blocks of
+    at most 16 orders, each round one numpy Gauss-Legendre pass over the
+    panels of the block's orders still open.  Every order keeps its own
+    refinement test, so an array element equals its one-order call bit for
+    bit.  No threads are used.
+
     Respects ``K_nu = K_{-nu}`` and ``K_conj(nu) = conj(K_nu)`` exactly by
-    construction.  Raises :class:`ToleranceNotMet` if panel refinement
-    stalls before reaching ``q.target_abs_tol``.
+    construction.  Raises :class:`ToleranceNotMet` if the truncation point
+    of any order exceeds ``q.max_abscissa``, or if the panel refinement of
+    any order stalls before reaching ``q.target_abs_tol``.
     """
     if q is None:
         q = QuadratureSpec()
     z = float(z)
     if not z > 0:
         raise ValueError("bessel_k_complex_order requires z > 0")
-    nu = complex(nu)
-    if nu.real < 0:
-        nu = -nu
-    conj_flag = nu.imag < 0
-    if conj_flag:
-        nu = nu.conjugate()
+    if not isinstance(nu, np.ndarray):
+        return complex(bessel_k_complex_order(np.array([nu], dtype=complex), z, q)[0])
+    shape = nu.shape
+    nu = nu.astype(complex).ravel()
+    nu = np.where(nu.real < 0, -nu, nu)
+    conj = nu.imag < 0
+    nu = np.where(conj, nu.conjugate(), nu)
     a, mu = nu.real, nu.imag
 
-    alpha = _contour_height(a, mu, z)
-    c = z * math.cos(alpha)  # decay coefficient of the lifted integrand
-    zs = z * math.sin(alpha)
+    alpha = _contour_height(mu, z)
+    c = z * np.cos(alpha)  # decay coefficient of the lifted integrand
+    zs = z * np.sin(alpha)
 
-    # integrand magnitude exp(-c cosh u + a u): peak and truncation points
-    u_peak = math.asinh(a / c)
-    log_peak = -c * math.cosh(u_peak) + a * u_peak
-    u_hi = math.acosh(1.0 + (_TRUNC_LOG + abs(a)) / c)
+    # integrand magnitude exp(-c cosh u + a u), a >= 0: peak and truncation points
+    u_peak = np.arcsinh(a / c)
+    log_peak = -c * np.cosh(u_peak) + a * u_peak
+    u_hi = np.arccosh(1.0 + (_TRUNC_LOG + a) / c)
     for _ in range(3):
-        u_hi = math.acosh(1.0 + (_TRUNC_LOG + abs(a) * max(u_hi, u_peak + 1.0) - log_peak - c) / c)
-    u_hi = max(u_hi, u_peak + 1.0)
-    u_lo = -u_hi
-    if u_hi > q.max_abscissa:
-        raise ToleranceNotMet(
-            f"truncation point {u_hi:.2f} exceeds max_abscissa {q.max_abscissa:g}")
+        u_hi = np.arccosh(1.0 + (_TRUNC_LOG + a * np.maximum(u_hi, u_peak + 1.0) - log_peak - c) / c)
+    u_hi = np.maximum(u_hi, u_peak + 1.0)
+    over = np.flatnonzero(u_hi > q.max_abscissa)
+    if len(over):
+        k = over[0]
+        raise ToleranceNotMet(f"order {complex(nu[k])}: truncation point {u_hi[k]:.2f} "
+                              f"exceeds max_abscissa {q.max_abscissa:g}")
 
-    def integrand(u):
-        return np.exp(-c * np.cosh(u) + a * u + 1j * (mu * u - zs * np.sinh(u)))
+    prefactor = 0.5 * np.exp(1j * nu * alpha)
+    out = np.empty(len(nu), dtype=complex)
+    for i in range(0, len(nu), _K_BLOCK):
+        b = slice(i, i + _K_BLOCK)
+        out[b] = prefactor[b] * _bessel_k_block(a[b], mu[b], c[b], zs[b], u_hi[b],
+                                                np.abs(prefactor[b]), q)
+    return np.where(conj, out.conjugate(), out).reshape(shape)
 
-    cycles = q.node_count / 6.0
-    freq = lambda u: zs * math.cosh(min(abs(u) + 0.5, u_hi)) + mu
-    edges = oscillatory_edges(u_lo, u_hi, freq, cycles)
 
-    prefactor = 0.5 * cmath.exp(1j * nu * alpha)
-    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol, abs(prefactor))
-    result = prefactor * val
-    return result.conjugate() if conj_flag else result
+def _bessel_k_block(a, mu, c, zs, u_hi, scale, q):
+    # The first partition (at most node_count/3 cycles and 1.0 per panel)
+    # is twice as coarse as that of oscillatory_edges' defaults, so it gets
+    # five halvings instead of four to reach the same finest level; most
+    # orders close after the first.
+    freq = lambda u: zs * np.cosh(np.minimum(np.abs(u) + 0.5, u_hi)) + mu
+    edges = oscillatory_edges(-u_hi, u_hi, freq, q.node_count / 3.0, max_width=1.0)
+
+    def integrand(u, rows):
+        r = rows[:, None]
+        return np.exp(-c[r] * np.cosh(u) + a[r] * u + 1j * (mu[r] * u - zs[r] * np.sinh(u)))
+
+    return _refine_panels(integrand, edges, q.node_count, q.target_abs_tol, scale, halvings=5)
 
 
 # --------------------------------------------------------------------------

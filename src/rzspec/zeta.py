@@ -232,8 +232,9 @@ def _diff5(f, x, h: float):
     return (-f(x + 2 * h) + 8.0 * f(x + h) - 8.0 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
 
 
-def z_prime(t: float, h: float = _ZP_STEP) -> float:
-    """Z'(t) by a five-point central difference."""
+def z_prime(t, h: float = _ZP_STEP):
+    """Z'(t) by a five-point central difference; ``t`` is a float or an
+    ndarray (elementwise, four array evaluations of Z)."""
     return _diff5(z_function, t, h)
 
 
@@ -334,6 +335,20 @@ def zeta_prime_at_zero(rec: ZeroRecord) -> complex:
     return -1j * cmath.exp(-1j * theta_rs(rec.t)) * zp
 
 
+def _fill_derivatives(records) -> None:
+    # the missing Z' values come from one array evaluation of z_prime
+    pending = [rec for rec in records if rec.z_prime is None]
+    if pending:
+        zps = z_prime(np.array([rec.t for rec in pending]))
+        for rec, zp in zip(pending, zps.tolist()):
+            if zp == 0.0:
+                raise ConsistencyError(f"Z'({rec.t:g}) vanished; zero not simple?")
+            rec.z_prime = zp
+    for rec in records:
+        if rec.zeta_prime_at_rho is None:
+            rec.zeta_prime_at_rho = zeta_prime_at_zero(rec)
+
+
 @dataclass
 class ZeroDatabase:
     """Ordered zero records plus the ordinate up to which the count is verified."""
@@ -349,13 +364,7 @@ class ZeroDatabase:
 
     def ensure_derivatives(self, upto: int | None = None) -> None:
         """Fill Z' and zeta'(rho) lazily for the first ``upto`` records."""
-        for rec in self.records[: upto if upto is not None else len(self.records)]:
-            if rec.z_prime is None:
-                rec.z_prime = z_prime(rec.t)
-                if rec.z_prime == 0.0:
-                    raise ConsistencyError(f"Z'({rec.t:g}) vanished; zero not simple?")
-            if rec.zeta_prime_at_rho is None:
-                rec.zeta_prime_at_rho = zeta_prime_at_zero(rec)
+        _fill_derivatives(self.records[: upto if upto is not None else len(self.records)])
 
     def check_invariants(self) -> None:
         ts = self.ordinates()
@@ -386,12 +395,8 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     lo = _count_avoiding_zeros(t_min)
     roots = find_all(z_function, t_min, t_max, ZERO_GRID_STEP,
                      _count_avoiding_zeros(t_max) - lo)
-    records = []
-    for k, t in enumerate(roots):
-        rec = ZeroRecord(index=lo + k + 1, t=t)
-        rec.z_prime = z_prime(t)
-        rec.zeta_prime_at_rho = zeta_prime_at_zero(rec)
-        records.append(rec)
+    records = [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
+    _fill_derivatives(records)
     return records
 
 

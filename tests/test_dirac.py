@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rzspec import counting as ct
@@ -46,6 +47,33 @@ class TestClosedForms:
     def test_riemann_xi_realness(self):
         for t in (0.0, 10.0, 40.0):
             assert abs(dirac._riemann_xi_complex(t).imag) < 1e-10
+
+
+class TestArrayArguments:
+    """The spectral functions take an ndarray of t in one evaluation."""
+
+    TS = np.array([-7.5, 0.0, 3.0, 18.651790641994954, 44.4, 99.9])
+
+    def test_bessel_kinds_equal_scalar_calls(self):
+        for fn in (dirac.xi_h, dirac.polya_xi_star):
+            assert fn(self.TS).tolist() == [fn(float(t)) for t in self.TS]
+        b = BoundaryData(1.0, TWO_PI)
+        got = dirac._eigen_scan_function(self.TS, b)
+        assert got.tolist() == [float(dirac._eigen_scan_function(float(t), b)) for t in self.TS]
+        res = dirac.eigen_residual(self.TS, b)
+        want = np.array([dirac.eigen_residual(float(t), b) for t in self.TS])
+        assert np.all(np.abs(res - want) <= 1e-15 * np.abs(want))
+
+    def test_riemann_xi_matches_scalar(self):
+        got = dirac.riemann_xi(self.TS)
+        want = np.array([dirac.riemann_xi(float(t)) for t in self.TS])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-20)
+
+    def test_kernels_equal_one_point_calls(self):
+        betas = np.arange(-3.0, 3.0 + 1e-9, 0.02)
+        for kind in Kind:
+            got = dirac.phi_kernel(kind, betas)
+            assert got.tolist() == [dirac.phi_kernel(kind, float(b)) for b in betas]
 
 
 class TestEigenResidual:

@@ -166,6 +166,63 @@ class TestBesselK:
             bessel_k_complex_order(0.5, 0.01, QuadratureSpec(max_abscissa=2.0))
 
 
+class TestBesselKArray:
+    """An ndarray of orders runs the block quadrature; each element is its
+    one-order call, and the oracle covers the sweep's whole domain."""
+
+    def test_against_oracle_whole_domain(self):
+        mp = pytest.importorskip("mpmath")
+        mus = np.linspace(0.0, 100.0, 41)
+        worst = 0.0
+        for z in (0.05, 1.0, 2.0 * math.pi, 30.0):
+            for a in (0.5, 2.25):
+                got = bessel_k_complex_order(a + 1j * mus, z)
+                with mp.workdps(40):
+                    ref = np.array([complex(mp.besselk(mp.mpc(a, mu), mp.mpf(z))) for mu in mus])
+                worst = max(worst, float(np.max(np.abs(got - ref) / np.abs(ref))))
+        assert worst < 1e-9
+
+    def test_elements_equal_one_order_calls(self):
+        # 40 orders of both signs in a 2-d shape: three blocks, the last partial
+        rng = np.random.default_rng(7)
+        nu = (rng.choice([-2.25, -0.5, 0.5, 2.25], 40)
+              + 1j * rng.uniform(-100.0, 100.0, 40)).reshape(5, 8)
+        for z in (1.0, 2.0 * math.pi):
+            got = bessel_k_complex_order(nu, z)
+            assert got.shape == nu.shape and got.dtype == complex
+            assert all(g == bessel_k_complex_order(complex(n), z)
+                       for g, n in zip(got.ravel(), nu.ravel()))
+
+    def test_one_order_over_budget_raises(self):
+        q = QuadratureSpec(max_abscissa=3.5)
+        bessel_k_complex_order(0.5, 2.0 * math.pi, q)  # its truncation point is 2.7
+        with pytest.raises(ToleranceNotMet):
+            bessel_k_complex_order(np.array([0.5, 0.5 + 2j, 0.5 + 50j, 0.5]), 2.0 * math.pi, q)
+
+    def test_rows_close_on_their_own(self):
+        # the peaked row needs more halvings than the smooth one; each row's
+        # value is its one-row value, whatever round the other closes in
+        peak = lambda u: np.exp(-400.0 * (u - 0.37) ** 2)
+        smooth = lambda u: u * u
+        both = lambda u, rows: np.where(rows[:, None] == 0, smooth(u), peak(u))
+        edges = np.array([0.0, 1.0])
+        got = specfun._refine_panels(both, np.array([edges, edges]), 16, 1e-12)
+        solo = [specfun._refine_panels(lambda u, rows: g(u), edges, 16, 1e-12)[0]
+                for g in (smooth, peak)]
+        assert got.tolist() == solo
+        assert solo[1] == pytest.approx(math.sqrt(math.pi) / 20.0, rel=1e-12)
+
+    def test_stalled_row_raises(self):
+        # the singular row cannot settle to 1e-13 in four halvings; the
+        # smooth row beside it settles in one
+        edges = np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 1.0]])
+        integrand = lambda u, rows: np.where(rows[:, None] == 0, np.abs(u - 0.3) ** -0.5, u * u)
+        with pytest.raises(ToleranceNotMet):
+            specfun._refine_panels(integrand, edges, 16, 1e-12)
+        val = specfun._refine_panels(lambda u, rows: u * u, edges[1], 16, 1e-12)
+        assert val == pytest.approx([1.0 / 3.0], rel=1e-14)
+
+
 class TestKummer:
     def test_at_zero(self):
         assert kummer_m(0.25 + 5j, 0.5, 0.0) == 1.0

@@ -179,6 +179,21 @@ class TestDerivatives:
         assert ze.z_prime(T1) == pytest.approx(Z_PRIME_T1, abs=1e-7)
 
 
+class TestDerivativeFill:
+    def test_array_fill_matches_scalar_z_prime(self, ref_db):
+        recs = [ze.ZeroRecord(index=r.index, t=r.t) for r in ref_db.records[::50]]
+        ze.ZeroDatabase(records=recs).ensure_derivatives()
+        for rec in recs:
+            assert rec.z_prime == pytest.approx(ze.z_prime(rec.t), rel=1e-10)
+            assert rec.zeta_prime_at_rho == ze.zeta_prime_at_zero(rec)
+
+    def test_vanishing_z_prime_raises(self, monkeypatch):
+        db = ze.ZeroDatabase(records=[ze.ZeroRecord(index=1, t=T1)])
+        monkeypatch.setattr(ze, "z_prime", lambda t: np.zeros_like(t))
+        with pytest.raises(ConsistencyError):
+            db.ensure_derivatives()
+
+
 class TestZeroFinding:
     def test_first_two(self, zero_db):
         recs = zero_db.records[:2]
