@@ -80,14 +80,13 @@ def brent(f, a, b, xtol=1e-12, max_iter=200, fa=None, fb=None):
     return roots
 
 
-def scan_sign_changes(f, t_min, t_max, step, values=False):
-    """Brackets (a, b) with f(a)*f(b) < 0 on a uniform grid of the given step.
+def scan_sign_changes(f, t_min, t_max, step):
+    """Brackets [a, b] with f(a)*f(b) < 0 on a uniform grid of the given step.
 
     ``f`` maps an array to an array and is called once on the whole grid
     t_min + k*step, clipped at t_max.  Grid points that land exactly on a
     root are nudged by step/64, in one more call, so the bracket survives.
-    With ``values`` the brackets come as four arrays: the left ends, the
-    right ends, and f at each.
+    Returns four arrays: the left ends, the right ends, and f at each.
     """
     n = max(2, int(math.ceil((t_max - t_min) / step)) + 1)
     ts = np.minimum(t_min + np.arange(n + 1) * step, t_max)
@@ -100,9 +99,7 @@ def scan_sign_changes(f, t_min, t_max, step, values=False):
         ts = ts[: np.argmax(ts >= t_max) + 1]  # a nudge past t_max ends the grid
         fs = fs[: len(ts)]
     k = np.flatnonzero(fs[:-1] * fs[1:] < 0)
-    if values:
-        return ts[k], ts[k + 1], fs[k], fs[k + 1]
-    return list(zip(ts[k].tolist(), ts[k + 1].tolist()))
+    return ts[k], ts[k + 1], fs[k], fs[k + 1]
 
 
 def find_all(f, lo, hi, step, expected, slack=0.0):
@@ -117,7 +114,7 @@ def find_all(f, lo, hi, step, expected, slack=0.0):
     exact count, more for a smooth one).  A sign-change scan misses roots
     only in pairs, inside one step.
     """
-    a, b, fa, fb = scan_sign_changes(f, lo, hi, step, values=True)
+    a, b, fa, fb = scan_sign_changes(f, lo, hi, step)
     if abs(len(a) - expected) > slack:
         raise MissedZeroError(
             f"found {len(a)} roots in ({lo:g}, {hi:g}) "

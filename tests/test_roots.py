@@ -39,7 +39,8 @@ class TestFindAll:
             calls.append(np.shape(x))
             return (x - 1.0) * (x - 3.0)
         # 1.0 and 3.0 are grid points; f vanishes there exactly
-        assert scan_sign_changes(f, 0.0, 4.0, 0.25) == [
+        a, b, _, _ = scan_sign_changes(f, 0.0, 4.0, 0.25)
+        assert list(zip(a.tolist(), b.tolist())) == [
             (0.75, 1.0 + 0.25 / 64.0), (2.75, 3.0 + 0.25 / 64.0)]
         assert calls == [(17,), (2,)]  # the whole grid, then the two nudged points
         assert find_all(f, 0.0, 4.0, 0.25, 2) == pytest.approx([1.0, 3.0], abs=1e-9)
@@ -51,8 +52,9 @@ class TestLockstepBrent:
         (lambda x: (x - 1.03) * (x - 1.05), 0.0, 2.0, 0.005, 2),
     ])
     def test_find_all_matches_per_bracket_brent(self, f, lo, hi, step, n):
-        want = [brent(lambda x: float(f(x)), a, b, xtol=1e-10)
-                for a, b in scan_sign_changes(f, lo, hi, step)]
+        a, b, _, _ = scan_sign_changes(f, lo, hi, step)
+        want = [brent(lambda x: float(f(x)), lo_k, hi_k, xtol=1e-10)
+                for lo_k, hi_k in zip(a.tolist(), b.tolist())]
         assert len(want) == n
         assert find_all(f, lo, hi, step, n) == pytest.approx(want, abs=1e-10)
 

@@ -193,6 +193,31 @@ class TestBesselKArray:
             assert all(g == bessel_k_complex_order(complex(n), z)
                        for g, n in zip(got.ravel(), nu.ravel()))
 
+    def test_orders_needing_several_halvings(self, monkeypatch):
+        # With 16 nodes and a 1e-18 goal at z = 0.05, 2.25 + 13i and
+        # 2.25 + 14.5i close after four halvings, 0.5 + 9i and 2.25 + 16i
+        # after three, the rest after one: the live rows of one block shrink
+        # round by round, each with its own scale.
+        mp = pytest.importorskip("mpmath")
+        q, z = QuadratureSpec(node_count=16, target_abs_tol=1e-18), 0.05
+        nu = np.array([0.5, 2.25, 2.25 + 13j, 0.5 + 9j, 2.25 + 14.5j, 0.5 + 30j,
+                       2.25 + 60j, 0.5 + 100j, 2.25 + 5j, 2.25 + 16j])
+        passes = []
+        row_sums = specfun._row_sums
+
+        def counted(integrand, lo, hi, rows, n_rows, node_count):
+            passes.append(np.unique(rows).tolist())
+            return row_sums(integrand, lo, hi, rows, n_rows, node_count)
+        monkeypatch.setattr(specfun, "_row_sums", counted)
+        got = bessel_k_complex_order(nu, z, q)
+        halvings = [sum(k in p for p in passes) - 1 for k in range(len(nu))]
+        assert halvings == [1, 1, 4, 3, 4, 1, 1, 1, 1, 3]
+        monkeypatch.undo()
+        assert all(g == bessel_k_complex_order(complex(n), z, q) for g, n in zip(got, nu))
+        with mp.workdps(40):
+            ref = np.array([complex(mp.besselk(mp.mpc(n.real, n.imag), mp.mpf(z))) for n in nu])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
+
     def test_one_order_over_budget_raises(self):
         q = QuadratureSpec(max_abscissa=3.5)
         bessel_k_complex_order(0.5, 2.0 * math.pi, q)  # its truncation point is 2.7
