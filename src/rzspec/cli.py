@@ -71,18 +71,22 @@ class RunConfig:
     cache: Path
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, rows, row_format: str | None = None) -> None:
     # an int value is written as an int, any other as a float to 17
-    # significant digits; one format string per row's tuple of types
-    formats = {}
+    # significant digits, with one format string per row's tuple of types;
+    # rows all of one kind may come with their row_format instead
     lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
-                                      for v in row)
-        lines.append(formats[kinds] % row)
+    if row_format is not None:
+        lines += map(row_format.__mod__, rows)
+    else:
+        formats = {}
+        for row in rows:
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
+                                          for v in row)
+            lines.append(formats[kinds] % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -210,9 +214,12 @@ def _cmd_landau(cfg: RunConfig) -> None:
                   x_label="E", y_label="n")
     xs = np.linspace(-10.0, 10.0, grid_n)
     amp, bound = landau.psi_abs_grid(10.0, xs, xs, geom)
-    rows = ((xs[i], xs[j], amp[i, j], bound[i, j])
-            for i in range(grid_n) for j in range(grid_n))
-    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows)
+    # the grid coordinates are formatted once, each row with one %
+    coords = ["%.17g" % v for v in xs.tolist()]
+    rows = ((x, y, v, e) for i, x in enumerate(coords)
+            for y, v, e in zip(coords, amp[i].tolist(), bound[i].tolist()))
+    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows,
+               row_format="%s,%s,%.17g,%.17g")
 
 
 def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:

@@ -37,6 +37,8 @@ __all__ = [
 # level-scan budget: the scan step shrinks as the phase slope grows, so
 # E_max = 1e4 at L / l = 1e4 already takes about 1e5 scan points
 LANDAU_E_BUDGET = 1e4
+# psi_plus / psi_minus refuse a value whose Kummer bound exceeds this, relative
+PSI_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,16 +62,25 @@ def _z_arg(x: float, y: float, g: LandauGeometry) -> complex:
     return 0.5 * w * w
 
 
+def _kummer_checked(a: complex, b: float, z: complex) -> complex:
+    m, bound = kummer_m_bounded(a, b, z)
+    if not bound <= PSI_REL_TOL * abs(m):
+        raise ToleranceNotMet(f"Kummer bound {bound:.2e} exceeds {PSI_REL_TOL:g} |M| = {abs(m):.2e}")
+    return m
+
+
 def psi_plus(E: float, x: float, y: float, g: LandauGeometry) -> complex:
     """Even-sector wavefunction e^{-x^2/2l^2} M(1/4 + iE/2, 1/2, (x-iy)^2/2l^2),
-    normalization constant set to 1."""
-    m, _ = kummer_m_bounded(complex(0.25, 0.5 * E), 0.5, _z_arg(x, y, g))
+    normalization constant set to 1.  Raises :class:`ToleranceNotMet` where
+    the Kummer bound exceeds ``PSI_REL_TOL`` relative to M."""
+    m = _kummer_checked(complex(0.25, 0.5 * E), 0.5, _z_arg(x, y, g))
     return math.exp(-0.5 * (x / g.magnetic_length) ** 2) * m
 
 
 def psi_minus(E: float, x: float, y: float, g: LandauGeometry) -> complex:
-    """Odd-sector wavefunction (x - iy) e^{-x^2/2l^2} M(3/4 + iE/2, 3/2, ...)."""
-    m, _ = kummer_m_bounded(complex(0.75, 0.5 * E), 1.5, _z_arg(x, y, g))
+    """Odd-sector wavefunction (x - iy) e^{-x^2/2l^2} M(3/4 + iE/2, 3/2, ...),
+    refused like :func:`psi_plus`."""
+    m = _kummer_checked(complex(0.75, 0.5 * E), 1.5, _z_arg(x, y, g))
     return complex(x, -y) * math.exp(-0.5 * (x / g.magnetic_length) ** 2) * m
 
 

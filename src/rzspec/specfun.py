@@ -24,10 +24,11 @@ Three evaluators live here:
   M(a, b, z) for ``|z| <= 200``, each cell by the cheapest valid route:
   the power series in complex double, the large-|z| asymptotic expansion
   (DLMF 13.7.2), or the power series in double-double arithmetic, which
-  absorbs the cancellation of strongly complex z.  Every value carries an
-  absolute error bound, certified on the series routes and, in its
-  truncation part, on the asymptotic one.  A one-cell call gives its grid
-  cell's bits.
+  absorbs the cancellation of strongly complex z, by Horner's rule on z
+  2^-7 over coefficients P_k 2^(7k) cached per (a, b).  Every value
+  carries an absolute error bound, certified on the series routes and,
+  in its truncation part, on the asymptotic one.  A one-cell call gives
+  its grid cell's bits.
 
 All evaluators are pure functions and safe for concurrent use.
 """
@@ -35,12 +36,13 @@ All evaluators are pure functions and safe for concurrent use.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import CDD, two_prod
+from .ddouble import horner_step, split
 from .errors import PoleError, ToleranceNotMet
 
 __all__ = [
@@ -365,8 +367,9 @@ def _bessel_k_block(a, mu, c, zs, u_hi, scale, q):
 
 KUMMER_RADIUS = 200.0   # documented series budget
 _KUMMER_KMAX = 1600
-_NOISE_PER_TERM = 5e-31  # double-double rounding per term, conservative
+_NOISE_PER_TERM = 5e-31  # double-double rounding per term (see _kummer_series_dd)
 _KUMMER_BLOCK = 4096     # cells summed together; each block runs to its slowest cell
+_HORNER_SCALE = 2 ** 7   # the double-double series sums Q_k (w / 2^7)^k, Q_k = P_k 2^(7k)
 # Rounding the double-double sum to double costs at most u|M| (u = eps/2).
 # On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
 # each, plus the rounding of their product) and the complex product with
@@ -475,88 +478,128 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     return value, np.where((bound < np.abs(value)) & (sigma < 1.0), bound, np.inf), sens
 
 
-def _kummer_series_dd(a, b_re: float, z):
-    """Power series sum_k (a)_k z^k / ((b)_k k!) in double-double arithmetic.
-
-    ``a`` and ``z`` are complex numpy arrays of equal shape, ``b`` real.
-    Each cell stops at its own last term, the first k > |z| + 6 with
-    |term_k| <= 1e-34 sum_j<=k |term_j|, and its value and bound are those
-    of that k, whatever the other cells are: a cell gives the same bits
-    alone as in any grid.  The bound is ``_NOISE_PER_TERM`` times the
-    number of terms times sum |term|, the double-double rounding of the
-    series; it does not cover the rounding of the result to double.
-    Cells are summed in blocks of ``_KUMMER_BLOCK`` taken in |z| order, so
-    the cells of a block need about as many terms.  Returns (values,
-    bounds) of the shape of ``z``.
+@functools.lru_cache(maxsize=32)
+def _kummer_coeffs(a: complex, b_re: float, n: int):
+    """Q_k = P_k 2^(7k), P_k = (a)_k / ((b)_k k!), for k < n: four tuples
+    (re_hi, re_lo, im_hi, im_lo), each correctly rounded to double-double
+    from exact integers, so no entry depends on n or on earlier tables.
+    P_k alone underflows from about k = 150; 1e-87 < |Q_k| < 1e67 for the
+    k < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
     """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    a = np.asarray(a, dtype=complex).ravel()
-    z = z.ravel()
-    parts = [np.empty(z.size) for _ in range(4)]  # re_hi, re_lo, im_hi, im_lo
-    noise = np.empty(z.size)
-    order = np.argsort(np.abs(z), kind="stable")
-    for start in range(0, z.size, _KUMMER_BLOCK):
-        cells = order[start:start + _KUMMER_BLOCK]
-        sweep = _kummer_cell if cells.size == 1 else _kummer_block
-        for cell, acc, s_abs, k in sweep(a[cells], b_re, z[cells]):
-            idx = cells[cell]
-            for part, v in zip(parts, (acc.rh, acc.rl, acc.ih, acc.il)):
-                part[idx] = v[cell]
-            noise[idx] = _NOISE_PER_TERM * (k + 1) * s_abs[cell]
-    vals = CDD(*parts).to_complex()
-    return vals.reshape(shape), noise.reshape(shape)
+    (ar, sr), (ai, si), (bn, sb) = (x.as_integer_ratio() for x in (a.real, a.imag, b_re))
+    s = max(sr, si)  # a power of two, like sr, si and sb
+    ar, ai = ar * (s // sr), ai * (s // si)
+    nr, ni, den = 1, 0, 1  # Q_k = (nr + i ni) / den
+    cols = ([], [], [], [])
+    for k in range(n):
+        for num, hi_col, lo_col in ((nr, cols[0], cols[1]), (ni, cols[2], cols[3])):
+            try:
+                hi = num / den  # integer true division rounds correctly
+                p, q = hi.as_integer_ratio()
+                lo = (num * q - p * den) / (den * q)
+            except OverflowError:  # the cells that reach Q_k get an infinite bound
+                hi, lo = math.inf if (num < 0) == (den < 0) else -math.inf, 0.0
+            hi_col.append(hi)
+            lo_col.append(lo)
+        fr = ar + k * s
+        nr, ni = (nr * fr - ni * ai) * _HORNER_SCALE * sb, (nr * ai + ni * fr) * _HORNER_SCALE * sb
+        den *= s * (bn + k * sb) * (k + 1)
+    return tuple(map(tuple, cols))
 
 
-def _kummer_block(a, b_re: float, z):
-    # Sums all cells of the block every round and yields (cells, acc,
-    # sum_abs, k) for the cells whose last term is k; ends with the block.
-    term = CDD.from_complex(np.ones_like(z))
-    acc = CDD.from_complex(np.ones_like(z))
-    sum_abs = np.ones_like(z, dtype=float)
-    hump = np.abs(z) + 6.0
-    left = z.size
+def _abs_terms(a: complex, b_re: float, r):
+    # (k, |term_k+1|, sum_j<=k+1 |term_j|) for k = 0, 1, ... by the plain-
+    # double recurrence |term_k+1| = |term_k| r |a + k| / ((b + k)(k + 1)),
+    # for a float r or, with the same bits per element, an array
+    t = s = 1.0 if isinstance(r, float) else np.ones(r.size)
     for k in range(_KUMMER_KMAX):
-        fac = a + k  # exact in double for moderate k
-        term = term.mul_dc(fac.real, fac.imag)
-        term = term.mul_dc(z.real, z.imag)
-        dh, dl = two_prod(b_re + k, float(k + 1))
-        term = term.div_real(dh, dl)
-        acc = acc.add(term)
-        t_abs = term.abs_estimate()
-        sum_abs += t_abs
-        done = np.flatnonzero((k > hump) & (t_abs <= 1e-34 * sum_abs))
-        if done.size:
-            yield done, acc, sum_abs, k
-            hump[done] = np.inf  # a finished cell is never recorded again
-            left -= done.size
-            if not left:
-                return
+        t = t * r * (math.hypot(a.real + k, a.imag) / ((b_re + k) * (k + 1.0)))
+        s = s + t
+        yield k, t, s
     raise ToleranceNotMet("kummer series did not converge within the term budget")
 
 
-def _kummer_cell(a, b_re: float, z):
-    # _kummer_block for a block of one cell, on Python floats: the same
-    # ddouble operations in the same order give the same bits, without the
-    # ~200 ufunc calls per term on 1-element arrays.  abs_estimate keeps
-    # np.hypot: math.hypot differs in the last bit and would move the bound.
-    a, z = complex(a[0]), complex(z[0])
-    term = acc = CDD(1.0, 0.0, 0.0, 0.0)
-    sum_abs = 1.0
-    hump = float(np.abs(z)) + 6.0
-    for k in range(_KUMMER_KMAX):
-        fac = a + k
-        term = term.mul_dc(fac.real, fac.imag)
-        term = term.mul_dc(z.real, z.imag)
-        term = term.div_real(*two_prod(b_re + k, float(k + 1)))
-        acc = acc.add(term)
-        t_abs = float(term.abs_estimate())
-        sum_abs += t_abs
-        if k > hump and t_abs <= 1e-34 * sum_abs:
-            parts = (np.array([v]) for v in (acc.rh, acc.rl, acc.ih, acc.il))
-            yield [0], CDD(*parts), np.array([sum_abs]), k
-            return
-    raise ToleranceNotMet("kummer series did not converge within the term budget")
+def _kummer_last_terms(a: complex, b_re: float, r):
+    # Per cell of |w| = r: the last term K, the first index past r + 6 whose
+    # |term| is at most 1e-34 times the sum of |term| so far, and that sum
+    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), r + 6.0
+    for k, t, s in _abs_terms(a, b_re, r):
+        done = ((k > hump) & (t <= 1e-34 * s)).nonzero()[0]
+        last[done], sums[done], hump[done] = k + 1, s[done], np.inf
+        if last.all():
+            return last, sums
+
+
+def _kummer_horner(a: complex, b_re: float, w):
+    """The series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule in double-
+    double: per cell the four parts (re_hi, re_lo, im_hi, im_lo) and the
+    bound ``_NOISE_PER_TERM (K + 1) sum|term|``.  A one-cell call runs the
+    steps of :func:`_horner_block` on Python floats.
+    """
+    r, x = np.abs(w), w * (1.0 / _HORNER_SCALE)  # the scale is exact
+    if w.size > 1:
+        return _horner_block(a, b_re, r, x)
+    hump = float(r[0]) + 6.0
+    for k, t, s in _abs_terms(a, b_re, float(r[0])):
+        if k > hump and t <= 1e-34 * s:
+            break
+    last = k + 1
+    q = _kummer_coeffs(a, b_re, 1 << last.bit_length())
+    x_re, x_im = split(float(x.real[0])), split(float(x.imag[0]))
+    acc = tuple(col[last] for col in q)
+    for k in range(last - 1, -1, -1):
+        acc = horner_step(acc, x_re, x_im, tuple(col[k] for col in q))
+    return tuple(np.array([v]) for v in acc), np.array([_NOISE_PER_TERM * (last + 1) * s])
+
+
+def _horner_block(a: complex, b_re: float, r, x):
+    # Cells run in order of falling K, so the cells still summing at step k
+    # are a prefix; a cell joins at its K with acc = Q_K.
+    last, s = _kummer_last_terms(a, b_re, r)
+    order = np.argsort(-last, kind="stable")
+    last_sorted = last[order]
+    q = _kummer_coeffs(a, b_re, 1 << int(last_sorted[0]).bit_length())
+    x_re, x_im = split(x.real[order]), split(x.imag[order])
+    acc = [np.zeros(x.size) for _ in range(4)]
+    # live[k]: the number of cells whose last term is k or later
+    live = np.searchsorted(-last_sorted, -np.arange(last_sorted[0] + 1), side="right")
+    n = 0
+    for k in range(last_sorted[0], -1, -1):
+        qk = tuple(col[k] for col in q)
+        if n:
+            step = horner_step([p[:n] for p in acc], [v[:n] for v in x_re], [v[:n] for v in x_im], qk)
+            for p, v in zip(acc, step):
+                p[:n] = v
+        for p, v in zip(acc, qk):
+            p[n:live[k]] = v
+        n = live[k]
+    unsort = np.argsort(order)
+    return tuple(p[unsort] for p in acc), _NOISE_PER_TERM * (last + 1) * s
+
+
+def _kummer_series_dd(a: complex, b_re: float, w):
+    """M(a, b, w) by the power series in double-double arithmetic, which
+    absorbs the cancellation of strongly complex w.
+
+    Each cell finds its own last term K by a plain-double pass over
+    |term_k| (:func:`_abs_terms`), then sums terms K down to 0 by
+    Horner's rule on x = w 2^-7 with the cached Q_k = P_k 2^(7k) of
+    :func:`_kummer_coeffs`.  The scale is exact, so a cell's bits do not
+    depend on the other cells.
+
+    The bound is ``_NOISE_PER_TERM (K + 1) sum|term|``, 40.6 u^2 (K + 1)
+    sum|term| with u = 2^-53.  A Horner step errs by at most u^2 (17 |acc||x|
+    + 5 |Q_k|) (:func:`~rzspec.ddouble.horner_step`) and |acc_k+1||x|^(k+1)
+    <= sum_j>k |term_j|, so the steps add at most u^2 (17 K + 5) sum|term|;
+    the correctly rounded Q_k add u^2 sum|term|, the plain-double sum|term|
+    is within 3Ku of its value, and the tail past K is about 1e-34
+    sum|term|.  The rounding of the result to double is not covered.
+    Returns (values, bounds, None): |w M'| keeps the plain series' bound.
+    """
+    (rh, rl, ih, il), noise = _kummer_horner(a, b_re, w)
+    vals = np.empty(w.size, dtype=complex)
+    vals.real, vals.imag = rh + rl, ih + il
+    return vals, np.where(np.isfinite(vals), noise, np.inf), None
 
 
 class _KummerGrid(tuple):
@@ -589,7 +632,8 @@ def _kummer_routed(a, b, z, rel_tols):
             asym = side & (r >= 2.0 * abs(a_eff) + _ASYM_RADIUS)
             if _gamma_pole(np.array([a_eff, b.real - a_eff])).any():
                 asym[:] = False
-            for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain), (asym, side), rel_tols):
+            for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
+                                         (asym, side, side), rel_tols + (0.0,)):
                 # _KUMMER_BLOCK cells at a time, in |w| order so that the
                 # cells of a block need about as many terms
                 cells = np.flatnonzero(pending & tried)
@@ -598,12 +642,10 @@ def _kummer_routed(a, b, z, rel_tols):
                     blk = cells[start:start + _KUMMER_BLOCK]
                     v, e, s = route(a_eff, b.real, w[blk])
                     take = e < bounds[blk]
-                    vals[blk[take]], bounds[blk[take]], sens[blk[take]] = v[take], e[take], s[take]
+                    vals[blk[take]], bounds[blk[take]] = v[take], e[take]
+                    if s is not None:  # the double-double series keeps the plain one's
+                        sens[blk[take]] = s[take]
                     pending[blk[take & (e <= tol * np.abs(v))]] = False
-    cells = np.flatnonzero(pending)
-    v, e = _kummer_series_dd(np.where(flip[cells], b.real - a, a), b.real, w[cells])
-    take = e < bounds[cells]
-    vals[cells[take]], bounds[cells[take]] = v[take], e[take]
     pref = np.ones_like(vals)
     pref[flip] = np.exp(zf[flip])
     m = vals * pref  # out of place: numpy's in-place complex product may round differently
@@ -625,7 +667,8 @@ def kummer_m_grid(a, b, z):
     cell ends on the first route whose bound is small enough: from |z| =
     2|a| + 20 the large-|z| asymptotic expansion (DLMF 13.7.2), within
     1e-10 of |M|; the power series in complex double, within 1e-13; or the
-    power series in double-double arithmetic.  It keeps the value with the
+    power series in double-double arithmetic, by Horner's rule on z 2^-7
+    with cached coefficients P_k 2^(7k).  It keeps the value with the
     smallest bound.  Every route stops each cell at its own last term, so
     a cell equals its one-cell :func:`kummer_m_bounded` call bit for bit.
 

@@ -237,6 +237,17 @@ class TestLandauCommand:
         assert rows[:, 2].tolist() == amp.ravel().tolist()
         assert rows[:, 3].tolist() == bound.ravel().tolist()
 
+    def test_psi_csv_bytes_are_per_value_formatting(self, tmp_path):
+        # coordinates formatted once and rows with one % give the bytes of
+        # formatting every value of the psi_abs_grid arrays on its own
+        assert run(["landau", "--n-max", "40", "--out", str(tmp_path)]) == 0
+        xs = np.linspace(-10.0, 10.0, 40)
+        amp, bound = landau.psi_abs_grid(10.0, xs, xs, landau.LandauGeometry(1.0, 100.0))
+        want = ["x,y,abs_psi,abs_psi_bound"] + [
+            ",".join(fmt_per_value(v) for v in (xs[i], xs[j], amp[i, j], bound[i, j]))
+            for i in range(xs.size) for j in range(xs.size)]
+        assert (tmp_path / "landau_psi.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
 
 class TestAtZeroSnap:
     def test_perron_snaps_to_cached_zero(self, tmp_path):

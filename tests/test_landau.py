@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from rzspec import landau
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
+from rzspec.specfun import kummer_m_bounded
 from rzspec.zeta import theta_rs
 
 GEOM = LandauGeometry(magnetic_length=1.0, box_size=100.0)
@@ -51,6 +53,21 @@ class TestWavefunctions:
                 w = mp.mpc(x, -y)
                 want = abs(mp.exp(-x * x / 2) * mp.hyp1f1(a, b, w * w / 2) * (w if odd else 1))
                 assert abs(amp[i, j] - want) <= bound[i, j], (xs[i], xs[j])
+
+    def test_out_of_budget_value_is_refused(self):
+        # the E = 40 Kummer cell M(1/4 + 20i, 1/2, 1 + 50i) that no route covers
+        w = cmath.sqrt(2.0 + 100.0j)
+        x, y = w.real, -w.imag
+        m, bound = kummer_m_bounded(0.25 + 20j, 0.5, landau._z_arg(x, y, GEOM))
+        assert bound > landau.PSI_REL_TOL * abs(m)
+        with pytest.raises(ToleranceNotMet):
+            landau.psi_plus(40.0, x, y, GEOM)
+
+    def test_every_point_of_the_e10_grid_returns(self):
+        xs = np.linspace(-10.0, 10.0, 41).tolist()
+        for psi in (landau.psi_plus, landau.psi_minus):
+            amp = [abs(psi(10.0, x, y, GEOM)) for x in xs for y in xs]
+            assert all(math.isfinite(v) for v in amp)
 
     def test_grid_matches_scalar(self):
         xs = np.array([0.5, 3.0])

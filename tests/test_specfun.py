@@ -55,14 +55,15 @@ def flipped_routes(a, b):
     a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
     routes = {}
     for name, route, r_min in (("plain", specfun._kummer_series_plain, 0.0),
-                               ("asymptotic", specfun._kummer_asymptotic, 10.0)):
+                               ("asymptotic", specfun._kummer_asymptotic, 10.0),
+                               ("double-double", specfun._kummer_series_dd, 0.0)):
         v, e = np.zeros(z.size, dtype=complex), np.full(z.size, np.inf)
         for a_g in (a, b - a):
             cells = np.flatnonzero((a_eff == a_g) & (np.abs(w) >= r_min))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 v[cells], e[cells], _ = route(a_g, b, w[cells])
         routes[name] = v, e
-    v, e = specfun._kummer_series_dd(a_eff, b, w)
+    v, e = routes["double-double"]
     routes["double-double"] = v, e + specfun._ROUNDING_EPS * np.abs(v)
     return a_eff, w, routes
 
@@ -324,9 +325,9 @@ class TestKummer:
 
     def test_one_cell_calls_never_enter_the_block_sum(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a one-cell call entered _kummer_block")
+            raise AssertionError("a one-cell call entered _horner_block")
 
-        monkeypatch.setattr(specfun, "_kummer_block", refuse)
+        monkeypatch.setattr(specfun, "_horner_block", refuse)
         with pytest.raises(AssertionError):  # two cells that both end on the double-double series
             kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0 + 2.0j, 2.0j]))
         v, bound = kummer_m_bounded(0.25 + 5j, 0.5, 1.0 + 2.0j)
@@ -335,6 +336,66 @@ class TestKummer:
         g = landau.LandauGeometry(magnetic_length=1.0, box_size=100.0)
         assert landau.psi_plus(10.0, 1.5, -2.0, g) != 0.0
         assert landau.psi_minus(10.0, 1.5, -2.0, g) != 0.0
+
+    def test_coefficient_cache_never_changes_bits(self):
+        # 1 + 2i and its flipped twin -1 + 2i end on the double-double
+        # series with a = 1/4 + 5i and b - a = 1/4 - 5i, whose |a + k| and
+        # so K are alike: each builds its own table, and a one-cell call
+        # gives the same bits before a grid call, after it, after a longer
+        # table was built, and whichever table was built first
+        a, b = LANDAU_SECTORS[0]
+        cells = (1.0 + 2.0j, -1.0 + 2.0j)
+
+        def one_cell():
+            return [bits(*kummer_m_bounded(a, b, z)) for z in cells]
+        specfun._kummer_coeffs.cache_clear()
+        before = one_cell()
+        assert specfun._kummer_coeffs.cache_info().currsize == 2
+        kummer_m_grid(a, b, landau_z(41))
+        after = one_cell()
+        for a_g in (a, b - a):  # a table long enough for |w| = 200
+            specfun._kummer_series_dd(a_g, b, np.array([KUMMER_RADIUS + 0j]))
+        assert before == after == one_cell()
+        for first in cells:
+            specfun._kummer_coeffs.cache_clear()
+            kummer_m_bounded(a, b, first)
+            assert one_cell() == before
+        # in a block the cell reads the coefficients of the longer table
+        alone = specfun._kummer_series_dd(a, b, np.array([cells[0]]))
+        with_far = specfun._kummer_series_dd(a, b, np.array([cells[0], KUMMER_RADIUS]))
+        assert bits(alone[0][0], alone[1][0]) == bits(with_far[0][0], with_far[1][0])
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_horner_bound_covers_error(self, a, b):
+        # the double-double sum itself, before rounding to double, against
+        # mpmath at 80 digits: for both a-groups at |w| = 200 on both axes,
+        # w = 0 and |w| = 1e-3 at eight angles, and on the 20 default-grid
+        # cells with the largest sum|term| / |M| after the Kummer flip
+        mp = pytest.importorskip("mpmath")
+        edge = np.concatenate([[200.0, -200.0, 200.0j, -200.0j, 0.0],
+                               1e-3 * np.exp(0.25j * math.pi * np.arange(8))])
+        z = landau_z(200)
+        flip = z.real < 0
+        a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
+        ratio = np.empty(z.size)
+        vals, _ = kummer_m_grid(a, b, z)
+        for a_g in (a, b - a):
+            cells = np.flatnonzero(a_eff == a_g)
+            _, sums = specfun._kummer_last_terms(a_g, b, np.abs(w[cells]))
+            ratio[cells] = sums / np.abs(vals[cells] * np.where(flip[cells], np.exp(-z[cells]), 1.0))
+        worst = np.argsort(ratio)[-20:]
+        checked = 0
+        with mp.workdps(80):
+            for a_g in (a, b - a):
+                ws = np.concatenate([edge, w[worst[a_eff[worst] == a_g]]])
+                parts, noise = specfun._kummer_horner(a_g, b, ws)
+                for k, wk in enumerate(ws):
+                    got = mp.mpc(mp.mpf(parts[0][k]) + mp.mpf(parts[1][k]),
+                                 mp.mpf(parts[2][k]) + mp.mpf(parts[3][k]))
+                    want = mp.hyp1f1(mp.mpc(a_g.real, a_g.imag), b, mp.mpc(wk.real, wk.imag))
+                    assert abs(got - want) <= noise[k], (a_g, wk)
+                    checked += 1
+        assert checked == 2 * edge.size + 20
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_bound_covers_error_on_landau_grid(self, a, b):
@@ -401,6 +462,16 @@ class TestKummer:
             assert cells.size or (name == "asymptotic" and (a, b) in LANDAU_SECTORS_40), name
             for k in cells[::max(1, cells.size // 12)]:
                 assert bits(*kummer_m_bounded(a, b, z[k])) == bits(vals[k], bounds[k]), z[k]
+
+    def test_coefficients_beyond_double_range_give_infinite_bounds(self):
+        # at a = 1/4 + 2500i the coefficients P_k 2^(7k) of the long series
+        # of the last two cells leave the double range: their bounds are
+        # infinite instead of the table raising OverflowError
+        zs = np.array([0.5, 3.0 + 4.0j, 30.0 - 40.0j, 100.0j])
+        vals, bounds = kummer_m_grid(0.25 + 2500j, 0.5, zs)
+        assert np.all(np.isfinite(bounds[:2])) and np.all(np.isinf(bounds[2:]))
+        with pytest.raises(ToleranceNotMet):
+            kummer_m(0.25 + 2500j, 0.5, 100.0j)
 
     def test_grid_takes_a_scalar_a(self):
         with pytest.raises(TypeError):
