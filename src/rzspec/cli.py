@@ -71,22 +71,20 @@ class RunConfig:
     cache: Path
 
 
-def _write_csv(path: Path, header, rows, row_format: str | None = None) -> None:
-    # an int value is written as an int, any other as a float to 17
-    # significant digits, with one format string per row's tuple of types;
-    # rows all of one kind may come with their row_format instead
+def _write_csv(path: Path, header, rows) -> None:
+    # a str value is written as it is, an int as an int, any other value as
+    # a float to 17 significant digits, with one format string per row's
+    # tuple of types
     lines = [",".join(header)]
-    if row_format is not None:
-        lines += map(row_format.__mod__, rows)
-    else:
-        formats = {}
-        for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                formats[kinds] = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g"
-                                          for v in row)
-            lines.append(formats[kinds] % row)
+    formats = {}
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join("%s" if isinstance(v, str)
+                                      else "%d" if isinstance(v, (int, np.integer))
+                                      else "%.17g" for v in row)
+        lines.append(formats[kinds] % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -214,12 +212,11 @@ def _cmd_landau(cfg: RunConfig) -> None:
                   x_label="E", y_label="n")
     xs = np.linspace(-10.0, 10.0, grid_n)
     amp, bound = landau.psi_abs_grid(10.0, xs, xs, geom)
-    # the grid coordinates are formatted once, each row with one %
+    # the grid coordinates are formatted once, as strings
     coords = ["%.17g" % v for v in xs.tolist()]
     rows = ((x, y, v, e) for i, x in enumerate(coords)
             for y, v, e in zip(coords, amp[i].tolist(), bound[i].tolist()))
-    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows,
-               row_format="%s,%s,%.17g,%.17g")
+    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows)
 
 
 def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:

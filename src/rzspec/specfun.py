@@ -533,7 +533,7 @@ def _kummer_last_terms(a: complex, b_re: float, r):
 def _kummer_horner(a: complex, b_re: float, w):
     """The series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule in double-
     double: per cell the four parts (re_hi, re_lo, im_hi, im_lo) and the
-    bound ``_NOISE_PER_TERM (K + 1) sum|term|``.  A one-cell call runs the
+    bound ``_NOISE_PER_TERM K sum|term|``.  A one-cell call runs the
     steps of :func:`_horner_block` on Python floats.
     """
     r, x = np.abs(w), w * (1.0 / _HORNER_SCALE)  # the scale is exact
@@ -549,7 +549,7 @@ def _kummer_horner(a: complex, b_re: float, w):
     acc = tuple(col[last] for col in q)
     for k in range(last - 1, -1, -1):
         acc = horner_step(acc, x_re, x_im, tuple(col[k] for col in q))
-    return tuple(np.array([v]) for v in acc), np.array([_NOISE_PER_TERM * (last + 1) * s])
+    return tuple(np.array([v]) for v in acc), np.array([_NOISE_PER_TERM * last * s])
 
 
 def _horner_block(a: complex, b_re: float, r, x):
@@ -574,7 +574,7 @@ def _horner_block(a: complex, b_re: float, r, x):
             p[n:live[k]] = v
         n = live[k]
     unsort = np.argsort(order)
-    return tuple(p[unsort] for p in acc), _NOISE_PER_TERM * (last + 1) * s
+    return tuple(p[unsort] for p in acc), _NOISE_PER_TERM * last * s
 
 
 def _kummer_series_dd(a: complex, b_re: float, w):
@@ -587,13 +587,15 @@ def _kummer_series_dd(a: complex, b_re: float, w):
     :func:`_kummer_coeffs`.  The scale is exact, so a cell's bits do not
     depend on the other cells.
 
-    The bound is ``_NOISE_PER_TERM (K + 1) sum|term|``, 40.6 u^2 (K + 1)
-    sum|term| with u = 2^-53.  A Horner step errs by at most u^2 (17 |acc||x|
+    The bound is ``_NOISE_PER_TERM K sum|term|``, 40.6 u^2 K sum|term|
+    with u = 2^-53.  A Horner step errs by at most u^2 (17 |acc||x|
     + 5 |Q_k|) (:func:`~rzspec.ddouble.horner_step`) and |acc_k+1||x|^(k+1)
     <= sum_j>k |term_j|, so the steps add at most u^2 (17 K + 5) sum|term|;
-    the correctly rounded Q_k add u^2 sum|term|, the plain-double sum|term|
-    is within 3Ku of its value, and the tail past K is about 1e-34
-    sum|term|.  The rounding of the result to double is not covered.
+    the correctly rounded Q_k add u^2 sum|term|, and 40.6 K u^2 >= (17 K +
+    6) u^2 for K >= 1 (K >= 8 here, as K passes |w| + 6).  The slack also
+    covers the plain-double sum|term|, within 3Ku of its value, and the
+    tail past K, about 1e-34 sum|term|.  The rounding of the result to
+    double is not covered.
     Returns (values, bounds, None): |w M'| keeps the plain series' bound.
     """
     (rh, rl, ih, il), noise = _kummer_horner(a, b_re, w)

@@ -222,6 +222,11 @@ class TestWriters:
         want = ["a,b,c"] + [",".join(fmt_per_value(v) for v in row) for row in rows]
         assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
+    def test_csv_str_values_are_written_as_they_are(self, tmp_path):
+        rows = [("0.5", 1, 0.25), ("x", "7", 3), (0.5, "1e-300", "-0")]
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_text() == "a,b,c\n0.5,1,0.25\nx,7,3\n0.5,1e-300,-0\n"
+
 
 class TestLandauCommand:
     def test_psi_csv_carries_bound_and_is_deterministic(self, tmp_path):
