@@ -244,6 +244,16 @@ def _amp_start(vartheta: float) -> np.ndarray:
     return np.array([1.0, cmath.exp(1j * vartheta)], dtype=complex)
 
 
+def _sequence(m: MirrorArray, E: float, N: int, amps: np.ndarray, undefined_phase=None):
+    # the norm partial sums of the first N interval amplitudes
+    sq = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
+    w = np.log(m.interval_ends[:N] / m.positions[:N])
+    return AmplitudeSequence(E=E, vartheta=m.boundary_phase, epsilon=m.epsilon, amplitudes=amps,
+                             norm_partials=np.cumsum(w * sq),
+                             norm_partials_harmonic=np.cumsum(sq / np.arange(1, N + 1)),
+                             undefined_phase=undefined_phase)
+
+
 def propagate_exact(m: MirrorArray, E: float, N: int) -> AmplitudeSequence:
     """Amplitudes by exact sequential transfer, A_n = T_n^(-1) ... T_2^(-1) A_1.
 
@@ -252,27 +262,22 @@ def propagate_exact(m: MirrorArray, E: float, N: int) -> AmplitudeSequence:
     """
     if not 1 <= N <= len(m):
         raise ValueError("need 1 <= N <= number of mirrors")
-    vt = m.boundary_phase
-    amps = np.empty((N, 2), dtype=complex)
-    amps[0] = _amp_start(vt)
-    am, ap = amps[0]
-    for n in range(2, N + 1):
-        rho = m.rho(n)
+    am, ap = _amp_start(m.boundary_phase).tolist()
+    r = m.epsilon * m.reflections_r[: N - 1]
+    live = np.flatnonzero(r)  # a mirror with r = 0 leaves the amplitudes as they are
+    steps = [(am, ap)]
+    for rk, ell in zip(r[live].tolist(), m.positions[live + 1].tolist()):
+        rho = rho_from_r(rk)
         if rho != 0.0:
             m2 = abs(rho) ** 2
             inv = 1.0 / (1.0 - m2)
             diag = (1.0 + m2) * inv
-            phase = m.position(n) ** (-2j * E)
-            off = 2.0 * rho * phase * inv
+            off = 2.0 * rho * ell ** (-2j * E) * inv
             am, ap = diag * am - off * ap, -off.conjugate() * am + diag * ap
-        amps[n - 1] = (am, ap)
-    sq = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
-    w = np.log(m.interval_ends[:N] / m.positions[:N])
-    return AmplitudeSequence(
-        E=E, vartheta=vt, epsilon=m.epsilon, amplitudes=amps,
-        norm_partials=np.cumsum(w * sq),
-        norm_partials_harmonic=np.cumsum(sq / np.arange(1, N + 1)),
-    )
+        steps.append((am, ap))
+    # row n - 1 holds the amplitudes after the last mirror k <= n with r_k != 0
+    amps = np.array(steps, dtype=complex)[np.searchsorted(live, np.arange(-1, N - 1), side="right")]
+    return _sequence(m, E, N, amps)
 
 
 def m_z_cumulative(m: MirrorArray, E: float, N: int) -> np.ndarray:
@@ -312,14 +317,7 @@ def propagate_magnus(m: MirrorArray, E: float, N: int) -> AmplitudeSequence:
     ap = cmath.exp(1j * vt) * (ch - sh / eid)
     amps = np.stack([am, ap], axis=1)
     amps[flagged] = _amp_start(vt)
-    sq = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, 1]) ** 2
-    w = np.log(m.interval_ends[:N] / m.positions[:N])
-    return AmplitudeSequence(
-        E=E, vartheta=vt, epsilon=m.epsilon, amplitudes=amps,
-        norm_partials=np.cumsum(w * sq),
-        norm_partials_harmonic=np.cumsum(sq / np.arange(1, N + 1)),
-        undefined_phase=flagged,
-    )
+    return _sequence(m, E, N, amps, undefined_phase=flagged)
 
 
 def wavefunction_at(seq: AmplitudeSequence, m: MirrorArray, rho: float):
@@ -429,27 +427,39 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
         raise ValueError(f"need 2 <= N <= {DIAGNOSTIC_N_BUDGET}")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    mz = np.cumsum(_dirichlet_terms(N, E))
+    mz = _dirichlet_terms(N, E)
+    np.cumsum(mz, out=mz)
     mod = np.abs(mz)
-    cosd = np.cos(vartheta + np.angle(mz))  # cos(vartheta - Phi_z(n))
-    n = np.arange(1, N + 1)
-    bounded_part = np.exp(-2.0 * epsilon * mod) * (1.0 + cosd) / n
-    divergent_part = np.exp(2.0 * epsilon * mod) * (1.0 - cosd) / n
-    norm_partials = np.cumsum(bounded_part + divergent_part)
-    div_partials = np.cumsum(divergent_part)
+    # cos(vartheta - Phi_z(n)) = Re(e^{i vartheta} M_z) / |M_z|, cos vartheta at M_z = 0
+    mz.real *= math.cos(vartheta)
+    mz.imag *= math.sin(vartheta)
+    cosd = mz.real - mz.imag
+    del mz  # its 16 bytes per n go before the norm arrays are built
+    np.divide(cosd, mod, out=cosd, where=mod > 0.0)
+    cosd[mod == 0.0] = math.cos(vartheta)
 
     checkpoints = sorted({min(int(c), N) for c in np.geomspace(10, N, 12)})
-    tail = n >= max(1000, N // 100)
-    cos_tail_min = float(cosd[tail].min()) if tail.any() else float(cosd.min())
+    cos_phase = cosd[np.array(checkpoints) - 1].tolist()
+    t0 = max(1000, N // 100)  # the tail is n >= t0
+    cos_tail_min = float(cosd[t0 - 1:].min() if N >= t0 else cosd.min())
+    # a zero ordinate announces itself through growing |M_z|;
+    # bounded |M_z| means the generic scattering-like continuum
+    m_growth = float(mod[t0 - 1:].mean() / max(mod[9:max(100, N // 1000)].mean(), 1e-300))
+    # norm terms (1 + cos) / (e^{2 eps |M|} n) plus the divergent part e^{2 eps |M|} (1 - cos) / n
+    grow = np.exp(np.multiply(mod, 2.0 * epsilon, out=mod), out=mod)
+    div_partials = (1.0 - cosd) * grow
+    norm_partials = np.divide(np.add(cosd, 1.0, out=cosd), grow, out=cosd)
+    n = np.arange(1, N + 1)
+    div_partials /= n
+    norm_partials /= n
+    norm_partials += div_partials
+    np.cumsum(norm_partials, out=norm_partials)
+    np.cumsum(div_partials, out=div_partials)
     # growth exponent of the divergent component over the last two decades
     lo = max(10, N // 100)
     ks = np.unique(np.geomspace(lo, N, 16).astype(int))
     A = np.vstack([np.log(ks), np.ones_like(ks, dtype=float)]).T
     (alpha, _), *_ = np.linalg.lstsq(A, np.log(div_partials[ks - 1] + 1e-300), rcond=None)
-    # a zero ordinate announces itself through growing |M_z|;
-    # bounded |M_z| means the generic scattering-like continuum
-    head = (n >= 10) & (n <= max(100, N // 1000))
-    m_growth = float(mod[tail].mean() / max(mod[head].mean(), 1e-300))
     if cos_tail_min > COS_FLOOR:
         cls = "tuned"
     elif m_growth < M_GROWTH_FLOOR:
@@ -463,7 +473,7 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
         checkpoints=[int(c) for c in checkpoints],
         norm_partials=[float(norm_partials[c - 1]) for c in checkpoints],
         divergent_partials=[float(div_partials[c - 1]) for c in checkpoints],
-        cos_phase=[float(cosd[c - 1]) for c in checkpoints],
+        cos_phase=cos_phase,
         cos_tail_min=cos_tail_min,
         growth_exponent=float(alpha),
         classification=cls,

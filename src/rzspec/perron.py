@@ -11,7 +11,9 @@ nontrivial zero, plus a rapidly convergent trivial-zero tail whose
 zeta'(-2n) has the closed form (-1)^n zeta(2n+1) (2n)! / (2^(2n+1) pi^(2n)).
 Nontrivial zeros are summed in conjugate pairs ordered by |t|, the
 standard symmetric truncation of the conditionally convergent series,
-which keeps the Mertens reconstruction real to roundoff.
+which keeps the Mertens reconstruction real to roundoff.  Each series is
+one array expression over all its zeros, taken over blocks of x so that
+the x-by-zeros temporary stays near 4 MB.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
 ]
 
 MOEBIUS_BUDGET = 10 ** 9
+_RESIDUE_BLOCK = 1 << 18  # complex entries per x-by-zeros block of a residue sum, 4 MB
 
 # growth_fit classification constants (calibrated, not derived)
 _POWER_FLOOR = 0.12
@@ -68,19 +71,20 @@ def moebius(n: int) -> int:
 
 
 def moebius_sieve(n_max: int) -> np.ndarray:
-    """mu(1..n_max) as an int array (index 0 unused).
+    """mu(1..n_max) as an int8 array (index 0 unused).
 
     Only the primes p <= sqrt(n_max) sieve; where the product of those
-    dividing n falls short of n, one larger prime factor flips mu(n) again.
+    dividing n (at most n <= MOEBIUS_BUDGET < 2^31, so int32) falls short
+    of n, one larger prime factor flips mu(n) again.
     """
-    mu = np.ones(n_max + 1, dtype=np.int64)
-    small = np.ones(n_max + 1, dtype=np.int64)
+    mu = np.ones(n_max + 1, dtype=np.int8)
+    small = np.ones(n_max + 1, dtype=np.int32)
     for p in range(2, math.isqrt(n_max) + 1):
         if small[p] == 1:  # no smaller prime divides p
             mu[p::p] *= -1
             small[p::p] *= p
             mu[p * p::p * p] = 0
-    mu[small < np.arange(n_max + 1)] *= -1
+    mu[small < np.arange(n_max + 1, dtype=np.int32)] *= -1
     mu[0] = 0
     return mu
 
@@ -95,8 +99,8 @@ def mertens(x: float) -> int:
 
 def _dirichlet_terms(n_max: int, E: float) -> np.ndarray:
     # mu(n) n^(-1/2 - iE) for n = 1..n_max; M_z(n) is their running sum
-    n = np.arange(1, n_max + 1)
-    return moebius_sieve(n_max)[1:] * np.exp(-complex(0.5, E) * np.log(n))
+    w = np.log(np.arange(1, n_max + 1)) * -complex(0.5, E)  # one complex array, in place
+    return np.multiply(np.exp(w, out=w), moebius_sieve(n_max)[1:], out=w)
 
 
 def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
@@ -152,6 +156,7 @@ class ResidueExpansionConfig:
     n_trivial: int = 20
     at_zero_mode: bool = False
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _zeros: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nontrivial > len(self.zero_db):
@@ -164,31 +169,38 @@ class ResidueExpansionConfig:
         conjugates, ordered by |Im rho| ascending; built on the first call."""
         if self._pairs is None:
             self.zero_db.ensure_derivatives(self.n_nontrivial)
-            out = []
-            for rec in self.zero_db.records[: self.n_nontrivial]:
-                zp = rec.zeta_prime_at_rho
-                out.append((complex(0.5, rec.t), zp))
-                out.append((complex(0.5, -rec.t), zp.conjugate()))
-            self._pairs = tuple(out)
+            self._pairs = tuple(
+                p for rec in self.zero_db.records[: self.n_nontrivial]
+                for p in ((complex(0.5, rec.t), rec.zeta_prime_at_rho),
+                          (complex(0.5, -rec.t), rec.zeta_prime_at_rho.conjugate())))
         return self._pairs
 
-
-def _nontrivial_sum(x, z: complex, cfg: ResidueExpansionConfig,
-                    exclude_t: float | None = None):
-    # one zero pair at a time, so memory stays O(len x)
-    acc = 0.0 + 0.0j
-    for rho, zp in cfg.pairs():
-        if exclude_t is not None and abs(rho - z) < 1e-6:
-            continue
-        acc = acc + x ** (rho - z) / ((rho - z) * zp)
-    return acc
+    def residue_zeros(self):
+        """Arrays (s_k, zeta'(s_k)) over the pairs, then -2, -4, ..., -2 n_trivial."""
+        if self._zeros is None:
+            trivial = [(-2.0 * n, zeta_prime_trivial(n)) for n in range(1, self.n_trivial + 1)]
+            self._zeros = np.array(self.pairs() + tuple(trivial), dtype=complex).reshape(-1, 2).T
+        return self._zeros
 
 
-def _trivial_sum(x, z: complex, n_trivial: int):
-    acc = 0.0 + 0.0j
-    for n in range(1, n_trivial + 1):
-        acc = acc + x ** (-2.0 * n - z) / (-(2.0 * n + z) * zeta_prime_trivial(n))
-    return acc
+def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = False):
+    # sum_k x^(s_k - z) / ((s_k - z) zeta'(s_k)), at a zero less its own pair; numpy's
+    # pairwise sums, not BLAS, so that the artifacts keep their bits from run to run
+    s, dz = cfg.residue_zeros()
+    e = s - z
+    if at_zero:
+        keep = np.abs(e) >= 1e-6
+        e, dz = e[keep], dz[keep]
+    c = 1.0 / (e * dz)
+    lx = np.log(np.ravel(x))
+    out = np.empty(len(lx), dtype=complex)
+    step = max(1, _RESIDUE_BLOCK // max(len(e), 1))
+    for i in range(0, len(lx), step):
+        blk = np.multiply.outer(lx[i:i + step], e)
+        np.exp(blk, out=blk)
+        blk *= c
+        out[i:i + step] = blk.sum(axis=-1)
+    return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def _check_x(x):
@@ -219,22 +231,20 @@ def m_z_perron(x, E: float, cfg: ResidueExpansionConfig):
             raise NoSimpleZero(f"zeta'({z}) ~ 0; multiple zero not supported")
         zpp = zeta_second_prime(z)
         head = np.log(x) / zp - zpp / (2.0 * zp * zp)
-        tail = _nontrivial_sum(x, z, cfg, exclude_t=E)
     else:
         zv = zeta(z)
         if abs(zv) < 1e-8:
             raise OnZeroAmbiguity(
                 f"|zeta(z)| = {abs(zv):.2e} at E = {E:g}: use at_zero_mode")
         head = 1.0 / zv
-        tail = _nontrivial_sum(x, z, cfg)
-    return head + tail + _trivial_sum(x, z, cfg.n_trivial)
+    return head + _residue_tail(x, z, cfg, at_zero=cfg.at_zero_mode)
 
 
 def mertens_residue_complex(x, cfg: ResidueExpansionConfig):
     """Untruncated-imaginary version of :func:`mertens_residue`: the
     residue series of M_z at z = 0.  Accepts a scalar or an array of x."""
     x = _check_x(x)
-    return -2.0 + _nontrivial_sum(x, 0j, cfg) + _trivial_sum(x, 0j, cfg.n_trivial)
+    return -2.0 + _residue_tail(x, 0j, cfg)
 
 
 def mertens_residue(x, cfg: ResidueExpansionConfig):
@@ -315,6 +325,4 @@ def growth_fit(E: float, n_range) -> GrowthFitReport:
     ns = sorted(int(n) for n in n_range)
     if not ns or ns[0] < 2:
         raise ValueError("n_range must contain integers >= 2")
-    csum = np.cumsum(_dirichlet_terms(ns[-1], E))
-    vals = [csum[k - 1] for k in ns]
-    return fit_growth_sequence(ns, vals)
+    return fit_growth_sequence(ns, np.cumsum(_dirichlet_terms(ns[-1], E))[np.array(ns) - 1])

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ class TestMatrices:
             mi.l_matrix(cmath.exp(0.3j))
 
 
+def _per_mirror_amplitudes(m, E, N):
+    # propagate_exact's recurrence run mirror by mirror through the accessors
+    amps = np.empty((N, 2), dtype=complex)
+    amps[0] = (1.0, cmath.exp(1j * m.boundary_phase))
+    am, ap = amps[0]
+    for n in range(2, N + 1):
+        rho = m.rho(n)
+        if rho != 0.0:
+            m2 = abs(rho) ** 2
+            inv = 1.0 / (1.0 - m2)
+            diag = (1.0 + m2) * inv
+            off = 2.0 * rho * m.position(n) ** (-2j * E) * inv
+            am, ap = diag * am - off * ap, -off.conjugate() * am + diag * ap
+        amps[n - 1] = (am, ap)
+    return amps
+
+
 class TestPropagation:
     def test_transparent_array_is_constant(self):
         m = mi.moebius_mirrors(500, epsilon=0.0, boundary_phase=1.0)
@@ -112,6 +130,28 @@ class TestPropagation:
                 complex(doc["amp_plus_re"][i], doc["amp_plus_im"][i]), abs=1e-12)
             assert seq.norm_partials[c - 1] == pytest.approx(
                 doc["norm_partials"][i], rel=1e-12)
+
+    def test_exact_matches_per_mirror_loop(self):
+        # transparent runs at the start, in the middle and at the end; the
+        # skipped rows must repeat the last amplitudes bit for bit
+        N, E = 400, 21.02
+        r = np.zeros(N - 1)
+        r[5:60] = np.cos(0.7 * np.arange(55)) / np.sqrt(np.arange(7, 62))
+        r[100:103] = 0.3, -0.2, 0.1
+        r[250:300:7] = -0.4
+        n = np.arange(1, N + 1, dtype=float)
+        m = mi.MirrorArray(positions=np.sqrt(n), interval_ends=np.sqrt(n + 1.0),
+                           reflections_r=r, boundary_phase=2.0, epsilon=0.6)
+        for arr in (m, mi.moebius_mirrors(N, epsilon=0.3, boundary_phase=1.0)):
+            for k in (1, 2, 7, N):
+                got = mi.propagate_exact(arr, E, k)
+                assert np.array_equal(got.amplitudes, _per_mirror_amplitudes(arr, E, k))
+        # complex generators: Python and numpy scalars round r/|r| differently
+        mc = mi.MirrorArray(positions=m.positions, interval_ends=m.interval_ends,
+                            reflections_r=r * np.exp(0.3j * np.arange(N - 1)),
+                            boundary_phase=2.0, epsilon=0.6)
+        np.testing.assert_allclose(mi.propagate_exact(mc, E, N).amplitudes,
+                                   _per_mirror_amplitudes(mc, E, N), rtol=1e-13)
 
     def test_magnus_zero_epsilon(self):
         m = mi.moebius_mirrors(300, epsilon=0.0, boundary_phase=0.4)
@@ -221,6 +261,45 @@ class TestPhaseTuning:
         assert abs(v - alt) < 1e-10
 
 
+def _angle_formula_report(terms, eps, vt):
+    # the diagnostic with cos(vartheta + angle M) and a separate
+    # exp(-2 eps |M|) for the bounded part, written out as a reference
+    N = len(terms)
+    mz = np.cumsum(terms)
+    mod = np.abs(mz)
+    cosd = np.cos(vt + np.angle(mz))
+    n = np.arange(1, N + 1)
+    bounded = np.exp(-2.0 * eps * mod) * (1.0 + cosd) / n
+    divergent = np.exp(2.0 * eps * mod) * (1.0 - cosd) / n
+    norm, div = np.cumsum(bounded + divergent), np.cumsum(divergent)
+    checkpoints = sorted({min(int(c), N) for c in np.geomspace(10, N, 12)})
+    tail = n >= max(1000, N // 100)
+    cos_tail_min = float(cosd[tail].min())
+    ks = np.unique(np.geomspace(max(10, N // 100), N, 16).astype(int))
+    A = np.vstack([np.log(ks), np.ones_like(ks, dtype=float)]).T
+    (alpha, _), *_ = np.linalg.lstsq(A, np.log(div[ks - 1] + 1e-300), rcond=None)
+    head = (n >= 10) & (n <= max(100, N // 1000))
+    m_growth = mod[tail].mean() / max(mod[head].mean(), 1e-300)
+    if cos_tail_min > mi.COS_FLOOR:
+        cls = "tuned"
+    elif m_growth < mi.M_GROWTH_FLOOR or alpha <= mi.POWER_FLOOR:
+        cls = "scattering"
+    else:
+        cls = "detuned"
+    idx = np.array(checkpoints) - 1
+    return {"checkpoints": checkpoints, "norm_partials": norm[idx], "divergent_partials": div[idx],
+            "cos_phase": cosd[idx], "cos_tail_min": cos_tail_min, "growth_exponent": alpha,
+            "classification": cls}
+
+
+def _assert_report_close(rep, want):
+    assert rep.checkpoints == want["checkpoints"]
+    assert rep.classification == want["classification"]
+    for key in ("norm_partials", "divergent_partials", "cos_phase", "cos_tail_min",
+                "growth_exponent"):
+        np.testing.assert_allclose(getattr(rep, key), want[key], rtol=1e-12, atol=0, err_msg=key)
+
+
 class TestDiagnostic:
     def test_tuned_vs_detuned(self, t1):
         vt = mi.tuned_theta(t1)
@@ -242,6 +321,34 @@ class TestDiagnostic:
     def test_budget(self):
         with pytest.raises(ValueError):
             mi.normalizability_diagnostic(20.0, 0.1, 10 ** 7, 0.0)
+
+    @pytest.mark.parametrize("case", ["tuned", "detuned", "scattering"])
+    def test_matches_angle_formula(self, t1, case):
+        vt = mi.tuned_theta(t1)
+        E, vt = {"tuned": (t1, vt), "detuned": (t1, (vt + 0.5 * math.pi) % (2.0 * math.pi)),
+                 "scattering": (20.0, 1.0)}[case]
+        N = 30000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mi.normalizability_diagnostic(E, 0.1, N, vt)
+        want = _angle_formula_report(mi._dirichlet_terms(N, E), 0.1, vt)
+        assert rep.classification == want["classification"] == case
+        _assert_report_close(rep, want)
+
+    def test_vanishing_partial_sum(self, t1, monkeypatch):
+        # M_z(10) = 0 exactly: the phase is taken as 0 there, so the
+        # checkpoint n = 10 carries cos(vartheta), and nothing warns
+        N, vt = 30000, 2.5
+        terms = mi._dirichlet_terms(N, t1)
+        terms[9] = -np.cumsum(terms[:9])[-1]
+        assert np.cumsum(terms)[9] == 0.0
+        monkeypatch.setattr(mi, "_dirichlet_terms", lambda n_max, E: terms[:n_max].copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mi.normalizability_diagnostic(t1, 0.1, N, vt)
+        assert rep.checkpoints[0] == 10
+        assert rep.cos_phase[0] == math.cos(vt)
+        _assert_report_close(rep, _angle_formula_report(terms, 0.1, vt))
 
 
 class TestInterferometer:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +33,9 @@ class TestMoebius:
     def test_sieve_matches_scalar(self):
         # 10007 is prime and 10201 = 101^2: both need the step that flips
         # the sign for the one prime factor above sqrt(n_max)
-        for n_max in (500, 10007, 10201):
+        for n_max in (500, 10007, 10201, 10 ** 5):
             mu = perron.moebius_sieve(n_max)
-            assert mu[0] == 0 and len(mu) == n_max + 1
+            assert mu.dtype == np.int8 and mu[0] == 0 and len(mu) == n_max + 1
             assert mu[1:].tolist() == [perron.moebius(n) for n in range(1, n_max + 1)]
 
 
@@ -152,6 +153,66 @@ class TestResidueExpansion:
     def test_config_validation(self, zero_db):
         with pytest.raises(ValueError):
             perron.ResidueExpansionConfig(zero_db, len(zero_db) + 1, 5)
+
+
+def _reference_tail(x, z, cfg, exclude=False):
+    # the per-pair loop that the array kernel replaced, plus the sum of
+    # |term| that sets the rounding scale of either summation order
+    acc, scale = 0.0 + 0.0j, 0.0
+    for rho, zp in cfg.pairs():
+        if exclude and abs(rho - z) < 1e-6:
+            continue
+        term = x ** (rho - z) / ((rho - z) * zp)
+        acc, scale = acc + term, scale + abs(term)
+    for n in range(1, cfg.n_trivial + 1):
+        term = x ** (-2.0 * n - z) / (-(2.0 * n + z) * perron.zeta_prime_trivial(n))
+        acc, scale = acc + term, scale + abs(term)
+    return acc, scale
+
+
+class TestResidueKernel:
+    def _check(self, x, z, cfg, exclude=False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perron._residue_tail(x, z, cfg, at_zero=exclude)
+        want, scale = _reference_tail(x, z, cfg, exclude)
+        assert np.shape(got) == np.shape(x)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        return got
+
+    def test_scalar_and_array_off_zero(self, zero_db):
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
+        z = complex(0.5, 20.0)
+        got = self._check(37.5, z, cfg)
+        assert isinstance(got, complex)
+        self._check(np.linspace(1.5, 400.5, 50), z, cfg)
+
+    def test_at_zero_drops_its_pair(self, zero_db):
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)
+        z = complex(0.5, zero_db.records[0].t)
+        self._check(37.5, z, cfg, exclude=True)
+        self._check(np.linspace(2.5, 200.5, 40), z, cfg, exclude=True)
+        # the public path runs the kernel with the pair dropped, without warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            perron.m_z_perron(np.array([10.5, 20.5]), z.imag, cfg)
+
+    def test_thousand_zeros_over_several_blocks(self, ref_db):
+        cfg = perron.ResidueExpansionConfig(ref_db, 1000, 20)
+        xs = np.linspace(2.5, 4000.5, 300)
+        assert len(xs) * (2 * 1000 + 20) > 2 * perron._RESIDUE_BLOCK
+        self._check(xs, 0j, cfg)
+        self._check(186.5, 0j, cfg)
+        # a block boundary does not change any row
+        whole = perron._residue_tail(xs, 0j, cfg)
+        assert np.array_equal(whole[200:], perron._residue_tail(xs[200:], 0j, cfg))
+
+    def test_residue_zeros_cached(self, zero_db):
+        cfg = perron.ResidueExpansionConfig(zero_db, 10, 5)
+        s, dz = cfg.residue_zeros()
+        assert cfg.residue_zeros() is cfg.residue_zeros()
+        assert s.tolist() == [rho for rho, _ in cfg.pairs()] + [-2.0, -4.0, -6.0, -8.0, -10.0]
+        assert dz[-1] == perron.zeta_prime_trivial(5)
 
 
 class TestMertensResidue:
