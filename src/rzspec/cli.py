@@ -232,6 +232,7 @@ def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:
 
 def _cmd_mirror(cfg: RunConfig) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else 100000
+    _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability tail n >= 1000")
     if cfg.t_min > 0:
         db = _ensure_zeros(cfg, t_needed=max(15.0, cfg.t_min + 1.0))
         e_val = _snap_to_ordinate(cfg.t_min, db)
@@ -259,7 +260,7 @@ def _cmd_perron(cfg: RunConfig) -> None:
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial,
                                          at_zero_mode=at_zero)
     ns = np.arange(2, n_max + 1)
-    terms = perron._dirichlet_terms(max(n_max, 1), e_val)
+    terms = perron._dirichlet_terms(perron.moebius_sieve(n_max)[1:], e_val)
     direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
     resid = perron.m_z_perron(ns, e_val, rcfg)
     rows = [(n, d.real, d.imag, p.real, p.imag, abs(d), abs(p))

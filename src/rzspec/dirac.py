@@ -15,11 +15,12 @@ pass their whole grid, and each Brent iteration its open brackets, in
 one evaluation, with no threads.
 
 Each also has a Fourier-side evaluation as the cosine transform of a
-rapidly decaying kernel; the two routes agree to quadrature accuracy and
-are cross-checked in the test suite.  Note the kernel route for the
-Riemann case reproduces the standard completed zeta, which is exactly
-twice the quarter-normalized variant used here, so the transform carries
-a factor 1/2.
+rapidly decaying kernel, by the nested trapezoidal rule that Bessel K
+uses; the two routes agree to quadrature accuracy and are cross-checked
+in the test suite.  Note the kernel route for the Riemann case
+reproduces the standard completed zeta, which is exactly twice the
+quarter-normalized variant used here, so the transform carries a factor
+1/2.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ import numpy as np
 from .counting import ModelScales, n_dirac_smooth
 from .errors import ToleranceNotMet
 from .roots import find_all
-from .specfun import (
-    QuadratureSpec,
-    _refine_panels,
-    bessel_k_complex_order,
-    log_gamma,
-    oscillatory_edges,
-)
+from .specfun import _nested_trapezoid, bessel_k_complex_order, log_gamma
 from .zeta import _count_avoiding_zeros, zeta
 
 __all__ = [
@@ -83,15 +78,15 @@ class BoundaryData:
             raise ValueError("m_lx must be positive")
 
 
-def xi_h(t, q: QuadratureSpec | None = None):
+def xi_h(t):
     """K_(1/2+it/2)(2 pi) + K_(1/2-it/2)(2 pi); real and even in t."""
-    k = bessel_k_complex_order(0.5 + 0.5j * np.abs(t), 2.0 * math.pi, q)
+    k = bessel_k_complex_order(0.5 + 0.5j * np.abs(t), 2.0 * math.pi)
     return 2.0 * k.real
 
 
-def polya_xi_star(t, q: QuadratureSpec | None = None):
+def polya_xi_star(t):
     """4 pi^2 (K_(9/4+it/2)(2 pi) + conjugate order); real and even in t."""
-    k = bessel_k_complex_order(2.25 + 0.5j * np.abs(t), 2.0 * math.pi, q)
+    k = bessel_k_complex_order(2.25 + 0.5j * np.abs(t), 2.0 * math.pi)
     return 8.0 * math.pi ** 2 * k.real
 
 
@@ -110,19 +105,19 @@ def polya_xi_star_envelope(t: float) -> float:
     return 2.0 ** 0.75 * math.pi ** 0.25 * t ** 1.75 * math.exp(-math.pi * t / 4.0)
 
 
-def eigen_residual(E, b: BoundaryData, q: QuadratureSpec | None = None):
+def eigen_residual(E, b: BoundaryData):
     """Boundary-condition residual e^{i vartheta} K_(1/2-iE/2)(m l_x)
     - K_(1/2+iE/2)(m l_x); its real zeros are the eigenvalues."""
-    kp = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx, q)
-    km = bessel_k_complex_order(0.5 - 0.5j * E, b.m_lx, q)
+    kp = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx)
+    km = bessel_k_complex_order(0.5 - 0.5j * E, b.m_lx)
     return cmath.exp(1j * b.vartheta) * km - kp
 
 
-def _eigen_scan_function(E, b: BoundaryData, q=None):
+def _eigen_scan_function(E, b: BoundaryData):
     # The residual vanishes iff arg K_(1/2+iE/2)(m l_x) = vartheta/2 (mod pi);
     # this real function changes sign exactly there and is insensitive to
     # the principal-branch jumps of the argument.
-    k = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx, q)
+    k = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx)
     return np.sin(np.angle(k) - 0.5 * b.vartheta)
 
 
@@ -189,25 +184,25 @@ def phi_kernel(kind: SpectralFunctionKind, beta):
     return float(_PHI[kind](np.array([beta]))[0])
 
 
-def xi_via_fourier(kind: SpectralFunctionKind, t: float,
-                   q: QuadratureSpec | None = None) -> float:
+def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:
     """Spectral function evaluated as integral_0^inf Phi(beta) cos(t beta / 2).
 
-    Independent of the closed-form route; |t| budget is 100.
+    Independent of the closed-form route; |t| budget is 100.  The
+    integrand is even, so the nested trapezoidal rule on [0, beta_max] with
+    weight 1/2 at 0 is the full-line rule.  Phi is never evaluated at
+    beta < 0, where the theta series of the Riemann kernel needs e^(-beta/2)
+    times more terms.
     """
-    if q is None:
-        q = QuadratureSpec()
     if abs(t) > FOURIER_T_BUDGET:
         raise ToleranceNotMet(f"|t| = {abs(t):g} beyond the Fourier budget {FOURIER_T_BUDGET:g}")
     phi = _PHI[kind]
-    omega = 0.5 * abs(t)
-
-    def integrand(beta, rows):
-        return phi(beta) * np.cos(0.5 * t * beta)
-
-    edges = oscillatory_edges(0.0, _BETA_MAX, lambda u: omega, q.node_count / 6.0)
-    val = _refine_panels(integrand, edges, q.node_count, q.target_abs_tol)[0]
-    return _FOURIER_SCALE[kind] * float(val.real)
+    # beta = u / scale: the first step, 1/(4 scale), puts at least four
+    # nodes in each period of the cosine, so no level aliases it to a low
+    # frequency (at t = 100 the steps 1/4 and 1/8 would alias it alike)
+    scale = 2.0 ** math.ceil(math.log2(max(abs(t) / (4.0 * math.pi), 1.0)))
+    val = _nested_trapezoid(lambda u, r: phi(u / scale) * np.cos(0.5 * t * (u / scale)),
+                            np.array([_BETA_MAX * scale]))
+    return _FOURIER_SCALE[kind] * float(val[0].real) / scale
 
 
 def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
@@ -241,8 +236,7 @@ def _smooth_count(kind_or_boundary, t: float) -> float:
     raise ValueError(kind_or_boundary)
 
 
-def find_dirac_zeros(target, t_min: float, t_max: float,
-                     q: QuadratureSpec | None = None) -> list[float]:
+def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     """All real zeros of the chosen spectral function in (t_min, t_max),
     refined to 1e-9, with a count cross-check.
 
@@ -251,13 +245,13 @@ def find_dirac_zeros(target, t_min: float, t_max: float,
     if not (0.0 <= t_min < t_max <= DIRAC_T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {DIRAC_T_BUDGET:g}")
     if isinstance(target, BoundaryData):
-        f = lambda E: _eigen_scan_function(E, target, q)
+        f = lambda E: _eigen_scan_function(E, target)
         step = 0.1
     else:
         f = {
             SpectralFunctionKind.XI_RIEMANN: riemann_xi,
-            SpectralFunctionKind.XI_POLYA_STAR: lambda t: polya_xi_star(t, q),
-            SpectralFunctionKind.XI_DIRAC_H: lambda t: xi_h(t, q),
+            SpectralFunctionKind.XI_POLYA_STAR: polya_xi_star,
+            SpectralFunctionKind.XI_DIRAC_H: xi_h,
         }[target]
         step = _SCAN_STEP[target.value]
     if target is SpectralFunctionKind.XI_RIEMANN:

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 DIAGNOSTIC_N_BUDGET = 10 ** 6
+DIAGNOSTIC_N_MIN = 1000  # below it the diagnostic's tail n >= 1000 is empty
+_DIAGNOSTIC_BLOCK = 2 ** 16  # n per block of the streamed diagnostic
 COS_FLOOR = 0.9          # tuned-phase lock threshold (calibration constant)
 POWER_FLOOR = 0.1        # divergent-partial growth threshold (calibration constant)
 M_GROWTH_FLOOR = 1.5     # |M_z| decade-growth separating zero ordinates (calibration)
@@ -421,45 +423,63 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
     Always returns a report; the classification separates a tuned bound
     state (phase locked, divergent component suppressed), a detuned
     ordinate (divergent component grows like a power), and the generic
-    scattering-like case of bounded M_z.
+    scattering-like case of bounded M_z.  N >= 1000, so that the tail
+    n >= max(1000, N/100) is not empty.  The sums run over n in blocks of
+    2^16, carrying M_z and both norm partial sums from block to block, so
+    memory stays flat in N.
     """
-    if not 2 <= N <= DIAGNOSTIC_N_BUDGET:
-        raise ValueError(f"need 2 <= N <= {DIAGNOSTIC_N_BUDGET}")
+    if not DIAGNOSTIC_N_MIN <= N <= DIAGNOSTIC_N_BUDGET:
+        raise ValueError(f"need {DIAGNOSTIC_N_MIN} <= N <= {DIAGNOSTIC_N_BUDGET}")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    mz = _dirichlet_terms(N, E)
-    np.cumsum(mz, out=mz)
-    mod = np.abs(mz)
-    # cos(vartheta - Phi_z(n)) = Re(e^{i vartheta} M_z) / |M_z|, cos vartheta at M_z = 0
-    mz.real *= math.cos(vartheta)
-    mz.imag *= math.sin(vartheta)
-    cosd = mz.real - mz.imag
-    del mz  # its 16 bytes per n go before the norm arrays are built
-    np.divide(cosd, mod, out=cosd, where=mod > 0.0)
-    cosd[mod == 0.0] = math.cos(vartheta)
-
     checkpoints = sorted({min(int(c), N) for c in np.geomspace(10, N, 12)})
-    cos_phase = cosd[np.array(checkpoints) - 1].tolist()
+    # growth exponent of the divergent component over the last two decades
+    ks = np.unique(np.geomspace(max(10, N // 100), N, 16).astype(int))
+    picks = np.union1d(checkpoints, ks)  # the n whose values the report keeps
+    kept = np.empty((3, len(picks)))  # at picks: cos(vartheta - Phi_z), divergent and norm partials
     t0 = max(1000, N // 100)  # the tail is n >= t0
-    cos_tail_min = float(cosd[t0 - 1:].min() if N >= t0 else cosd.min())
+    cos_tail_min, tail_sum = math.inf, 0.0
+    mz_carry, carry = 0j, np.zeros(2)
+    mu = moebius_sieve(N)
+    for lo in range(1, N + 1, _DIAGNOSTIC_BLOCK):
+        hi = min(lo + _DIAGNOSTIC_BLOCK, N + 1)  # this block is n = lo .. hi - 1
+        mz = _dirichlet_terms(mu[lo:hi], E, lo)
+        mz[0] += mz_carry
+        np.cumsum(mz, out=mz)
+        mz_carry = mz[-1]
+        mod = np.abs(mz)
+        # cos(vartheta - Phi_z(n)) = Re(e^{i vartheta} M_z) / |M_z|, cos vartheta at M_z = 0
+        mz.real *= math.cos(vartheta)
+        mz.imag *= math.sin(vartheta)
+        cosd = mz.real - mz.imag
+        del mz  # its 16 bytes per n go before the norm arrays are built
+        np.divide(cosd, mod, out=cosd, where=mod > 0.0)
+        cosd[mod == 0.0] = math.cos(vartheta)
+        if lo == 1:
+            head_mean = mod[9:max(100, N // 1000)].mean()
+        if hi > t0:
+            cos_tail_min = min(cos_tail_min, cosd[max(t0 - lo, 0):].min())
+            tail_sum += mod[max(t0 - lo, 0):].sum()
+        sel = slice(*np.searchsorted(picks, [lo, hi]))
+        kept[0, sel] = cosd[picks[sel] - lo]
+        # norm terms (1 + cos) / (e^{2 eps |M|} n) plus the divergent part e^{2 eps |M|} (1 - cos) / n
+        grow = np.exp(np.multiply(mod, 2.0 * epsilon, out=mod), out=mod)
+        parts = np.empty((2, hi - lo))  # the divergent part and the whole norm term
+        np.multiply(1.0 - cosd, grow, out=parts[0])
+        np.divide(np.add(cosd, 1.0, out=cosd), grow, out=parts[1])
+        parts /= np.arange(lo, hi)
+        parts[1] += parts[0]
+        parts[:, 0] += carry
+        np.cumsum(parts, axis=1, out=parts)
+        carry = parts[:, -1].copy()
+        kept[1:, sel] = parts[:, picks[sel] - lo]
     # a zero ordinate announces itself through growing |M_z|;
     # bounded |M_z| means the generic scattering-like continuum
-    m_growth = float(mod[t0 - 1:].mean() / max(mod[9:max(100, N // 1000)].mean(), 1e-300))
-    # norm terms (1 + cos) / (e^{2 eps |M|} n) plus the divergent part e^{2 eps |M|} (1 - cos) / n
-    grow = np.exp(np.multiply(mod, 2.0 * epsilon, out=mod), out=mod)
-    div_partials = (1.0 - cosd) * grow
-    norm_partials = np.divide(np.add(cosd, 1.0, out=cosd), grow, out=cosd)
-    n = np.arange(1, N + 1)
-    div_partials /= n
-    norm_partials /= n
-    norm_partials += div_partials
-    np.cumsum(norm_partials, out=norm_partials)
-    np.cumsum(div_partials, out=div_partials)
-    # growth exponent of the divergent component over the last two decades
-    lo = max(10, N // 100)
-    ks = np.unique(np.geomspace(lo, N, 16).astype(int))
+    m_growth = float(tail_sum / (N - t0 + 1) / max(head_mean, 1e-300))
+    at = np.searchsorted(picks, checkpoints)
     A = np.vstack([np.log(ks), np.ones_like(ks, dtype=float)]).T
-    (alpha, _), *_ = np.linalg.lstsq(A, np.log(div_partials[ks - 1] + 1e-300), rcond=None)
+    div_at_ks = kept[1, np.searchsorted(picks, ks)]
+    (alpha, _), *_ = np.linalg.lstsq(A, np.log(div_at_ks + 1e-300), rcond=None)
     if cos_tail_min > COS_FLOOR:
         cls = "tuned"
     elif m_growth < M_GROWTH_FLOOR:
@@ -471,10 +491,10 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
     return DiagnosticReport(
         E=E, epsilon=epsilon, vartheta=vartheta,
         checkpoints=[int(c) for c in checkpoints],
-        norm_partials=[float(norm_partials[c - 1]) for c in checkpoints],
-        divergent_partials=[float(div_partials[c - 1]) for c in checkpoints],
-        cos_phase=cos_phase,
-        cos_tail_min=cos_tail_min,
+        norm_partials=kept[2, at].tolist(),
+        divergent_partials=kept[1, at].tolist(),
+        cos_phase=kept[0, at].tolist(),
+        cos_tail_min=float(cos_tail_min),
         growth_exponent=float(alpha),
         classification=cls,
     )

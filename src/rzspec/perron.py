@@ -97,10 +97,11 @@ def mertens(x: float) -> int:
     return int(moebius_sieve(n)[1:].sum())
 
 
-def _dirichlet_terms(n_max: int, E: float) -> np.ndarray:
-    # mu(n) n^(-1/2 - iE) for n = 1..n_max; M_z(n) is their running sum
-    w = np.log(np.arange(1, n_max + 1)) * -complex(0.5, E)  # one complex array, in place
-    return np.multiply(np.exp(w, out=w), moebius_sieve(n_max)[1:], out=w)
+def _dirichlet_terms(mu: np.ndarray, E: float, lo: int = 1) -> np.ndarray:
+    # mu(n) n^(-1/2 - iE) for n = lo, lo + 1, ..., given mu(n) over that
+    # range; M_z(n) is their running sum
+    w = np.log(np.arange(lo, lo + len(mu))) * -complex(0.5, E)  # one complex array, in place
+    return np.multiply(np.exp(w, out=w), mu, out=w)
 
 
 def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
@@ -112,7 +113,7 @@ def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
     if x < 1:
         raise ValueError("m_z_direct defined for x >= 1")
     n_top = int(math.floor(x + 1e-12))
-    w = _dirichlet_terms(n_top, E)
+    w = _dirichlet_terms(moebius_sieve(n_top)[1:], E)
     if primed and abs(x - n_top) < 1e-12:
         w[-1] *= 0.5
     return complex(w.sum())
@@ -325,4 +326,5 @@ def growth_fit(E: float, n_range) -> GrowthFitReport:
     ns = sorted(int(n) for n in n_range)
     if not ns or ns[0] < 2:
         raise ValueError("n_range must contain integers >= 2")
-    return fit_growth_sequence(ns, np.cumsum(_dirichlet_terms(ns[-1], E))[np.array(ns) - 1])
+    partial = np.cumsum(_dirichlet_terms(moebius_sieve(ns[-1])[1:], E))
+    return fit_growth_sequence(ns, partial[np.array(ns) - 1])

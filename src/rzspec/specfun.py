@@ -16,9 +16,10 @@ Three evaluators live here:
   the saddle height removes the catastrophic oscillatory cancellation that
   makes the real-axis integral useless for |Im nu| >> z, so the evaluator
   stays accurate even where ``|K| ~ exp(-pi*|Im nu|/2)`` underflows the
-  integrand scale by dozens of orders of magnitude.  An array of orders
-  is integrated in numpy blocks, one Gauss-Legendre pass per refinement
-  round over the panels of every order still open; no threads are used.
+  integrand scale by dozens of orders of magnitude.  The integrand is
+  analytic in a strip and decays doubly exponentially, so the nested
+  trapezoidal rule, which the Fourier route of :mod:`rzspec.dirac`
+  shares, converges geometrically; arrays run in numpy blocks, no threads.
 
 * :func:`kummer_m_grid` -- the confluent hypergeometric function
   M(a, b, z) for ``|z| <= 200``, each cell by the cheapest valid route:
@@ -38,7 +39,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,128 +46,67 @@ from .ddouble import horner_step, split
 from .errors import PoleError, ToleranceNotMet
 
 __all__ = [
-    "QuadratureSpec",
     "log_gamma",
     "bessel_k_complex_order",
     "kummer_m",
     "kummer_m_bounded",
     "kummer_m_grid",
-    "panel_integral",
-    "oscillatory_edges",
 ]
 
 
 # --------------------------------------------------------------------------
-# quadrature plumbing
+# nested trapezoidal rule
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive contour quadratures.
+_U = 0.5 * np.finfo(float).eps
+_H_FIRST = 0.25         # step of the first trapezoidal level
+_H_FINEST = 2.0 ** -10  # a row still open at this step raises ToleranceNotMet
 
-    max_abscissa bounds the truncation point of the doubly-exponentially
-    decaying integrands, node_count is the Gauss-Legendre order per panel,
-    and target_abs_tol the absolute accuracy goal.
+
+def _nested_trapezoid(f, u_max):
+    """Integrals over [0, u_max[r]] of ``f(u, rows)``, one per row r.
+
+    The trapezoidal rule, weight 1/2 at u = 0 and 1 at every k h <= u_max,
+    runs on h = 1/4, 1/8, ...; each level adds the odd multiples of its
+    step, S_L = S_(L-1)/2 + h sum f(new nodes).  ``f`` maps 1-d arrays of
+    abscissae and of their rows to values.  Row sums go through
+    ``np.bincount``, which adds each row's terms in order whatever the other
+    rows hold, so a row's value is its one-row value bit for bit.  A row
+    closes when |S_L - S_(L-1)| <= max(1e-13 |S_L|, 64 u h sum|f|), the
+    second term the rounding floor of the sum.  For an integrand analytic
+    in a strip the rule converges geometrically in 1/h (Trefethen and
+    Weideman, SIAM Review 56, 2014), so the last difference bounds the
+    error of the previous level and S_L is far better.
     """
-
-    max_abscissa: float = 10.0
-    node_count: int = 24
-    target_abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError("node_count must be >= 16")
-        if not self.target_abs_tol > 0:
-            raise ValueError("target_abs_tol must be positive")
-        if not self.max_abscissa > 0:
-            raise ValueError("max_abscissa must be positive")
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def panel_integral(f, lo, hi, node_count):
-    """Gauss-Legendre sums of a vectorized integrand, one per panel.
-
-    ``lo`` and ``hi`` are 1-d arrays of panel ends; ``f`` maps the
-    (panel, node) array of abscissae to (possibly complex) values.
-    """
-    x, w = _gl_rule(node_count)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return (f(mid[:, None] + half[:, None] * x) * w).sum(axis=1) * half
-
-
-def _row_sums(integrand, lo, hi, rows, n_rows, node_count):
-    s = panel_integral(lambda u: integrand(u, rows), lo, hi, node_count)
-    # bincount adds each row's panels in order, whatever the other rows hold
-    return np.bincount(rows, s.real, n_rows) + 1j * np.bincount(rows, s.imag, n_rows)
-
-
-def _refine_panels(integrand, edges, node_count, tol, scale=1.0, halvings=4):
-    """Integrals of ``integrand`` over the panels of each row of ``edges``.
-
-    ``edges`` is an increasing 1-d array of panel edges, or a 2-d array
-    with one such row per integral (a row may end in repeats of its last
-    edge).  ``integrand(u, rows)`` maps the (panel, node) array of
-    abscissae and the row of each panel to values.  Each round halves the
-    panels of the rows still open and makes one :func:`panel_integral`
-    call over all of them; a row closes when two successive sums agree to
-    max(tol, 1e-13 |sum| scale) / scale, with ``scale`` one number or one
-    per row.  A row still open after ``halvings`` rounds raises
-    :class:`ToleranceNotMet`.
-    """
-    edges = np.atleast_2d(edges)
-    n = len(edges)
-    scale = np.broadcast_to(scale, (n,))
-    step = edges[:, 1:] > edges[:, :-1]
-    rows = np.nonzero(step)[0]
-    lo, hi = edges[:, :-1][step], edges[:, 1:][step]
-    prev = _row_sums(integrand, lo, hi, rows, n, node_count)
+    n = len(u_max)
     out = np.empty(n, dtype=complex)
-    live = np.ones(n, dtype=bool)
-    for _ in range(halvings):
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-        rows = np.repeat(rows, 2)
-        val = _row_sums(integrand, lo, hi, rows, n, node_count)
-        done = live & (np.abs(val - prev) * scale
-                       <= np.maximum(tol, 1e-13 * np.abs(val) * scale))
-        out[done] = val[done]
-        live &= ~done
-        if not live.any():
+    rows = np.arange(n)
+
+    def level(h, first, stride):
+        # h times the sums of f and |f| at k h, k = first, first + stride, ...
+        # up to u_max, for each open row
+        count = (np.floor(u_max[rows] / h).astype(np.int64) - first) // stride + 1
+        r = np.repeat(rows, count)
+        k = first + stride * (np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count))
+        vals = f(k * h, r)
+        if first == 0:
+            vals[k == 0] *= 0.5
+        return (h * (np.bincount(r, vals.real, n) + 1j * np.bincount(r, vals.imag, n)),
+                h * np.bincount(r, np.abs(vals), n))
+
+    h = _H_FIRST
+    s, a = level(h, 0, 1)
+    while h > _H_FINEST:
+        h *= 0.5
+        ds, da = level(h, 1, 2)
+        s, s_prev, a = 0.5 * s + ds, s, 0.5 * a + da
+        diff = np.abs(s[rows] - s_prev[rows])
+        done = diff <= np.maximum(1e-13 * np.abs(s[rows]), 64.0 * _U * a[rows])
+        out[rows[done]] = s[rows[done]]
+        rows = rows[~done]
+        if not len(rows):
             return out
-        keep = live[rows]
-        lo, hi, rows, prev = lo[keep], hi[keep], rows[keep], val
-    raise ToleranceNotMet("panel refinement stalled")
-
-
-def oscillatory_edges(lo, hi, freq_at, cycles_per_panel, max_width=0.5, max_panels=40000):
-    """Panel edges sized against a local angular-frequency estimate.
-
-    ``freq_at(u)`` returns an upper bound on |d(phase)/du| near u; each
-    panel spans at most ``cycles_per_panel`` oscillation cycles and at most
-    ``max_width``.  ``lo`` and ``hi`` may be arrays of one length, with
-    ``freq_at`` working elementwise on that length: the intervals are then
-    marched in lockstep, and row k of the result holds the edges of
-    interval k, padded after ``hi[k]`` with repeats of it.
-    """
-    u = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    cols = [u]
-    while np.any(u < hi):
-        h = np.minimum(max_width, 2.0 * math.pi * cycles_per_panel / (freq_at(u) + 1.0))
-        u = np.minimum(hi, u + h)
-        cols.append(u)
-        if len(cols) > max_panels:
-            raise ToleranceNotMet("oscillatory panel budget exhausted")
-    return np.stack(cols, axis=-1)
+    raise ToleranceNotMet(f"trapezoidal rule still open at step {h:g}")
 
 
 # --------------------------------------------------------------------------
@@ -276,8 +215,9 @@ def log_gamma(z):
 # modified Bessel K with complex order
 # --------------------------------------------------------------------------
 
+MAX_ABSCISSA = 10.0  # largest truncation point of the K integrand
 _TRUNC_LOG = -math.log(1e-18)
-_K_BLOCK = 16  # orders per quadrature block; node temporaries stay near 1 MB
+_K_BLOCK = 16  # orders per quadrature block; node temporaries stay within a few MB
 
 
 def _contour_height(mu, z: float):
@@ -290,29 +230,32 @@ def _contour_height(mu, z: float):
     return np.where(mu < 0.99 * z, np.arcsin(np.minimum(mu / z, 1.0)), 0.5 * math.pi - delta)
 
 
-def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None):
+def bessel_k_complex_order(nu, z):
     """Modified Bessel function K_nu(z) for complex order nu and real z > 0.
 
     ``nu`` is a number, giving a complex, or an ndarray of orders, giving
     a complex ndarray of its shape.  Contour heights and truncation points
-    of all orders are computed at once; the quadrature runs on blocks of
-    at most 16 orders, each round one numpy Gauss-Legendre pass over the
-    panels of the block's orders still open.  Every order keeps its own
-    refinement test, so an array element equals its one-order call bit for
-    bit.  No threads are used.
+    of all orders are computed at once.  The lifted integrand is folded
+    onto u >= 0,
+
+        K_nu(z) = e^(i nu alpha) integral_0^u_hi e^(-c cosh u)
+                  cosh(a u + i (mu u - z sin(alpha) sinh u)) du,
+
+    with nu = a + i mu and c = z cos(alpha), and integrated by the nested
+    trapezoidal rule on blocks of at most 16 orders.  Every order keeps its
+    own closing test, so an array element equals its one-order call bit
+    for bit.  No threads are used.
 
     Respects ``K_nu = K_{-nu}`` and ``K_conj(nu) = conj(K_nu)`` exactly by
     construction.  Raises :class:`ToleranceNotMet` if the truncation point
-    of any order exceeds ``q.max_abscissa``, or if the panel refinement of
-    any order stalls before reaching ``q.target_abs_tol``.
+    of any order exceeds ``MAX_ABSCISSA``, or if the rule for any order is
+    still open at its finest step.
     """
-    if q is None:
-        q = QuadratureSpec()
     z = float(z)
     if not z > 0:
         raise ValueError("bessel_k_complex_order requires z > 0")
     if not isinstance(nu, np.ndarray):
-        return complex(bessel_k_complex_order(np.array([nu], dtype=complex), z, q)[0])
+        return complex(bessel_k_complex_order(np.array([nu], dtype=complex), z)[0])
     shape = nu.shape
     nu = nu.astype(complex).ravel()
     nu = np.where(nu.real < 0, -nu, nu)
@@ -331,34 +274,24 @@ def bessel_k_complex_order(nu, z, q: QuadratureSpec | None = None):
     for _ in range(3):
         u_hi = np.arccosh(1.0 + (_TRUNC_LOG + a * np.maximum(u_hi, u_peak + 1.0) - log_peak - c) / c)
     u_hi = np.maximum(u_hi, u_peak + 1.0)
-    over = np.flatnonzero(u_hi > q.max_abscissa)
+    over = np.flatnonzero(u_hi > MAX_ABSCISSA)
     if len(over):
         k = over[0]
         raise ToleranceNotMet(f"order {complex(nu[k])}: truncation point {u_hi[k]:.2f} "
-                              f"exceeds max_abscissa {q.max_abscissa:g}")
+                              f"exceeds MAX_ABSCISSA = {MAX_ABSCISSA:g}")
 
-    prefactor = 0.5 * np.exp(1j * nu * alpha)
+    def integrand(u, r):
+        return np.exp(-c[r] * np.cosh(u)) * np.cosh(a[r] * u + 1j * (mu[r] * u - zs[r] * np.sinh(u)))
+
     out = np.empty(len(nu), dtype=complex)
     for i in range(0, len(nu), _K_BLOCK):
-        b = slice(i, i + _K_BLOCK)
-        out[b] = prefactor[b] * _bessel_k_block(a[b], mu[b], c[b], zs[b], u_hi[b],
-                                                np.abs(prefactor[b]), q)
+        b = np.arange(i, min(i + _K_BLOCK, len(nu)))
+        out[b] = _nested_trapezoid(lambda u, r: integrand(u, b[r]), u_hi[b])
+    # not in place: numpy's in-place complex product of a one-element array
+    # can round differently from its vector loop, and a one-order call
+    # must give its array element's bits
+    out = np.exp(1j * nu * alpha) * out
     return np.where(conj, out.conjugate(), out).reshape(shape)
-
-
-def _bessel_k_block(a, mu, c, zs, u_hi, scale, q):
-    # The first partition (at most node_count/3 cycles and 1.0 per panel)
-    # is twice as coarse as that of oscillatory_edges' defaults, so it gets
-    # five halvings instead of four to reach the same finest level; most
-    # orders close after the first.
-    freq = lambda u: zs * np.cosh(np.minimum(np.abs(u) + 0.5, u_hi)) + mu
-    edges = oscillatory_edges(-u_hi, u_hi, freq, q.node_count / 3.0, max_width=1.0)
-
-    def integrand(u, rows):
-        r = rows[:, None]
-        return np.exp(-c[r] * np.cosh(u) + a[r] * u + 1j * (mu[r] * u - zs[r] * np.sinh(u)))
-
-    return _refine_panels(integrand, edges, q.node_count, q.target_abs_tol, scale, halvings=5)
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +309,6 @@ _HORNER_SCALE = 2 ** 7   # the double-double series sums Q_k (w / 2^7)^k, Q_k = 
 # it sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 2007): 8.3u in
 # all, which 5 eps = 10u covers with room for the second-order terms.
 _ROUNDING_EPS = 5.0 * np.finfo(float).eps
-_U = 0.5 * np.finfo(float).eps
 # relative bounds that end the routing on the asymptotic expansion (where
 # the double-double series is long) and on the plain series (where it is short)
 _ROUTE_REL_TOLS = (1e-10, 1e-13)

@@ -179,7 +179,8 @@ class TestErrorsAndConfig:
 
 class TestSweepSizes:
     @pytest.mark.parametrize("args", [["perron", "--n-max", "1"], ["perron", "--n-max", "2"],
-                                      ["mertens", "--n-max", "3"], ["landau", "--n-max", "0"]])
+                                      ["mertens", "--n-max", "3"], ["landau", "--n-max", "0"],
+                                      ["mirror", "--n-max", "500"]])
     def test_too_short_sweep_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         assert run(args + ["--out", str(out)]) == 1

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -331,24 +332,99 @@ class TestDiagnostic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = mi.normalizability_diagnostic(E, 0.1, N, vt)
-        want = _angle_formula_report(mi._dirichlet_terms(N, E), 0.1, vt)
+        want = _angle_formula_report(mi._dirichlet_terms(mi.moebius_sieve(N)[1:], E), 0.1, vt)
         assert rep.classification == want["classification"] == case
         _assert_report_close(rep, want)
 
     def test_vanishing_partial_sum(self, t1, monkeypatch):
-        # M_z(10) = 0 exactly: the phase is taken as 0 there, so the
-        # checkpoint n = 10 carries cos(vartheta), and nothing warns
-        N, vt = 30000, 2.5
-        terms = mi._dirichlet_terms(N, t1)
+        # M_z(10) = 0 exactly, and M_z = 0 on both sides of the first block
+        # boundary, so the carry into the second block is 0: the phase is
+        # taken as 0 there, so the checkpoint n = 10 carries cos(vartheta),
+        # and nothing warns
+        N, vt, edge = 70000, 2.5, mi._DIAGNOSTIC_BLOCK
+        terms = mi._dirichlet_terms(mi.moebius_sieve(N)[1:], t1)
         terms[9] = -np.cumsum(terms[:9])[-1]
-        assert np.cumsum(terms)[9] == 0.0
-        monkeypatch.setattr(mi, "_dirichlet_terms", lambda n_max, E: terms[:n_max].copy())
+        terms[edge - 1] = -np.cumsum(terms[:edge - 1])[-1]
+        terms[edge] = 0.0
+        partial = np.cumsum(terms)
+        assert partial[9] == partial[edge - 1] == partial[edge] == 0.0
+        monkeypatch.setattr(mi, "_dirichlet_terms",
+                            lambda mu, E, lo=1: terms[lo - 1:lo - 1 + len(mu)].copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = mi.normalizability_diagnostic(t1, 0.1, N, vt)
         assert rep.checkpoints[0] == 10
         assert rep.cos_phase[0] == math.cos(vt)
         _assert_report_close(rep, _angle_formula_report(terms, 0.1, vt))
+
+
+    def test_minimum_length(self, t1):
+        # below N = 1000 the tail n >= 1000 is empty
+        with pytest.raises(ValueError):
+            mi.normalizability_diagnostic(t1, 0.1, 999, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mi.normalizability_diagnostic(t1, 0.1, 1000, mi.tuned_theta(t1))
+        assert math.isfinite(rep.growth_exponent) and rep.checkpoints[-1] == 1000
+
+    @pytest.mark.parametrize("N", [1000, 65536, 65537, 10 ** 6])
+    def test_blocks_match_whole_arrays(self, t1, N):
+        vt = mi.tuned_theta(t1)
+        for theta in (vt, (vt + 0.5 * math.pi) % (2.0 * math.pi)):
+            got = mi.normalizability_diagnostic(t1, 0.1, N, theta).to_json_dict()
+            assert json.dumps(got) == json.dumps(_whole_array_report(t1, 0.1, N, theta))
+
+    def test_memory_flat_in_n(self, t1):
+        # the peak is the Moebius sieve's own (about 10 MB at N = 10^6);
+        # whole length-N arrays took about 31 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            mi.normalizability_diagnostic(t1, 0.1, 10 ** 6, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+def _whole_array_report(E, epsilon, N, vartheta):
+    # the diagnostic over whole length-N arrays, the reference that the
+    # block-streamed one must reproduce bit for bit
+    mz = np.cumsum(mi._dirichlet_terms(mi.moebius_sieve(N)[1:], E))
+    mod = np.abs(mz)
+    mz.real *= math.cos(vartheta)
+    mz.imag *= math.sin(vartheta)
+    cosd = mz.real - mz.imag
+    np.divide(cosd, mod, out=cosd, where=mod > 0.0)
+    cosd[mod == 0.0] = math.cos(vartheta)
+    checkpoints = sorted({min(int(c), N) for c in np.geomspace(10, N, 12)})
+    cos_phase = cosd[np.array(checkpoints) - 1].tolist()
+    t0 = max(1000, N // 100)
+    cos_tail_min = float(cosd[t0 - 1:].min())
+    m_growth = float(mod[t0 - 1:].mean() / max(mod[9:max(100, N // 1000)].mean(), 1e-300))
+    grow = np.exp(2.0 * epsilon * mod)
+    div_partials = (1.0 - cosd) * grow
+    norm_partials = (cosd + 1.0) / grow
+    n = np.arange(1, N + 1)
+    div_partials /= n
+    norm_partials /= n
+    norm_partials += div_partials
+    norm_partials, div_partials = np.cumsum(norm_partials), np.cumsum(div_partials)
+    ks = np.unique(np.geomspace(max(10, N // 100), N, 16).astype(int))
+    A = np.vstack([np.log(ks), np.ones_like(ks, dtype=float)]).T
+    (alpha, _), *_ = np.linalg.lstsq(A, np.log(div_partials[ks - 1] + 1e-300), rcond=None)
+    if cos_tail_min > mi.COS_FLOOR:
+        cls = "tuned"
+    elif m_growth < mi.M_GROWTH_FLOOR or alpha <= mi.POWER_FLOOR:
+        cls = "scattering"
+    else:
+        cls = "detuned"
+    return mi.DiagnosticReport(
+        E=E, epsilon=epsilon, vartheta=vartheta, checkpoints=checkpoints,
+        norm_partials=[float(norm_partials[c - 1]) for c in checkpoints],
+        divergent_partials=[float(div_partials[c - 1]) for c in checkpoints],
+        cos_phase=cos_phase, cos_tail_min=cos_tail_min, growth_exponent=float(alpha),
+        classification=cls).to_json_dict()
 
 
 class TestInterferometer:

@@ -11,7 +11,6 @@ from rzspec import landau, specfun
 from rzspec.errors import PoleError, ToleranceNotMet
 from rzspec.specfun import (
     KUMMER_RADIUS,
-    QuadratureSpec,
     bessel_k_complex_order,
     kummer_m,
     kummer_m_bounded,
@@ -163,8 +162,19 @@ class TestBesselK:
         assert d200 < d100
 
     def test_truncation_budget_error(self):
+        # truncation point 13.7 at z = 1e-4, beyond MAX_ABSCISSA
         with pytest.raises(ToleranceNotMet):
-            bessel_k_complex_order(0.5, 0.01, QuadratureSpec(max_abscissa=2.0))
+            bessel_k_complex_order(0.5, 1e-4)
+
+    @pytest.mark.parametrize("a", [0.5, 2.25])
+    def test_deep_decay_against_oracle(self, a):
+        # |K| ~ 1e-68 at t = 200: only a closing test relative to the sum
+        # keeps an aliased coarse level from passing
+        mp = pytest.importorskip("mpmath")
+        v = bessel_k_complex_order(complex(a, 100.0), 2.0 * math.pi)
+        with mp.workdps(40):
+            ref = complex(mp.besselk(mp.mpc(a, 100.0), 2.0 * mp.pi))
+        assert abs(v - ref) < 1e-9 * abs(ref)
 
 
 class TestBesselKArray:
@@ -195,58 +205,63 @@ class TestBesselKArray:
                        for g, n in zip(got.ravel(), nu.ravel()))
 
     def test_orders_needing_several_halvings(self, monkeypatch):
-        # With 16 nodes and a 1e-18 goal at z = 0.05, 2.25 + 13i and
-        # 2.25 + 14.5i close after four halvings, 0.5 + 9i and 2.25 + 16i
-        # after three, the rest after one: the live rows of one block shrink
-        # round by round, each with its own scale.
+        # At z = 0.05 the orders of one block close after one to four
+        # halvings of the step: the open rows of the block shrink level by
+        # level, each with its own closing test.
         mp = pytest.importorskip("mpmath")
-        q, z = QuadratureSpec(node_count=16, target_abs_tol=1e-18), 0.05
+        z = 0.05
         nu = np.array([0.5, 2.25, 2.25 + 13j, 0.5 + 9j, 2.25 + 14.5j, 0.5 + 30j,
                        2.25 + 60j, 0.5 + 100j, 2.25 + 5j, 2.25 + 16j])
-        passes = []
-        row_sums = specfun._row_sums
+        levels = []
+        helper = specfun._nested_trapezoid
 
-        def counted(integrand, lo, hi, rows, n_rows, node_count):
-            passes.append(np.unique(rows).tolist())
-            return row_sums(integrand, lo, hi, rows, n_rows, node_count)
-        monkeypatch.setattr(specfun, "_row_sums", counted)
-        got = bessel_k_complex_order(nu, z, q)
-        halvings = [sum(k in p for p in passes) - 1 for k in range(len(nu))]
-        assert halvings == [1, 1, 4, 3, 4, 1, 1, 1, 1, 3]
+        def counted(f, u_max):
+            def g(u, rows):
+                levels.append(np.unique(rows).tolist())
+                return f(u, rows)
+            return helper(g, u_max)
+        monkeypatch.setattr(specfun, "_nested_trapezoid", counted)
+        got = bessel_k_complex_order(nu, z)
+        halvings = [sum(k in p for p in levels) - 1 for k in range(len(nu))]
+        assert halvings == [1, 1, 2, 2, 2, 3, 4, 4, 2, 2]
         monkeypatch.undo()
-        assert all(g == bessel_k_complex_order(complex(n), z, q) for g, n in zip(got, nu))
+        assert all(g == bessel_k_complex_order(complex(n), z) for g, n in zip(got, nu))
         with mp.workdps(40):
             ref = np.array([complex(mp.besselk(mp.mpc(n.real, n.imag), mp.mpf(z))) for n in nu])
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
 
     def test_one_order_over_budget_raises(self):
-        q = QuadratureSpec(max_abscissa=3.5)
-        bessel_k_complex_order(0.5, 2.0 * math.pi, q)  # its truncation point is 2.7
+        # at z = 0.05 the truncation point of 0.5 + 50i is 8.95, that of
+        # 0.5 + 200i 10.3, beyond MAX_ABSCISSA
+        bessel_k_complex_order(0.5 + 50j, 0.05)
         with pytest.raises(ToleranceNotMet):
-            bessel_k_complex_order(np.array([0.5, 0.5 + 2j, 0.5 + 50j, 0.5]), 2.0 * math.pi, q)
+            bessel_k_complex_order(np.array([0.5, 0.5 + 2j, 0.5 + 200j, 0.5 + 50j]), 0.05)
 
     def test_rows_close_on_their_own(self):
         # the peaked row needs more halvings than the smooth one; each row's
-        # value is its one-row value, whatever round the other closes in
-        peak = lambda u: np.exp(-400.0 * (u - 0.37) ** 2)
-        smooth = lambda u: u * u
-        both = lambda u, rows: np.where(rows[:, None] == 0, smooth(u), peak(u))
-        edges = np.array([0.0, 1.0])
-        got = specfun._refine_panels(both, np.array([edges, edges]), 16, 1e-12)
-        solo = [specfun._refine_panels(lambda u, rows: g(u), edges, 16, 1e-12)[0]
-                for g in (smooth, peak)]
+        # value is its one-row value, whatever level the other closes at
+        peak = lambda u: np.exp(-400.0 * (u - 3.0) ** 2)
+        smooth = lambda u: np.exp(-u * u)
+        levels = []
+
+        def both(u, rows):
+            levels.append(np.unique(rows).tolist())
+            return np.where(rows == 0, smooth(u), peak(u))
+        got = specfun._nested_trapezoid(both, np.array([8.0, 6.0]))
+        assert levels[1] == [0, 1] and levels[-1] == [1] and len(levels) > 3
+        solo = [specfun._nested_trapezoid(lambda u, rows: g(u), np.array([u_max]))[0]
+                for g, u_max in ((smooth, 8.0), (peak, 6.0))]
         assert got.tolist() == solo
         assert solo[1] == pytest.approx(math.sqrt(math.pi) / 20.0, rel=1e-12)
 
     def test_stalled_row_raises(self):
-        # the singular row cannot settle to 1e-13 in four halvings; the
-        # smooth row beside it settles in one
-        edges = np.array([[0.0, 0.5, 1.0], [0.0, 1.0, 1.0]])
-        integrand = lambda u, rows: np.where(rows[:, None] == 0, np.abs(u - 0.3) ** -0.5, u * u)
+        # the singular row never settles to 1e-13 and raises for the call;
+        # the smooth row alone settles to its exact value
+        integrand = lambda u, rows: np.where(rows == 0, np.abs(u - 0.3) ** -0.5, np.exp(-u * u))
         with pytest.raises(ToleranceNotMet):
-            specfun._refine_panels(integrand, edges, 16, 1e-12)
-        val = specfun._refine_panels(lambda u, rows: u * u, edges[1], 16, 1e-12)
-        assert val == pytest.approx([1.0 / 3.0], rel=1e-14)
+            specfun._nested_trapezoid(integrand, np.array([1.0, 8.0]))
+        val = specfun._nested_trapezoid(lambda u, rows: np.exp(-u * u), np.array([8.0]))
+        assert val == pytest.approx([math.sqrt(math.pi) / 2.0], rel=1e-14)
 
 
 class TestKummer:
@@ -488,16 +503,6 @@ class TestKummer:
             kummer_m_grid(0.25 + 5j, 0.5, np.array([1.0 + 1.0j, bad]))
         with pytest.raises(ValueError):
             kummer_m_grid(bad, 0.5, np.array([1.0 + 1.0j, 2.0]))
-
-
-class TestQuadratureSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=8)
-        with pytest.raises(ValueError):
-            QuadratureSpec(target_abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_abscissa=-1.0)
 
 
 class TestBesselKSweep:
