@@ -205,9 +205,8 @@ def _cmd_landau(cfg: RunConfig) -> None:
     _write_csv(cfg.out / "landau_levels.csv", ["k", "E"],
                list(enumerate(levels, start=1)))
     es = np.linspace(0.0, e_max, 200)
-    smooth = [landau.n_landau(float(e), geom) for e in es]
-    stair = [float(np.searchsorted(levels, e)) for e in es]
-    svg.line_plot(cfg.out / "landau.svg", es, [smooth, stair],
+    svg.line_plot(cfg.out / "landau.svg", es,
+                  [landau.n_landau(es, geom), np.searchsorted(levels, es)],
                   labels=["smooth count", "levels"], title="box-quantized level count",
                   x_label="E", y_label="n")
     xs = np.linspace(-10.0, 10.0, grid_n)

@@ -35,7 +35,7 @@ import numpy as np
 from .counting import ModelScales, n_dirac_smooth
 from .errors import ToleranceNotMet
 from .roots import find_all
-from .specfun import _nested_trapezoid, bessel_k_complex_order, log_gamma
+from .specfun import _nested_trapezoid, _number_or_array, bessel_k_complex_order, log_gamma
 from .zeta import _count_avoiding_zeros, zeta
 
 __all__ = [
@@ -179,9 +179,7 @@ _FOURIER_SCALE = {
 def phi_kernel(kind: SpectralFunctionKind, beta):
     """Cosine-transform kernel of the chosen spectral function at a float
     beta, or elementwise on an ndarray of beta in one evaluation."""
-    if isinstance(beta, np.ndarray):
-        return _PHI[kind](beta)
-    return float(_PHI[kind](np.array([beta]))[0])
+    return _number_or_array(_PHI[kind])(beta)
 
 
 def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:

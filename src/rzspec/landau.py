@@ -127,8 +127,9 @@ def quantization_residual(E: float, g: LandauGeometry) -> float:
     return r
 
 
-def n_landau(E: float, g: LandauGeometry) -> float:
-    """Smooth level count (E/2 pi) log(L^2/2 pi l^2) + 1 - (theta(E)/pi + 1)."""
+def n_landau(E, g: LandauGeometry):
+    """Smooth level count (E/2 pi) log(L^2/2 pi l^2) + 1 - (theta(E)/pi + 1),
+    at a float E or elementwise on an ndarray of E."""
     return E / (2.0 * math.pi) * g.log_cutoff - theta_rs(E) / math.pi
 
 
@@ -150,7 +151,7 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     if E_max > LANDAU_E_BUDGET:
         raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
     phase = lambda E: _phase(E, g)
-    slope = max(abs(_diff5(phase, E, 1e-3)) for E in (0.0, E_max))
+    slope = float(np.max(np.abs(_diff5(phase, np.array([0.0, E_max]), 1e-3))))
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
     return find_all(lambda E: np.sin(0.5 * phase(E)), 0.0, E_max,
                     0.8 * math.pi / slope, n_landau(E_max, g), slack=1.0)

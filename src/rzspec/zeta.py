@@ -10,7 +10,9 @@ for |Im s| up to a few thousand; the functional equation continues it to
 Re s < 0.  On top of the evaluator sit the Riemann-Siegel theta, the
 Hardy Z function, numerically differentiated derivatives, the branch
 tracker for Im log zeta(1/2 + it), the sign-change zero finder, and a
-small persistent database of zero records.
+small persistent database of zero records.  zeta, theta_rs and
+z_function are one elementwise ndarray kernel each; a number runs it as a
+one-element array.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
     PoleError,
 )
 from .roots import find_all
-from .specfun import _log_sin_pi_array, log_gamma
+from .specfun import _log_sin_pi_array, _number_or_array, log_gamma
 
 __all__ = [
     "zeta",
@@ -72,49 +74,16 @@ def _bernoulli_over_factorial(count):
 
 
 _EM_COEF = _bernoulli_over_factorial(30)
-
-
-def _em_cutoff(abs_s):
-    # cutoff N of the main sum for |s|, a float or an array; the correction
-    # series then converges at better than 1e-17 for |Im s| up to a few thousand
-    q = (abs_s + 55.0) / 2.6
-    if isinstance(q, np.ndarray):
-        return np.maximum(18, q.astype(np.int64) + 1)
-    return max(18, int(q) + 1)
-
-
-def _zeta_em(s: complex) -> complex:
-    n_base = _em_cutoff(abs(s))
-    n = np.arange(1, n_base)
-    acc = np.exp(-s * np.log(n)).sum()
-    acc += 0.5 * n_base ** (-s) + n_base ** (1.0 - s) / (s - 1.0)
-    rising = s  # (s)_{2k-1} built incrementally
-    npow = n_base ** (-s - 1.0)
-    inv_n2 = 1.0 / (n_base * n_base)
-    prev = math.inf
-    for k, coef in enumerate(_EM_COEF, start=1):
-        term = coef * rising * npow
-        mag = abs(term)
-        if mag > prev:
-            break  # asymptotic tail started to diverge
-        acc += term
-        if mag < 1e-18 * abs(acc):
-            break
-        prev = mag
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        npow *= inv_n2
-    return complex(acc)
-
-
 _ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB at t = 500
 
 
 def _zeta_em_array(s: np.ndarray) -> np.ndarray:
-    # _zeta_em on a 1-d array with Re s >= 0.  The main sum runs over the
-    # points that share a cutoff N, a block at a time, each row summed as the
-    # scalar path sums it; every point stops its correction series on its
-    # own, by the scalar rules.
-    n_base = _em_cutoff(np.abs(s))
+    # zeta(s) by Euler-Maclaurin on a 1-d array with Re s >= 0.  The cutoff
+    # N makes the correction series converge at better than 1e-17 for |Im s|
+    # up to a few thousand.  The main sum runs over the points that share N,
+    # a block at a time, each row summed on its own; a point leaves the
+    # running arrays (live, sl, rising, ...) once its series stops.
+    n_base = np.maximum(18, ((np.abs(s) + 55.0) / 2.6).astype(np.int64) + 1)
     acc = np.empty(len(s), dtype=complex)
     order = np.argsort(n_base, kind="stable")
     for grp in np.split(order, np.flatnonzero(np.diff(n_base[order])) + 1):
@@ -126,45 +95,33 @@ def _zeta_em_array(s: np.ndarray) -> np.ndarray:
             acc[idx] = np.exp(-s[idx, None] * log_n).sum(axis=1)
     nb = n_base.astype(float)
     acc += 0.5 * nb ** (-s) + nb ** (1.0 - s) / (s - 1.0)
-    live = np.arange(len(s))  # points whose series is still running
-    rising = s.copy()
-    npow = nb ** (-s - 1.0)
-    inv_n2 = 1.0 / (nb * nb)
-    prev = np.full(len(s), math.inf)
+    out = np.empty_like(acc)
+    live, sl, rising, npow, inv_n2 = np.arange(len(s)), s, s, nb ** (-s - 1.0), 1.0 / (nb * nb)
+    prev = math.inf
     for k, coef in enumerate(_EM_COEF, start=1):
         term = coef * rising * npow
         mag = np.abs(term)
         add = ~(mag > prev)  # a diverging tail stops before its term
-        acc[live[add]] += term[add]
-        more = add & ~(mag < 1e-18 * np.abs(acc[live]))
-        if not more.any():
-            break
-        live, prev = live[more], mag[more]
-        sl = s[live]
-        rising = rising[more] * ((sl + 2 * k - 1) * (sl + 2 * k))
-        npow = npow[more] * inv_n2[live]
-    return acc
+        np.add(acc, term, out=acc, where=add)
+        more = add & ~(mag < 1e-18 * np.abs(acc))
+        if not more.any() or k == len(_EM_COEF):
+            out[live] = acc
+            return out
+        if not more.all():
+            out[live[~more]] = acc[~more]
+            live, acc, mag, sl, rising, npow, inv_n2 = (
+                v[more] for v in (live, acc, mag, sl, rising, npow, inv_n2))
+        prev = mag
+        s2k = sl + 2 * k
+        rising = rising * ((s2k - 1) * s2k)
+        npow = npow * inv_n2
 
 
+@_number_or_array
 def zeta(s):
-    """zeta(s) for complex s != 1, or elementwise for an ndarray of s;
-    raises :class:`PoleError` at s = 1."""
-    if isinstance(s, np.ndarray):
-        return _zeta_array(s)
-    s = complex(s)
-    if s == 1.0:
-        raise PoleError("zeta pole at s = 1")
-    if s.real >= 0.0:
-        return _zeta_em(s)
-    # functional equation in log space: the sine and Gamma factors overflow
-    # separately long before their product does.
-    w = 1.0 - s
-    log_chi = (s * math.log(2.0) + (s - 1.0) * math.log(math.pi)
-               + _log_sin_half_pi(s) + log_gamma(w))
-    return cmath.exp(log_chi) * _zeta_em(w)
-
-
-def _zeta_array(s) -> np.ndarray:
+    """zeta(s) elementwise on an ndarray of complex s != 1, a number giving a
+    Python complex; raises :class:`PoleError` at s = 1.  Within 1e-11
+    relative for |Re s| <= 3, |Im s| <= 1420 (tested against mpmath)."""
     s = np.asarray(s, dtype=complex)
     if np.any(s == 1.0):
         raise PoleError("zeta pole at s = 1")
@@ -173,6 +130,8 @@ def _zeta_array(s) -> np.ndarray:
     right = flat.real >= 0.0
     out[right] = _zeta_em_array(flat[right])
     if not right.all():
+        # the sine and Gamma factors overflow separately long before their
+        # product does
         sl = flat[~right]
         w = 1.0 - sl
         log_chi = (sl * math.log(2.0) + (sl - 1.0) * math.log(math.pi)
@@ -181,39 +140,24 @@ def _zeta_array(s) -> np.ndarray:
     return out.reshape(s.shape)
 
 
-def _log_sin_half_pi(s: complex) -> complex:
-    # log sin(pi s / 2), stable for large |Im s|
-    from .specfun import _log_sin_pi
-    return _log_sin_pi(s / 2.0)
-
-
+@_number_or_array
 def theta_rs(t):
     """Riemann-Siegel theta, the phase of zeta on the critical line.
 
-    Continuous branch with theta(0) = 0; odd in t.  ``t`` is a float or an
-    ndarray (elementwise).
+    Continuous branch with theta(0) = 0; odd in t; elementwise on an
+    ndarray.  Within 1e-13 of max(1, |theta|) for |t| <= 2000.
     """
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
+@_number_or_array
 def z_function(t):
     """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
 
-    ``t`` is a float or an ndarray (elementwise, one array evaluation).
-    The imaginary residue of the product is expected below 1e-9; larger
+    Elementwise on an ndarray, one evaluation of theta and of zeta.  The
+    imaginary residue of the product is expected below 1e-9; larger
     residues are reported, and beyond 1e-6 the evaluation is rejected.
     """
-    if isinstance(t, np.ndarray):
-        return _z_array(t)
-    w = cmath.exp(1j * theta_rs(t)) * zeta(complex(0.5, t))
-    if abs(w.imag) > 1e-6:
-        raise ConsistencyError(f"Z({t:g}): imaginary residue {w.imag:.3e}")
-    if abs(w.imag) > 1e-9:
-        _log.debug("Z(%g): imaginary residue %.3e above the 1e-9 watermark", t, w.imag)
-    return w.real
-
-
-def _z_array(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     w = np.exp(1j * theta_rs(t)) * zeta(0.5 + 1j * t)
     resid = np.abs(w.imag)
@@ -227,16 +171,17 @@ def _z_array(t: np.ndarray) -> np.ndarray:
     return w.real
 
 
-def _diff5(f, x, h: float):
-    # five-point central first difference; an ndarray x takes one call of f
-    pts = [x + k * h for k in (2, 1, -1, -2)]
-    a, b, c, d = f(np.stack(pts)) if isinstance(x, np.ndarray) else map(f, pts)
+def _diff5(f, x, h):
+    # five-point central first difference, elementwise in x and h, by one
+    # call of f on the four offsets stacked
+    a, b, c, d = f(np.stack([x + k * h for k in (2, 1, -1, -2)]))
     return (-a + 8.0 * b - 8.0 * c + d) / (12.0 * h)
 
 
+@_number_or_array
 def z_prime(t, h: float = _ZP_STEP):
-    """Z'(t) by a five-point central difference; ``t`` is a float or an
-    ndarray (elementwise, one array evaluation of Z at all four offsets)."""
+    """Z'(t) by a five-point central difference, elementwise on an ndarray
+    in one evaluation of Z at all four offsets."""
     return _diff5(z_function, t, h)
 
 
@@ -245,9 +190,8 @@ def zeta_prime(s, h: float = 1e-2) -> complex:
     s = complex(s)
     if abs(s - 1.0) <= 0.01:
         raise PoleError("zeta_prime too close to the pole at s = 1")
-    d1 = _diff5(zeta, s, h)
-    d2 = _diff5(zeta, s, h / 2.0)
-    return (16.0 * d2 - d1) / 15.0
+    d1, d2 = _diff5(zeta, np.array([s, s]), np.array([h, h / 2.0]))
+    return complex((16.0 * d2 - d1) / 15.0)
 
 
 def zeta_second_prime(s, h: float = 1e-3) -> complex:
@@ -255,8 +199,8 @@ def zeta_second_prime(s, h: float = 1e-3) -> complex:
     s = complex(s)
     if abs(s - 1.0) <= 0.01:
         raise PoleError("zeta_second_prime too close to the pole at s = 1")
-    f = [zeta(s + k * h) for k in (-2, -1, 0, 1, 2)]
-    return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
+    f = zeta(s + np.arange(-2, 3) * h)
+    return complex((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h))
 
 
 # --------------------------------------------------------------------------
@@ -273,12 +217,12 @@ def im_log_zeta_half(t: float) -> float:
     """
     if t == 0.0:
         return 0.0
-    sigmas = [2.0, 1.6, 1.3, 1.1, 0.95, 0.85, 0.75, 0.675, 0.6, 0.55, 0.52, 0.5]
-    vals = [zeta(complex(sg, t)) for sg in sigmas]
+    sigmas = (2.0, 1.6, 1.3, 1.1, 0.95, 0.85, 0.75, 0.675, 0.6, 0.55, 0.52, 0.5)
+    pts = [complex(sg, t) for sg in sigmas]
+    vals = zeta(np.array(pts)).tolist()
     phase = cmath.phase(vals[0])
-    for k in range(len(sigmas) - 1):
-        phase += _delta_arg(vals[k], vals[k + 1],
-                            complex(sigmas[k], t), complex(sigmas[k + 1], t), 0)
+    for k in range(len(pts) - 1):
+        phase += _delta_arg(vals[k], vals[k + 1], pts[k], pts[k + 1], 0)
     return phase
 
 
@@ -334,11 +278,15 @@ def zeta_prime_at_zero(rec: ZeroRecord) -> complex:
     """zeta'(1/2 + it) at a zero, from the phase relation
     zeta'(rho) = -i e^{-i theta(t)} Z'(t) for the upper zero."""
     zp = rec.z_prime if rec.z_prime is not None else z_prime(rec.t)
-    return -1j * cmath.exp(-1j * theta_rs(rec.t)) * zp
+    return _zeta_prime_by_phase(theta_rs(rec.t), zp)
+
+
+def _zeta_prime_by_phase(theta: float, zp: float) -> complex:
+    return -1j * cmath.exp(-1j * theta) * zp
 
 
 def _fill_derivatives(records) -> None:
-    # the missing Z' values come from one array evaluation of z_prime
+    # the missing Z' and zeta'(rho) come from one z_prime and one theta_rs call
     pending = [rec for rec in records if rec.z_prime is None]
     if pending:
         zps = z_prime(np.array([rec.t for rec in pending]))
@@ -346,9 +294,11 @@ def _fill_derivatives(records) -> None:
             if zp == 0.0:
                 raise ConsistencyError(f"Z'({rec.t:g}) vanished; zero not simple?")
             rec.z_prime = zp
-    for rec in records:
-        if rec.zeta_prime_at_rho is None:
-            rec.zeta_prime_at_rho = zeta_prime_at_zero(rec)
+    pending = [rec for rec in records if rec.zeta_prime_at_rho is None]
+    if pending:
+        thetas = theta_rs(np.array([rec.t for rec in pending]))
+        for rec, theta in zip(pending, thetas.tolist()):
+            rec.zeta_prime_at_rho = _zeta_prime_by_phase(theta, rec.z_prime)
 
 
 @dataclass

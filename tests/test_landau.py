@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -42,7 +43,6 @@ class TestWavefunctions:
     def test_bound_covers_error_at_exact_point(self, odd):
         # against mpmath at the exact (x, y), so the bound must also cover
         # the rounding of (x - iy)^2 / 2 and of the Gaussian exponent
-        mp = pytest.importorskip("mpmath")
         xs = np.linspace(-10.0, 10.0, 200)
         amp, bound = landau.psi_abs_grid(10.0, xs, xs, GEOM, odd=odd)
         a, b = mp.mpc(0.75 if odd else 0.25, 5.0), mp.mpf(1.5 if odd else 0.5)

@@ -2,6 +2,7 @@ import cmath
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -61,7 +62,6 @@ class TestZeta:
 
     def test_accuracy_box_against_oracle(self):
         # absolute error <= 1e-10 over 0 <= Re s <= 2, |Im s| <= 500
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         rng = np.random.default_rng(5)
         worst = 0.0
@@ -112,10 +112,12 @@ class TestZFunction:
 
 
 class TestArrayLayer:
-    # an ndarray takes the array kernels; a float takes the scalar code
+    # one kernel per function; a number runs it as a one-element array
     SCAN_GRID = np.arange(0.0, 500.0 + 1e-9, ze.ZERO_GRID_STEP)
 
     def test_z_and_zeta_match_scalar_on_scan_grid(self):
+        # a number call of Z and zeta agrees with the array call over the
+        # whole scan grid
         ts = self.SCAN_GRID
         z_arr = ze.z_function(ts)
         z_sc = np.array([ze.z_function(float(t)) for t in ts])
@@ -134,17 +136,48 @@ class TestArrayLayer:
         with pytest.raises(PoleError):
             ze.zeta(np.array([0.5 + 1j, 1.0]))
 
-    def test_theta_matches_scalar_both_signs(self):
-        ts = np.linspace(-2000.0, 2000.0, 8001)
-        th = ze.theta_rs(ts)
-        ref = np.array([ze.theta_rs(float(t)) for t in ts])
-        assert np.all(np.abs(th - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    def test_zeta_against_mpmath_whole_domain(self):
+        # 300 seeded points over Re s in [-3, 3], |Im s| <= 1420, both sides
+        # of the functional equation, in a 2-d shape
+        rng = np.random.default_rng(11)
+        s = (rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(-1420.0, 1420.0, 300)).reshape(20, 15)
+        got = ze.zeta(s)
+        assert got.shape == s.shape
+        with mp.workdps(20):
+            ref = np.array([complex(mp.zeta(mp.mpc(v.real, v.imag))) for v in s.ravel()])
+        assert np.max(np.abs(got.ravel() - ref) / np.abs(ref)) < 1e-11
+
+    def test_theta_against_mpmath_both_signs(self):
+        rng = np.random.default_rng(12)
+        ts = rng.uniform(-2000.0, 2000.0, 300)
+        with mp.workdps(20):
+            ref = np.array([float(mp.siegeltheta(t)) for t in ts])
+        assert np.max(np.abs(ze.theta_rs(ts) - ref) / np.maximum(1.0, np.abs(ref))) < 1e-13
         # continuous branch: theta' <= log(2000 / 2 pi) / 2 < 3, so a step of
         # 0.5 moves it by less than 1.5 and a 2 pi jump would stand out
+        th = ze.theta_rs(np.linspace(-2000.0, 2000.0, 8001))
         assert np.max(np.abs(np.diff(th))) < 1.5
 
+    @pytest.mark.parametrize("f, lo, hi, kind", [
+        (log_gamma, -6.3 - 900j, 6.3 + 900j, complex),
+        (ze.zeta, -3.0 - 1420j, 3.0 + 1420j, complex),
+        (ze.theta_rs, -2000.0, 2000.0, float),
+        (ze.z_function, 0.0, 500.0, float),
+    ], ids=["log_gamma", "zeta", "theta_rs", "z_function"])
+    def test_number_is_its_array_element(self, f, lo, hi, kind):
+        # a Python number gives a Python number with the bits of its element
+        # of an array call
+        rng = np.random.default_rng(13)
+        xs = rng.uniform(lo.real, hi.real, 40)
+        if kind is complex:
+            xs = xs + 1j * rng.uniform(lo.imag, hi.imag, 40)
+        arr = f(xs)
+        for x, a in zip(xs.tolist(), arr.tolist()):
+            got = f(x)
+            assert type(got) is kind
+            assert np.array([got]).tobytes() == np.array([a]).tobytes()
+
     def test_against_mpmath_siegelz(self):
-        mp = pytest.importorskip("mpmath")
         mp.mp.dps = 25
         ts = self.SCAN_GRID[::200]  # 51 points of the scan grid
         got = ze.z_function(ts)
