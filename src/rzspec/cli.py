@@ -167,8 +167,9 @@ def _cmd_zeros(cfg: RunConfig) -> None:
     ]
     _write_csv(cfg.out / "zeros.csv",
                ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"], rows)
-    ts = np.arange(max(cfg.t_min, 0.0), t_max + 1e-9, 0.05)
-    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod.z_function(ts)], labels=["Z(t)"],
+    lo = max(cfg.t_min, 0.0)
+    ts = np.arange(lo, t_max + 1e-9, 0.05)
+    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_grid(lo, 0.05, len(ts))], labels=["Z(t)"],
                   title="Hardy Z on the critical line", x_label="t", y_label="Z")
 
 

@@ -150,7 +150,7 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
         raise ValueError("E_max must be positive")
     if E_max > LANDAU_E_BUDGET:
         raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
-    phase = lambda E: _phase(E, g)
+    phase = lambda E, d=0.0: _phase(np.add.outer(E, d), g)  # at E + d
     slope = float(np.max(np.abs(_diff5(phase, np.array([0.0, E_max]), 1e-3))))
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
     return find_all(lambda E: np.sin(0.5 * phase(E)), 0.0, E_max,

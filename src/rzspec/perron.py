@@ -10,10 +10,10 @@ reconstructed from the contour-inversion residue series: the constant
 nontrivial zero, plus a rapidly convergent trivial-zero tail whose
 zeta'(-2n) has the closed form (-1)^n zeta(2n+1) (2n)! / (2^(2n+1) pi^(2n)).
 Nontrivial zeros are summed in conjugate pairs ordered by |t|, the
-standard symmetric truncation of the conditionally convergent series,
-which keeps the Mertens reconstruction real to roundoff.  Each series is
-one array expression over all its zeros, taken over blocks of x so that
-the x-by-zeros temporary stays near 4 MB.
+standard symmetric truncation of the conditionally convergent series; at
+real z (Mertens) a pair is twice the real part of its upper member.  Each
+series is one array expression over all its zeros, taken over blocks of x
+so that the x-by-zeros temporary stays near 4 MB.
 """
 
 from __future__ import annotations
@@ -188,11 +188,10 @@ def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = Fa
     # sum_k x^(s_k - z) / ((s_k - z) zeta'(s_k)), at a zero less its own pair; numpy's
     # pairwise sums, not BLAS, so that the artifacts keep their bits from run to run
     s, dz = cfg.residue_zeros()
-    e = s - z
-    if at_zero:
-        keep = np.abs(e) >= 1e-6
-        e, dz = e[keep], dz[keep]
-    c = 1.0 / (e * dz)
+    real = z.imag == 0.0
+    keep = ~(real & (s.imag < 0.0) | at_zero & (np.abs(s - z) < 1e-6))
+    e, dz = s[keep] - z, dz[keep]
+    c = (1.0 + (real & (e.imag > 0.0))) / (e * dz)
     lx = np.log(np.ravel(x))
     out = np.empty(len(lx), dtype=complex)
     step = max(1, _RESIDUE_BLOCK // max(len(e), 1))
@@ -201,6 +200,8 @@ def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = Fa
         np.exp(blk, out=blk)
         blk *= c
         out[i:i + step] = blk.sum(axis=-1)
+    if real:
+        out.imag = 0.0
     return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 

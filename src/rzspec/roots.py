@@ -80,18 +80,20 @@ def brent(f, a, b, xtol=1e-12, max_iter=200, fa=None, fb=None):
     return roots
 
 
-def scan_sign_changes(f, t_min, t_max, step):
+def scan_sign_changes(f, t_min, t_max, step, grid=None):
     """Brackets [a, b] with f(a)*f(b) < 0 on a uniform grid of the given step.
 
     ``f`` maps an array to an array and is called once on the whole grid
-    t_min + k*step, clipped at t_max.  Grid points that land exactly on a
-    root are nudged by step/64, in one more call, so the bracket survives.
+    t_min + k*step clipped at t_max, or ``grid(t_min, step, n)`` gives the
+    n points below t_max and ``f`` the last.  Points exactly on a root move
+    by step/64, in one more call of ``f``, so the bracket survives.
     Returns four arrays: the left ends, the right ends, and f at each.
     """
     n = max(2, int(math.ceil((t_max - t_min) / step)) + 1)
     ts = np.minimum(t_min + np.arange(n + 1) * step, t_max)
     ts = ts[: np.argmax(ts >= t_max) + 1]
-    fs = np.asarray(f(ts), dtype=float)
+    fs = np.asarray(f(ts) if grid is None else
+                    np.append(grid(t_min, step, len(ts) - 1), f(ts[-1:])), dtype=float)
     hit = np.flatnonzero(fs == 0.0)
     if len(hit):
         ts[hit] += step / 64.0
@@ -102,19 +104,20 @@ def scan_sign_changes(f, t_min, t_max, step):
     return ts[k], ts[k + 1], fs[k], fs[k + 1]
 
 
-def find_all(f, lo, hi, step, expected, slack=0.0):
+def find_all(f, lo, hi, step, expected, slack=0.0, grid=None):
     """Every root of f in (lo, hi), refined to 1e-10, checked against a count.
 
     ``f`` maps an array to an array: the scan calls it once on its whole
-    grid, and Brent refines all brackets in lockstep, one call per
-    iteration on the brackets still open, starting from the scan's values
-    at the bracket ends.  ``expected`` is the number of roots an
-    independent formula predicts; :class:`MissedZeroError` is raised when
-    the scan's count differs from it by more than ``slack`` (0 for an
-    exact count, more for a smooth one).  A sign-change scan misses roots
-    only in pairs, inside one step.
+    grid (or ``grid`` gives its values, as in :func:`scan_sign_changes`),
+    and Brent refines all brackets in lockstep, one call per iteration on
+    the brackets still open, starting from the scan's values at the
+    bracket ends.  ``expected`` is the number of roots an independent
+    formula predicts; :class:`MissedZeroError` is raised when the scan's
+    count differs from it by more than ``slack`` (0 for an exact count,
+    more for a smooth one).  A sign-change scan misses roots only in
+    pairs, inside one step.
     """
-    a, b, fa, fb = scan_sign_changes(f, lo, hi, step)
+    a, b, fa, fb = scan_sign_changes(f, lo, hi, step, grid)
     if abs(len(a) - expected) > slack:
         raise MissedZeroError(
             f"found {len(a)} roots in ({lo:g}, {hi:g}) "

@@ -7,12 +7,17 @@ The evaluator is Euler-Maclaurin throughout the half-plane Re s >= 0,
 
 with N chosen so the correction series converges at better than 1e-17
 for |Im s| up to a few thousand; the functional equation continues it to
-Re s < 0.  On top of the evaluator sit the Riemann-Siegel theta, the
-Hardy Z function, numerically differentiated derivatives, the branch
-tracker for Im log zeta(1/2 + it), the sign-change zero finder, and a
-small persistent database of zero records.  zeta, theta_rs and
-z_function are one elementwise ndarray kernel each; a number runs it as a
-one-element array.
+Re s < 0.  One kernel gives zeta(s0 + d) for anchors s0 and shared
+offsets d: n^-(s0 + d) = n^-s0 n^-d, so the main sum takes one complex
+exp per anchor and n, times a table of n^-d built per call (the grid
+split of Odlyzko and Schoenhage 1988).  It sums along n by numpy's
+pairwise sum, not BLAS, whose order varies with the machine, so the
+artifacts keep their bits.  A point is the case d = 0.  On top of the
+evaluator sit the Riemann-Siegel theta, the Hardy Z function,
+numerically differentiated derivatives, the branch tracker for
+Im log zeta(1/2 + it), the sign-change zero finder, and a small
+persistent database of zero records.  A number runs zeta, theta_rs and
+z_function as a one-element array.
 """
 
 from __future__ import annotations
@@ -75,25 +80,29 @@ def _bernoulli_over_factorial(count):
 
 _EM_COEF = _bernoulli_over_factorial(30)
 _ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB at t = 500
+_GRID_J = 64       # offsets shared by each anchor of a uniform grid
 
 
-def _zeta_em_array(s: np.ndarray) -> np.ndarray:
-    # zeta(s) by Euler-Maclaurin on a 1-d array with Re s >= 0.  The cutoff
-    # N makes the correction series converge at better than 1e-17 for |Im s|
-    # up to a few thousand.  The main sum runs over the points that share N,
-    # a block at a time, each row summed on its own; a point leaves the
-    # running arrays (live, sl, rising, ...) once its series stops.
-    n_base = np.maximum(18, ((np.abs(s) + 55.0) / 2.6).astype(np.int64) + 1)
-    acc = np.empty(len(s), dtype=complex)
-    order = np.argsort(n_base, kind="stable")
-    for grp in np.split(order, np.flatnonzero(np.diff(n_base[order])) + 1):
-        if not len(grp):
-            continue
-        log_n = np.log(np.arange(1, n_base[grp[0]]))
-        for b in range(0, len(grp), _ZETA_BLOCK):
-            idx = grp[b:b + _ZETA_BLOCK]
-            acc[idx] = np.exp(-s[idx, None] * log_n).sum(axis=1)
-    nb = n_base.astype(float)
+def _zeta_em_array(s0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # zeta(s0[b] + d[j]) as a (B, J) array, Re s >= 0.  Row b takes the cutoff
+    # N of its largest |s|, and the rows that share N run a block at a time.  A
+    # point leaves the correction's running arrays once its series stops.
+    s = np.add.outer(s0, d)
+    if not s.size:
+        return s
+    n_row = np.maximum(18, ((np.abs(s).max(axis=1) + 55.0) / 2.6).astype(np.int64) + 1)
+    log_n = np.log(np.arange(1, n_row.max()))
+    table = np.exp(np.multiply.outer(-d, log_n))
+    acc = np.empty(s.shape, dtype=complex)
+    order = np.argsort(n_row, kind="stable")
+    rows = max(1, _ZETA_BLOCK // len(d))
+    for grp in np.split(order, np.flatnonzero(np.diff(n_row[order])) + 1):
+        m = n_row[grp[0]] - 1
+        for b in range(0, len(grp), rows):
+            idx = grp[b:b + rows]
+            head = np.exp(np.multiply.outer(-s0[idx], log_n[:m]))
+            acc[idx] = (head[:, None, :] * table[:, :m]).sum(axis=-1)
+    s, acc, nb = s.ravel(), acc.ravel(), np.repeat(n_row, len(d)).astype(float)
     acc += 0.5 * nb ** (-s) + nb ** (1.0 - s) / (s - 1.0)
     out = np.empty_like(acc)
     live, sl, rising, npow, inv_n2 = np.arange(len(s)), s, s, nb ** (-s - 1.0), 1.0 / (nb * nb)
@@ -106,7 +115,7 @@ def _zeta_em_array(s: np.ndarray) -> np.ndarray:
         more = add & ~(mag < 1e-18 * np.abs(acc))
         if not more.any() or k == len(_EM_COEF):
             out[live] = acc
-            return out
+            return out.reshape(len(s0), len(d))
         if not more.all():
             out[live[~more]] = acc[~more]
             live, acc, mag, sl, rising, npow, inv_n2 = (
@@ -117,27 +126,31 @@ def _zeta_em_array(s: np.ndarray) -> np.ndarray:
         npow = npow * inv_n2
 
 
+def _zeta_outer(s0, d) -> np.ndarray:
+    # zeta(s0 + d), shape s0.shape + d.shape: the outer sum if every Re s >= 0,
+    # else point by point, Re s < 0 by log chi (sine and Gamma overflow alone)
+    s = np.add.outer(s0, d)
+    if np.any(s == 1.0):
+        raise PoleError("zeta pole at s = 1")
+    if np.all(s.real >= 0.0):
+        return _zeta_em_array(np.ravel(s0), np.ravel(d)).reshape(s.shape)
+    flat = s.ravel()
+    right = flat.real >= 0.0
+    sl = flat[~right]
+    w = 1.0 - sl
+    log_chi = (sl * math.log(2.0) + (sl - 1.0) * math.log(math.pi)
+               + _log_sin_pi_array(sl / 2.0) + log_gamma(w))
+    flat[~right] = np.exp(log_chi) * _zeta_outer(w, 0j)
+    flat[right] = _zeta_outer(flat[right], 0j)
+    return s
+
+
 @_number_or_array
 def zeta(s):
     """zeta(s) elementwise on an ndarray of complex s != 1, a number giving a
     Python complex; raises :class:`PoleError` at s = 1.  Within 1e-11
     relative for |Re s| <= 3, |Im s| <= 1420 (tested against mpmath)."""
-    s = np.asarray(s, dtype=complex)
-    if np.any(s == 1.0):
-        raise PoleError("zeta pole at s = 1")
-    flat = s.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    right = flat.real >= 0.0
-    out[right] = _zeta_em_array(flat[right])
-    if not right.all():
-        # the sine and Gamma factors overflow separately long before their
-        # product does
-        sl = flat[~right]
-        w = 1.0 - sl
-        log_chi = (sl * math.log(2.0) + (sl - 1.0) * math.log(math.pi)
-                   + _log_sin_pi_array(sl / 2.0) + log_gamma(w))
-        out[~right] = np.exp(log_chi) * _zeta_em_array(w)
-    return out.reshape(s.shape)
+    return _zeta_outer(np.asarray(s, dtype=complex), 0j)
 
 
 @_number_or_array
@@ -150,16 +163,11 @@ def theta_rs(t):
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
-@_number_or_array
-def z_function(t):
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
-
-    Elementwise on an ndarray, one evaluation of theta and of zeta.  The
-    imaginary residue of the product is expected below 1e-9; larger
-    residues are reported, and beyond 1e-6 the evaluation is rejected.
-    """
-    t = np.asarray(t, dtype=float)
-    w = np.exp(1j * theta_rs(t)) * zeta(0.5 + 1j * t)
+def _z_outer(t0, dt) -> np.ndarray:
+    # Z(t0 + dt) of shape t0.shape + dt.shape, from one outer zeta call with
+    # the anchors 1/2 + i t0 and the offsets i dt
+    t = np.add.outer(t0, dt)
+    w = np.exp(1j * theta_rs(t)) * _zeta_outer(0.5 + 1j * t0, 1j * dt)
     resid = np.abs(w.imag)
     if np.any(resid > 1e-6):
         k = int(np.argmax(resid.ravel()))
@@ -171,18 +179,35 @@ def z_function(t):
     return w.real
 
 
+@_number_or_array
+def z_function(t):
+    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
+
+    Elementwise on an ndarray, one evaluation of theta and of zeta.  The
+    imaginary residue of the product is expected below 1e-9; larger
+    residues are reported, and beyond 1e-6 the evaluation is rejected.
+    """
+    return _z_outer(t, 0.0)
+
+
+def _z_grid(lo: float, step: float, n: int) -> np.ndarray:
+    # Z at lo + k step for k < n: anchors lo + J b step, shared offsets j step
+    b = np.arange(-(-n // _GRID_J)) * _GRID_J
+    return _z_outer(lo + b * step, np.arange(_GRID_J) * step).ravel()[:n]
+
+
 def _diff5(f, x, h):
-    # five-point central first difference, elementwise in x and h, by one
-    # call of f on the four offsets stacked
-    a, b, c, d = f(np.stack([x + k * h for k in (2, 1, -1, -2)]))
+    # five-point central first difference, elementwise in x and h, from one call
+    # f(x, d) giving the values at x + d, the offsets d = k h on the last axis
+    a, b, c, d = np.moveaxis(f(x, np.multiply.outer(h, (2.0, 1.0, -1.0, -2.0))), -1, 0)
     return (-a + 8.0 * b - 8.0 * c + d) / (12.0 * h)
 
 
 @_number_or_array
 def z_prime(t, h: float = _ZP_STEP):
     """Z'(t) by a five-point central difference, elementwise on an ndarray
-    in one evaluation of Z at all four offsets."""
-    return _diff5(z_function, t, h)
+    in one outer evaluation of Z: anchors t, shared offsets k h."""
+    return _diff5(_z_outer, t, h)
 
 
 def zeta_prime(s, h: float = 1e-2) -> complex:
@@ -190,7 +215,7 @@ def zeta_prime(s, h: float = 1e-2) -> complex:
     s = complex(s)
     if abs(s - 1.0) <= 0.01:
         raise PoleError("zeta_prime too close to the pole at s = 1")
-    d1, d2 = _diff5(zeta, np.array([s, s]), np.array([h, h / 2.0]))
+    d1, d2 = _diff5(_zeta_outer, s, np.array([h, h / 2.0]))
     return complex((16.0 * d2 - d1) / 15.0)
 
 
@@ -199,7 +224,7 @@ def zeta_second_prime(s, h: float = 1e-3) -> complex:
     s = complex(s)
     if abs(s - 1.0) <= 0.01:
         raise PoleError("zeta_second_prime too close to the pole at s = 1")
-    f = zeta(s + np.arange(-2, 3) * h)
+    f = _zeta_outer(s, np.arange(-2, 3) * h)
     return complex((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h))
 
 
@@ -219,7 +244,7 @@ def im_log_zeta_half(t: float) -> float:
         return 0.0
     sigmas = (2.0, 1.6, 1.3, 1.1, 0.95, 0.85, 0.75, 0.675, 0.6, 0.55, 0.52, 0.5)
     pts = [complex(sg, t) for sg in sigmas]
-    vals = zeta(np.array(pts)).tolist()
+    vals = _zeta_outer(pts[0], np.array(sigmas) - 2.0).tolist()
     phase = cmath.phase(vals[0])
     for k in range(len(pts) - 1):
         phase += _delta_arg(vals[k], vals[k + 1], pts[k], pts[k + 1], 0)
@@ -346,7 +371,7 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
     lo = _count_avoiding_zeros(t_min)
     roots = find_all(z_function, t_min, t_max, ZERO_GRID_STEP,
-                     _count_avoiding_zeros(t_max) - lo)
+                     _count_avoiding_zeros(t_max) - lo, grid=_z_grid)
     records = [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
     _fill_derivatives(records)
     return records

@@ -8,6 +8,7 @@ import pytest
 from rzspec import landau
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
+from rzspec.roots import find_all
 from rzspec.specfun import kummer_m_bounded
 from rzspec.zeta import theta_rs
 
@@ -120,6 +121,20 @@ class TestQuantization:
         assert len(lv) == math.floor(landau.n_landau(e_max, g))
         for e in lv:
             assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
+
+    @pytest.mark.parametrize("e_max", [20.0, 200.0])
+    def test_levels_keep_the_bits_of_the_stacked_difference(self, e_max):
+        # the scan step comes from the five-point slope of the phase at 0 and
+        # E_max; the difference now evaluates f(x, d) at x + d, and on the
+        # phase it must give the bits of the stacked x + k h form it replaced,
+        # so the levels (landau_levels.csv) keep theirs
+        x, h = np.array([0.0, e_max]), 1e-3
+        a, b, c, d = landau._phase(np.stack([x + k * h for k in (2, 1, -1, -2)]), GEOM)
+        slope = float(np.max(np.abs((-a + 8.0 * b - 8.0 * c + d) / (12.0 * h))))
+        want = find_all(lambda E: np.sin(0.5 * landau._phase(E, GEOM)), 0.0, e_max,
+                        0.8 * math.pi / slope, landau.n_landau(e_max, GEOM), slack=1.0)
+        got = landau.landau_levels(e_max, GEOM)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_energy_budget_refused_before_scanning(self):
         # 1e9 would ask for a scan grid of billions of points

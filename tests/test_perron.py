@@ -199,13 +199,23 @@ class TestResidueKernel:
 
     def test_thousand_zeros_over_several_blocks(self, ref_db):
         cfg = perron.ResidueExpansionConfig(ref_db, 1000, 20)
-        xs = np.linspace(2.5, 4000.5, 300)
-        assert len(xs) * (2 * 1000 + 20) > 2 * perron._RESIDUE_BLOCK
+        xs = np.linspace(2.5, 4000.5, 600)
+        # at z = 0 each conjugate pair is one term: 1000 + 20 a row
+        assert len(xs) * (1000 + 20) > 2 * perron._RESIDUE_BLOCK
         self._check(xs, 0j, cfg)
         self._check(186.5, 0j, cfg)
         # a block boundary does not change any row
         whole = perron._residue_tail(xs, 0j, cfg)
         assert np.array_equal(whole[200:], perron._residue_tail(xs[200:], 0j, cfg))
+
+    @pytest.mark.parametrize("z", [0j, 0.5 + 0j, -0.75 + 0j])
+    def test_real_z_sums_upper_members_twice(self, zero_db, z):
+        # at real z the kernel sums 2 Re over the upper zeros; the result is
+        # real, and within the rounding scale of the per-pair loop
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
+        got = self._check(np.linspace(1.5, 400.5, 50), z, cfg)
+        assert np.all(got.imag == 0.0)
+        assert self._check(37.5, z, cfg).imag == 0.0
 
     def test_residue_zeros_cached(self, zero_db):
         cfg = perron.ResidueExpansionConfig(zero_db, 10, 5)

@@ -45,6 +45,24 @@ class TestFindAll:
         assert calls == [(17,), (2,)]  # the whole grid, then the two nudged points
         assert find_all(f, 0.0, 4.0, 0.25, 2) == pytest.approx([1.0, 3.0], abs=1e-9)
 
+    def test_grid_gives_the_values_below_t_max(self):
+        # one grid call covers t_min + k step below t_max, f the clipped end;
+        # with the same values the brackets and roots are those of f alone
+        calls = []
+
+        def grid(lo, step, n):
+            calls.append(("grid", lo, step, n))
+            return np.sin(lo + np.arange(n) * step)
+
+        def f(x):
+            calls.append(("f", np.shape(x)))
+            return np.sin(x)
+        got = scan_sign_changes(f, 0.5, 9.98, 0.1, grid=grid)
+        want = scan_sign_changes(np.sin, 0.5, 9.98, 0.1)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+        assert calls == [("grid", 0.5, 0.1, 95), ("f", (1,))]
+        assert find_all(f, 0.5, 9.98, 0.1, 3, grid=grid) == find_all(np.sin, 0.5, 9.98, 0.1, 3)
+
 
 class TestLockstepBrent:
     @pytest.mark.parametrize("f,lo,hi,step,n", [
