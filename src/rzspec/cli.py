@@ -17,6 +17,7 @@ mertens --n-max bounds the x sweep.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -53,6 +54,8 @@ _WORKERS = min(8, os.cpu_count() or 1)
 _CONFIG_INTS = {"n_max", "n_zeros", "n_trivial", "character_modulus"}
 _CONFIG_STRS = {"out", "cache"}
 
+_CSV_BLOCK = 4096  # CSV lines joined per write
+
 
 @dataclass
 class RunConfig:
@@ -74,18 +77,22 @@ class RunConfig:
 def _write_csv(path: Path, header, rows) -> None:
     # a str value is written as it is, an int as an int, any other value as
     # a float to 17 significant digits, with one format string per row's
-    # tuple of types
-    lines = [",".join(header)]
+    # tuple of types; the lines go to the file _CSV_BLOCK rows at a time
     formats = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = ",".join("%s" if isinstance(v, str)
-                                      else "%d" if isinstance(v, (int, np.integer))
-                                      else "%.17g" for v in row)
-        lines.append(formats[kinds] % row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = iter(rows)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            lines = []
+            for row in block:
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                if kinds not in formats:
+                    formats[kinds] = ",".join("%s" if isinstance(v, str)
+                                              else "%d" if isinstance(v, (int, np.integer))
+                                              else "%.17g" for v in row)
+                lines.append(formats[kinds] % row)
+            f.write("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, doc) -> None:

@@ -57,9 +57,19 @@ class LandauGeometry:
         return math.log(self.box_size ** 2 / (2.0 * math.pi * self.magnetic_length ** 2))
 
 
-def _z_arg(x: float, y: float, g: LandauGeometry) -> complex:
-    w = complex(x, -y) / g.magnetic_length
-    return 0.5 * w * w
+def _z_arg(x, y, g: LandauGeometry):
+    """The Kummer argument z = (x - iy)^2 / 2l^2 at floats, or at arrays
+    that broadcast, in real arithmetic: with x and y divided by l, Re z =
+    (x^2 - y^2) / 2 and Im z = -xy.  Re z is within 4u|z| and Im z within
+    3u|z| (u = eps/2, the divisions included), so z is within 5u|z|.  At
+    l = 1 these are the bits of the complex product 0.5 w w, w = x - iy,
+    in plain double; numpy's vector complex product may fuse its
+    multiply-adds instead, and then z(y, x) = -conj z(x, y) fails."""
+    x, y = x / g.magnetic_length, y / g.magnetic_length
+    re, im = 0.5 * (x * x - y * y), -(x * y)
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z[()]
 
 
 def _kummer_checked(a: complex, b: float, z: complex) -> complex:
@@ -87,28 +97,32 @@ def psi_minus(E: float, x: float, y: float, g: LandauGeometry) -> complex:
 def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     """|psi| on the tensor grid xs x ys, plus absolute error bounds.
 
+    z = (x - iy)^2 / 2l^2 is formed in real arithmetic by :func:`_z_arg`,
+    as in ``psi_plus``/``psi_minus``, so each M cell has the bits of its
+    scalar call.  On a grid with xs = ys, z(y, x) = -conj z(x, y) exactly,
+    and ``kummer_m_grid`` reads the flipped cell of each such pair off the
+    real axis as the conjugate of the other's series value: the flipped
+    half of the grid sums no series.
+
     A bound is the Kummer bound of ``kummer_m_grid`` (certified on series
-    cells, only in its truncation on asymptotic ones) at the double argument
-    z = (x - iy)^2 / 2l^2, plus the rounding of the inputs: z is within
-    5u|z| of its exact value (u = eps/2), which moves M by at most 5u
+    cells, only in its truncation on asymptotic ones) at the double
+    argument z, plus the rounding of the inputs: z is within 5u|z| of its
+    exact value (u = eps/2), which moves M by at most 5u
     |z dM/dz|, and the Gaussian exponent x^2 / 2l^2 = q within 3uq; the
     Gaussian, the |x - iy| factor and the products add 8u.  Cells whose
     cancellation exhausts every route's precision do not raise; their
     bound lets callers exclude them from, e.g., a ridge search.  Returns
     arrays of shape (len(xs), len(ys)).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = (X - 1j * Y) / g.magnetic_length
-    Z = 0.5 * W * W
+    xs = np.asarray(xs, dtype=float)[:, None]
+    ys = np.asarray(ys, dtype=float)[None, :]
     a = complex(0.75, 0.5 * E) if odd else complex(0.25, 0.5 * E)
     b = 1.5 if odd else 0.5
-    grid = kummer_m_grid(a, b, Z)
+    grid = kummer_m_grid(a, b, _z_arg(xs, ys, g))
     M, bound = grid
-    q = 0.5 * (X / g.magnetic_length) ** 2
+    q = 0.5 * (xs / g.magnetic_length) ** 2
     gauss = np.exp(-q)
-    pref = np.abs(W * g.magnetic_length) if odd else 1.0
+    pref = np.hypot(xs, ys) if odd else 1.0
     amp = np.abs(M) * gauss * pref
     u = 0.5 * np.finfo(float).eps
     return amp, (bound + 5.0 * u * grid.sens) * gauss * pref + (3.0 * q + 8.0) * u * amp

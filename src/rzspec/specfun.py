@@ -541,6 +541,49 @@ class _KummerGrid(tuple):
     """(values, bounds), unpacking as a pair, plus ``sens``, a bound on |z dM/dz|."""
 
 
+def _distinct(w):
+    # (first, inverse) for a complex array: the index of one element per
+    # distinct bit pattern, so that 0.0 and -0.0 stay apart, and for each
+    # element the position of its pattern in first
+    bits = np.ascontiguousarray(w).view(np.uint64).reshape(-1, 2)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    ranked = bits[order]
+    new = np.ones(w.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(w.size, dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
+def _kummer_routes(a: complex, b_re: float, w, rel_tols):
+    # (values, bounds, sens) of M(a, b, w), Re w >= 0, each cell from the
+    # first route whose bound is within that route's tolerance of |M|, else
+    # the smallest bound any route gave
+    r = np.abs(w)
+    vals, bounds, sens = np.zeros(w.size, dtype=complex), np.full(w.size, np.inf), np.zeros(w.size)
+    pending = np.ones(w.size, dtype=bool)
+    # the asymptotic expansion needs |w| well above |a|; at a pole of
+    # Gamma(a) or Gamma(b - a) M is a polynomial, left to the series
+    asym = r >= 2.0 * abs(a) + _ASYM_RADIUS
+    if _gamma_pole(np.array([a, b_re - a])).any():
+        asym[:] = False
+    for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
+                                 (asym, True, True), rel_tols + (0.0,)):
+        # _KUMMER_BLOCK cells at a time, in |w| order so that the cells of a
+        # block need about as many terms
+        cells = np.flatnonzero(pending & tried)
+        cells = cells[np.argsort(r[cells], kind="stable")]
+        for start in range(0, cells.size, _KUMMER_BLOCK):
+            blk = cells[start:start + _KUMMER_BLOCK]
+            v, e, s = route(a, b_re, w[blk])
+            take = e < bounds[blk]
+            vals[blk[take]], bounds[blk[take]] = v[take], e[take]
+            if s is not None:  # the double-double series keeps the plain one's
+                sens[blk[take]] = s[take]
+            pending[blk[take & (e <= tol * np.abs(v))]] = False
+    return vals, bounds, sens
+
+
 def _kummer_routed(a, b, z, rel_tols):
     a, b = complex(a), complex(b)
     if b.imag == 0.0 and b.real == math.floor(b.real) and b.real <= 0.0:
@@ -557,30 +600,25 @@ def _kummer_routed(a, b, z, rel_tols):
     # nonnegative, which minimizes the cancellation of the series.
     flip = zf.real < 0
     w = np.where(flip, -zf, zf)
-    r = np.abs(w)
-    vals, bounds, sens = np.zeros(w.size, dtype=complex), np.full(w.size, np.inf), np.zeros(w.size)
-    pending = np.ones(w.size, dtype=bool)
+    # For real b, M(b-a, b, w) = conj M(conj(b-a), b, conj w), and every
+    # route keeps this bit for bit off the real axis (on it the asymptotic
+    # route takes the upper Stokes sign under either sign of zero).  Where
+    # b - a = conj a, as in both Landau sectors, a flipped cell off the real
+    # axis thus reads the a-side key conj w: on a grid symmetric under
+    # x <-> y that is the key of its unflipped mirror cell.
+    ba = b.real - a
+    fold = flip & (w.imag != 0.0) & (ba.conjugate() == a)
+    key = np.where(fold, w.conjugate(), w)
+    vals, bounds, sens = np.empty(w.size, dtype=complex), np.empty(w.size), np.empty(w.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a_eff, side in ((a, ~flip), (b.real - a, flip)):
-            # the asymptotic expansion needs |w| well above |a|; at a pole of
-            # Gamma(a) or Gamma(b - a) M is a polynomial, left to the series
-            asym = side & (r >= 2.0 * abs(a_eff) + _ASYM_RADIUS)
-            if _gamma_pole(np.array([a_eff, b.real - a_eff])).any():
-                asym[:] = False
-            for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
-                                         (asym, side, side), rel_tols + (0.0,)):
-                # _KUMMER_BLOCK cells at a time, in |w| order so that the
-                # cells of a block need about as many terms
-                cells = np.flatnonzero(pending & tried)
-                cells = cells[np.argsort(r[cells], kind="stable")]
-                for start in range(0, cells.size, _KUMMER_BLOCK):
-                    blk = cells[start:start + _KUMMER_BLOCK]
-                    v, e, s = route(a_eff, b.real, w[blk])
-                    take = e < bounds[blk]
-                    vals[blk[take]], bounds[blk[take]] = v[take], e[take]
-                    if s is not None:  # the double-double series keeps the plain one's
-                        sens[blk[take]] = s[take]
-                    pending[blk[take & (e <= tol * np.abs(v))]] = False
+        for a_eff, side in ((a, ~flip | fold), (ba, flip & ~fold)):
+            cells = np.flatnonzero(side)
+            if not cells.size:  # one-cell calls leave a side empty
+                continue
+            first, inv = _distinct(key[cells])
+            v, e, s = _kummer_routes(a_eff, b.real, key[cells[first]], rel_tols)
+            vals[cells], bounds[cells], sens[cells] = v[inv], e[inv], s[inv]
+    vals[fold] = vals[fold].conjugate()
     pref = np.ones_like(vals)
     pref[flip] = np.exp(zf[flip])
     m = vals * pref  # out of place: numpy's in-place complex product may round differently
@@ -588,7 +626,7 @@ def _kummer_routed(a, b, z, rel_tols):
     bounds *= apref
     bounds += _ROUNDING_EPS * am
     sens *= apref
-    sens[flip] += r[flip] * am[flip]
+    sens[flip] += np.abs(zf[flip]) * am[flip]
     out = _KummerGrid((m.reshape(z.shape), bounds.reshape(z.shape)))
     out.sens = sens.reshape(z.shape)
     return out
@@ -604,8 +642,13 @@ def kummer_m_grid(a, b, z):
     1e-10 of |M|; the power series in complex double, within 1e-13; or the
     power series in double-double arithmetic, by Horner's rule on z 2^-7
     with cached coefficients P_k 2^(7k).  It keeps the value with the
-    smallest bound.  Every route stops each cell at its own last term, so
-    a cell equals its one-cell :func:`kummer_m_bounded` call bit for bit.
+    smallest bound.  Where b - a = conj(a), as in both Landau sectors, a
+    flipped cell off the real axis is evaluated as conj M(a, b, conj(-z)),
+    which every route gives with the bits of M(b - a, b, -z); on a grid
+    symmetric under z -> -conj z the flipped half thus reads the values
+    of the other.  Each distinct argument is evaluated once.  Every route
+    stops each cell at its own last term, so a cell equals its one-cell
+    :func:`kummer_m_bounded` call bit for bit.
 
     A bound covers, for the given double z, the rounding of the route and
     of the result to double, including the factor e^z of the Kummer

@@ -217,11 +217,19 @@ class TestWriters:
               5e-324, 2.5e-310, np.float64(0.1), 1.0 / 3.0, -1.7976931348623157e308,
               np.float32(0.1)]
 
-    def test_csv_rows_match_per_value_formatting(self, tmp_path):
+    def test_csv_rows_match_per_value_formatting(self, tmp_path, monkeypatch):
+        # the lines are written block by block: of the 258 rows the last
+        # block holds a full block, a short one or all of them
         rows = [(a, b, a) for a in self.VALUES for b in self.VALUES] + [[1, 2.5], ()]
-        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
         want = ["a,b,c"] + [",".join(fmt_per_value(v) for v in row) for row in rows]
-        assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+        for block in (1, 7, 258, cli._CSV_BLOCK):
+            monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+            cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
+            assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_csv_without_rows_is_the_header(self, tmp_path):
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], iter(()))
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
     def test_csv_str_values_are_written_as_they_are(self, tmp_path):
         rows = [("0.5", 1, 0.25), ("x", "7", 3), (0.5, "1e-300", "-0")]

@@ -9,7 +9,7 @@ from rzspec import landau
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
 from rzspec.roots import find_all
-from rzspec.specfun import kummer_m_bounded
+from rzspec.specfun import kummer_m_bounded, kummer_m_grid
 from rzspec.zeta import theta_rs
 
 GEOM = LandauGeometry(magnetic_length=1.0, box_size=100.0)
@@ -70,13 +70,25 @@ class TestWavefunctions:
             amp = [abs(psi(10.0, x, y, GEOM)) for x in xs for y in xs]
             assert all(math.isfinite(v) for v in amp)
 
-    def test_grid_matches_scalar(self):
-        xs = np.array([0.5, 3.0])
-        amp, _ = landau.psi_abs_grid(7.0, xs, xs, GEOM)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(xs):
-                assert amp[i, j] == pytest.approx(
-                    abs(landau.psi_plus(7.0, float(x), float(y), GEOM)), rel=1e-11)
+    def test_grid_matches_scalar(self, monkeypatch):
+        # the grid and psi_plus/psi_minus form z by the one helper _z_arg, so
+        # each M cell of the grid is its one-cell Kummer call bit for bit,
+        # flipped cells and the axes included
+        calls = []
+
+        def kept(a, b, z):
+            calls.append((a, b, kummer_m_grid(a, b, z)))
+            return calls[-1][2]
+        monkeypatch.setattr(landau, "kummer_m_grid", kept)
+        xs = np.array([-3.0, 0.0, 0.5, 3.0])
+        for odd, psi in ((False, landau.psi_plus), (True, landau.psi_minus)):
+            amp, _ = landau.psi_abs_grid(7.0, xs, xs, GEOM, odd=odd)
+            a, b, (m, bound) = calls.pop()
+            for i, x in enumerate(xs.tolist()):
+                for j, y in enumerate(xs.tolist()):
+                    want = kummer_m_bounded(a, b, landau._z_arg(x, y, GEOM))
+                    assert np.array([m[i, j], bound[i, j]]).tobytes() == np.array(want).tobytes()
+                    assert amp[i, j] == pytest.approx(abs(psi(7.0, x, y, GEOM)), rel=4e-15, abs=0.0)
 
 
 class TestQuantization:

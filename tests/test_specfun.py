@@ -44,6 +44,13 @@ def landau_z(n):
     return (0.5 * w * w).ravel()
 
 
+def landau_grid_z(n):
+    """The same arguments as the |psi| grid forms them, in real arithmetic,
+    so that the grid's x <-> y mirror is z -> -conj z exactly."""
+    xs = np.linspace(-10.0, 10.0, n)
+    return landau._z_arg(xs[:, None], xs[None, :], landau.LandauGeometry()).ravel()
+
+
 @functools.lru_cache(maxsize=None)
 def flipped_routes(a, b):
     """Each Kummer route on every cell of the 41 x 41 Landau grid, after the
@@ -368,10 +375,11 @@ class TestKummer:
 
     def test_coefficient_cache_never_changes_bits(self):
         # 1 + 2i and its flipped twin -1 + 2i end on the double-double
-        # series with a = 1/4 + 5i and b - a = 1/4 - 5i, whose |a + k| and
-        # so K are alike: each builds its own table, and a one-cell call
-        # gives the same bits before a grid call, after it, after a longer
-        # table was built, and whichever table was built first
+        # series; the twin's M(b - a, b, 1 - 2i) with b - a = 1/4 - 5i is
+        # read as conj M(a, b, 1 + 2i), so both cells share the a table.  A
+        # one-cell call gives the same bits before a grid call, after it,
+        # after longer a and b - a tables were built, and whichever cell
+        # built the table
         a, b = LANDAU_SECTORS[0]
         cells = (1.0 + 2.0j, -1.0 + 2.0j)
 
@@ -379,7 +387,7 @@ class TestKummer:
             return [bits(*kummer_m_bounded(a, b, z)) for z in cells]
         specfun._kummer_coeffs.cache_clear()
         before = one_cell()
-        assert specfun._kummer_coeffs.cache_info().currsize == 2
+        assert specfun._kummer_coeffs.cache_info().currsize == 1
         kummer_m_grid(a, b, landau_z(41))
         after = one_cell()
         for a_g in (a, b - a):  # a table long enough for |w| = 200
@@ -393,6 +401,57 @@ class TestKummer:
         alone = specfun._kummer_series_dd(a, b, np.array([cells[0]]))
         with_far = specfun._kummer_series_dd(a, b, np.array([cells[0], KUMMER_RADIUS]))
         assert bits(alone[0][0], alone[1][0]) == bits(with_far[0][0], with_far[1][0])
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_routes_commute_with_conjugation(self, a, b):
+        # the fold of flipped cells rests on route(conj a, b, conj w) ==
+        # conj route(a, b, w) bit for bit, for values, bounds and sens: on
+        # the w of every flipped cell of the default grid, as one array
+        # (the asymptotic route from |w| = 10, below its domain), and on
+        # one-cell inputs, which take the float path of the double-double
+        # series
+        z = landau_grid_z(200)
+        w = -z[z.real < 0]
+        assert np.all(w.imag != 0.0)
+        singles = [np.array([v]) for v in (1.0 + 2.0j, 0.5 - 0.25j, 45.0 - 5.0j, 30.0 + 40.0j, 3.0 + 1e-9j)]
+        for route, r_min in ((specfun._kummer_series_plain, 0.0), (specfun._kummer_asymptotic, 10.0),
+                             (specfun._kummer_series_dd, 0.0)):
+            for ws in [w[np.abs(w) >= r_min]] + singles:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = route(a.conjugate(), b, ws.conjugate())
+                    want = route(a, b, ws)
+                assert bits(*got[0]) == bits(*want[0].conjugate()), route.__name__
+                for g, v in zip(got[1:], want[1:]):
+                    assert (g is None and v is None) or g.tobytes() == v.tobytes(), route.__name__
+
+    def test_folded_grid_cells_are_one_cell_calls(self):
+        # grids symmetric under x <-> y, where each flipped cell off the
+        # real axis shares its key with its mirror: every cell of the 41 x
+        # 41 grid in the even sector, and in the odd sector the cells of
+        # the 201 x 201 grid on both axes (Im w = 0, not folded) and both
+        # diagonals (Re z = +-0)
+        n, k = 201, np.arange(201)
+        lines = np.concatenate([100 * n + k, k * n + 100, k * n + k, k * n + n - 1 - k])
+        for (a, b), z, cells in ((LANDAU_SECTORS[0], landau_grid_z(41), np.arange(41 * 41)),
+                                 (LANDAU_SECTORS[1], landau_grid_z(n), lines)):
+            vals, bounds = kummer_m_grid(a, b, z)
+            assert np.any(z[cells].real < 0.0) and np.any(z[cells].imag == 0.0)
+            for c in cells:
+                assert bits(*kummer_m_bounded(a, b, z[c])) == bits(vals[c], bounds[c]), z[c]
+
+    def test_fold_halves_the_double_double_cells(self, monkeypatch):
+        # on the default E = 10 grid the flipped cells off the real axis
+        # read their mirrors' keys, evaluated once: 9361 cells end on the
+        # double-double series, against 18658 before the fold
+        sent = []
+        route = specfun._kummer_series_dd
+
+        def counted(a, b, w):
+            sent.append(w.size)
+            return route(a, b, w)
+        monkeypatch.setattr(specfun, "_kummer_series_dd", counted)
+        kummer_m_grid(*LANDAU_SECTORS[0], landau_grid_z(200))
+        assert 0 < sum(sent) <= 9400
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_horner_bound_covers_error(self, a, b):
