@@ -63,8 +63,9 @@ def _z_arg(x, y, g: LandauGeometry):
     (x^2 - y^2) / 2 and Im z = -xy.  Re z is within 4u|z| and Im z within
     3u|z| (u = eps/2, the divisions included), so z is within 5u|z|.  At
     l = 1 these are the bits of the complex product 0.5 w w, w = x - iy,
-    in plain double; numpy's vector complex product may fuse its
-    multiply-adds instead, and then z(y, x) = -conj z(x, y) fails."""
+    in plain double, up to the sign of a zero Im z; numpy's vector
+    complex product may fuse its multiply-adds instead, and then
+    z(y, x) = -conj z(x, y) fails."""
     x, y = x / g.magnetic_length, y / g.magnetic_length
     re, im = 0.5 * (x * x - y * y), -(x * y)
     z = np.empty(np.shape(re), dtype=complex)
