@@ -45,7 +45,6 @@ __all__ = [
     "eigen_residual",
     "polya_xi_star",
     "polya_xi_star_envelope",
-    "xi_h_envelope",
     "riemann_xi",
     "phi_kernel",
     "xi_via_fourier",
@@ -88,11 +87,6 @@ def polya_xi_star(t):
     """4 pi^2 (K_(9/4+it/2)(2 pi) + conjugate order); real and even in t."""
     k = bessel_k_complex_order(2.25 + 0.5j * np.abs(t), 2.0 * math.pi)
     return 8.0 * math.pi ** 2 * k.real
-
-
-def xi_h_envelope(t: float) -> float:
-    """Large-t amplitude of xi_h: 2 sqrt(pi/t) (t/2pi)^(1/2) e^(-pi t/4)."""
-    return 2.0 * math.sqrt(math.pi / t) * math.sqrt(t / (2.0 * math.pi)) * math.exp(-math.pi * t / 4.0)
 
 
 def polya_xi_star_envelope(t: float) -> float:

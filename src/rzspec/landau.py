@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ToleranceNotMet
 from .roots import find_all
 from .specfun import kummer_m_bounded, kummer_m_grid
-from .zeta import _diff5, theta_rs
+from .zeta import _theta_prime, theta_rs
 
 __all__ = [
     "LandauGeometry",
@@ -155,18 +155,18 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     and zero exactly where the unreduced phase crosses a multiple of
     2 pi, so the branch cut of the reduced residual adds no spurious
     roots.  The scan step lets at most 0.8 pi of phase pass; the phase
-    slope 2 theta'(E) - log(L^2/2 pi l^2) increases with E, so its
-    largest size on [0, E_max] is at an end.  The root count is
-    reconciled with ``n_landau`` to +-1; a scan misses levels only in
-    pairs, so a miss raises :class:`MissedZeroError`.  E_max above
-    ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` before scanning.
+    slope 2 theta'(E) - log(L^2/2 pi l^2), with theta' in closed form
+    from the digamma function, increases with E, so its largest size on
+    [0, E_max] is at an end.  The root count is reconciled with
+    ``n_landau`` to +-1; a scan misses levels only in pairs, so a miss
+    raises :class:`MissedZeroError`.  E_max above ``LANDAU_E_BUDGET``
+    raises :class:`ToleranceNotMet` before scanning.
     """
     if E_max <= 0:
         raise ValueError("E_max must be positive")
     if E_max > LANDAU_E_BUDGET:
         raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
-    phase = lambda E, d=0.0: _phase(np.add.outer(E, d), g)  # at E + d
-    slope = float(np.max(np.abs(_diff5(phase, np.array([0.0, E_max]), 1e-3))))
+    slope = float(np.max(np.abs(2.0 * _theta_prime(np.array([0.0, E_max])) - g.log_cutoff)))
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
-    return find_all(lambda E: np.sin(0.5 * phase(E)), 0.0, E_max,
+    return find_all(lambda E: np.sin(0.5 * _phase(E, g)), 0.0, E_max,
                     0.8 * math.pi / slope, n_landau(E_max, g), slack=1.0)

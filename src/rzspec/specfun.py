@@ -163,6 +163,13 @@ def _log_gamma_right(z):
     return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(s)
 
 
+def _digamma_right(z):
+    # psi(z), Re z >= 1/2, 1-d: _log_gamma_right's Lanczos form differentiated term by term
+    inv = 1.0 / (z - 1.0 + _LANCZOS_K)
+    t, terms = z + _LANCZOS_G - 0.5, _LANCZOS_C[1:] * inv
+    return np.log(t) - _LANCZOS_G / t - (terms * inv).sum(axis=0) / (_LANCZOS_C[0] + terms.sum(axis=0))
+
+
 def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
     # log sin(pi z) without overflow for large |Im z|: for Im z >= 0,
     # sin(pi z) = (i/2) exp(-i pi z)(1 - exp(2 i pi z)), conjugated onto

@@ -13,11 +13,11 @@ exp per anchor and n, times a table of n^-d built per call (the grid
 split of Odlyzko and Schoenhage 1988).  It sums along n by numpy's
 pairwise sum, not BLAS, whose order varies with the machine, so the
 artifacts keep their bits.  A point is the case d = 0.  On top of the
-evaluator sit the Riemann-Siegel theta, the Hardy Z function,
-numerically differentiated derivatives, the branch tracker for
-Im log zeta(1/2 + it), the sign-change zero finder, and a small
-persistent database of zero records.  A number runs zeta, theta_rs and
-z_function as a one-element array.
+evaluator sit the Riemann-Siegel theta, the Hardy Z function, zeta', zeta''
+and Z' from closed-form derivatives of each Euler-Maclaurin term (order m
+takes (-log n)^m n^-s; Johansson 2015), the branch tracker for Im log
+zeta(1/2 + it), the sign-change zero finder, and a small persistent database
+of zero records.  zeta, theta_rs and z_function run a number as an array.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     PoleError,
 )
 from .roots import find_all
-from .specfun import _log_sin_pi_array, _number_or_array, log_gamma
+from .specfun import _digamma_right, _log_sin_pi_array, _number_or_array, log_gamma
 
 __all__ = [
     "zeta",
@@ -63,7 +63,6 @@ __all__ = [
 
 T_BUDGET = 500.0          # zero-scan budget for computed (not ingested) zeros
 ZERO_GRID_STEP = 0.05     # safely below the minimal zero gap at desk scale
-_ZP_STEP = 1e-4           # Z'(t) five-point stencil width
 
 
 def _bernoulli_over_factorial(count):
@@ -83,46 +82,63 @@ _ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB 
 _GRID_J = 64       # offsets shared by each anchor of a uniform grid
 
 
-def _zeta_em_array(s0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    # zeta(s0[b] + d[j]) as a (B, J) array, Re s >= 0.  Row b takes the cutoff
-    # N of its largest |s|, and the rows that share N run a block at a time.  A
-    # point leaves the correction's running arrays once its series stops.
+def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None) -> np.ndarray:
+    # zeta^(m_j)(s0[b] + d[j]) as a (B, J) array, Re s >= 0, order m_j in {0, 1, 2} per
+    # column (None: all 0).  Row b takes the cutoff N of its largest |s|; rows sharing N
+    # run a block at a time; a point leaves the correction's arrays once its series stops.
     s = np.add.outer(s0, d)
     if not s.size:
         return s
+    deriv = order is not None
     n_row = np.maximum(18, ((np.abs(s).max(axis=1) + 55.0) / 2.6).astype(np.int64) + 1)
     log_n = np.log(np.arange(1, n_row.max()))
     table = np.exp(np.multiply.outer(-d, log_n))
+    if deriv:
+        table *= np.power.outer(-log_n, order).T  # (-log n)^m n^-d
     acc = np.empty(s.shape, dtype=complex)
-    order = np.argsort(n_row, kind="stable")
+    by_n = np.argsort(n_row, kind="stable")
     rows = max(1, _ZETA_BLOCK // len(d))
-    for grp in np.split(order, np.flatnonzero(np.diff(n_row[order])) + 1):
+    for grp in np.split(by_n, np.flatnonzero(np.diff(n_row[by_n])) + 1):
         m = n_row[grp[0]] - 1
         for b in range(0, len(grp), rows):
             idx = grp[b:b + rows]
             head = np.exp(np.multiply.outer(-s0[idx], log_n[:m]))
             acc[idx] = (head[:, None, :] * table[:, :m]).sum(axis=-1)
     s, acc, nb = s.ravel(), acc.ravel(), np.repeat(n_row, len(d)).astype(float)
-    acc += 0.5 * nb ** (-s) + nb ** (1.0 - s) / (s - 1.0)
-    out = np.empty_like(acc)
+    half, pole = 0.5 * nb ** (-s), nb ** (1.0 - s) / (s - 1.0)
     live, sl, rising, npow, inv_n2 = np.arange(len(s)), s, s, nb ** (-s - 1.0), 1.0 / (nb * nb)
+    if deriv:
+        # d^m/ds^m of each term: rising holds (s)_(2k-1) and two derivatives, weighted by C(m, i)
+        # (-log N)^(m-i); the stop rule reads the parts' moduli (the k = 1 sum is 0 at s = 1/log N)
+        ms, lg, g = np.tile(order, len(s0)), np.log(nb), 1.0 / (s - 1.0)
+        half, pole = half * (-lg) ** ms, pole * np.choose(ms, (1.0, -(lg + g), (lg + g) ** 2 + g * g))
+        w = np.stack([(-lg) ** ms, np.choose(ms, (0.0, 1.0, -2.0 * lg)), ms == 2])
+        rising = np.stack([s, np.ones_like(s), np.zeros_like(s)])
+    acc += half + pole
+    out = np.empty_like(acc)
     prev = math.inf
     for k, coef in enumerate(_EM_COEF, start=1):
-        term = coef * rising * npow
-        mag = np.abs(term)
+        parts = w[:, live] * rising if deriv else rising
+        term = coef * (parts.sum(axis=0) if deriv else parts) * npow
+        mag = np.abs(coef * npow) * np.abs(parts).sum(axis=0) if deriv else np.abs(term)
         add = ~(mag > prev)  # a diverging tail stops before its term
         np.add(acc, term, out=acc, where=add)
-        more = add & ~(mag < 1e-18 * np.abs(acc))
+        # derivative calls stop 1e-18 below max(|value|, 1), or zeta at a zero runs every term
+        more = add & ~(mag < 1e-18 * (np.maximum(np.abs(acc), 1.0) if deriv else np.abs(acc)))
         if not more.any() or k == len(_EM_COEF):
             out[live] = acc
             return out.reshape(len(s0), len(d))
         if not more.all():
             out[live[~more]] = acc[~more]
             live, acc, mag, sl, rising, npow, inv_n2 = (
-                v[more] for v in (live, acc, mag, sl, rising, npow, inv_n2))
+                v[..., more] for v in (live, acc, mag, sl, rising, npow, inv_n2))
         prev = mag
         s2k = sl + 2 * k
-        rising = rising * ((s2k - 1) * s2k)
+        if deriv:  # (s)_(2k+1) = (s)_(2k-1) q with q = (s2k - 1) s2k, q' = 2 s2k - 1, q'' = 2
+            (r0, r1, r2), q, dq = rising, (s2k - 1) * s2k, 2 * s2k - 1
+            rising = np.stack([r0 * q, r1 * q + r0 * dq, r2 * q + 2 * (r1 * dq + r0)])
+        else:
+            rising = rising * ((s2k - 1) * s2k)
         npow = npow * inv_n2
 
 
@@ -196,36 +212,40 @@ def _z_grid(lo: float, step: float, n: int) -> np.ndarray:
     return _z_outer(lo + b * step, np.arange(_GRID_J) * step).ravel()[:n]
 
 
-def _diff5(f, x, h):
-    # five-point central first difference, elementwise in x and h, from one call
-    # f(x, d) giving the values at x + d, the offsets d = k h on the last axis
-    a, b, c, d = np.moveaxis(f(x, np.multiply.outer(h, (2.0, 1.0, -1.0, -2.0))), -1, 0)
-    return (-a + 8.0 * b - 8.0 * c + d) / (12.0 * h)
+def _theta_prime(t):
+    # theta'(t) = Re psi(1/4 + it/2) / 2 - log(pi) / 2, with psi(z) = psi(z + 1) - 1/z
+    z = 0.25 + 0.5j * t
+    return 0.5 * (_digamma_right(z + 1.0) - 1.0 / z).real - 0.5 * math.log(math.pi)
 
 
 @_number_or_array
-def z_prime(t, h: float = _ZP_STEP):
-    """Z'(t) by a five-point central difference, elementwise on an ndarray
-    in one outer evaluation of Z: anchors t, shared offsets k h."""
-    return _diff5(_z_outer, t, h)
+def z_prime(t):
+    """Z'(t) = Re(i e^{i theta} (theta' zeta + zeta')) at s = 1/2 + it, elementwise,
+    with closed-form derivatives of each Euler-Maclaurin term.  Within 1e-11 at the
+    first 1000 zeros and off them on (0.5, 1400] (tested against mpmath)."""
+    z = _zeta_em_array(0.5 + 1j * np.ravel(t), np.zeros(2), (0, 1)).reshape(np.shape(t) + (2,))
+    return (1j * np.exp(1j * theta_rs(t)) * (_theta_prime(t) * z[..., 0] + z[..., 1])).real
 
 
-def zeta_prime(s, h: float = 1e-2) -> complex:
-    """zeta'(s) by Richardson-extrapolated central differences."""
+def _zeta_derivative(s, m: int) -> complex:
     s = complex(s)
     if abs(s - 1.0) <= 0.01:
-        raise PoleError("zeta_prime too close to the pole at s = 1")
-    d1, d2 = _diff5(_zeta_outer, s, np.array([h, h / 2.0]))
-    return complex((16.0 * d2 - d1) / 15.0)
+        raise PoleError(f"zeta derivative {m} too close to the pole at s = 1")
+    if s.real < 0.0:
+        raise ValueError(f"zeta derivative {m} needs Re s >= 0")
+    return complex(_zeta_em_array(np.array([s]), np.zeros(1), (m,))[0, 0])
 
 
-def zeta_second_prime(s, h: float = 1e-3) -> complex:
-    """zeta''(s) by a five-point second-difference stencil."""
-    s = complex(s)
-    if abs(s - 1.0) <= 0.01:
-        raise PoleError("zeta_second_prime too close to the pole at s = 1")
-    f = _zeta_outer(s, np.arange(-2, 3) * h)
-    return complex((-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h))
+def zeta_prime(s) -> complex:
+    """zeta'(s) for Re s >= 0 from closed-form derivatives of each Euler-Maclaurin
+    term; ``ValueError`` for Re s < 0, :class:`PoleError` within 0.01 of s = 1.
+    Within 1e-12 relative at zeros 1, 2, 10, 51, 100 (tested against mpmath)."""
+    return _zeta_derivative(s, 1)
+
+
+def zeta_second_prime(s) -> complex:
+    """zeta''(s), computed and refused as :func:`zeta_prime`."""
+    return _zeta_derivative(s, 2)
 
 
 # --------------------------------------------------------------------------

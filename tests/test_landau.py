@@ -10,7 +10,7 @@ from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
 from rzspec.roots import find_all
 from rzspec.specfun import kummer_m_bounded, kummer_m_grid
-from rzspec.zeta import theta_rs
+from rzspec.zeta import _theta_prime, theta_rs
 
 GEOM = LandauGeometry(magnetic_length=1.0, box_size=100.0)
 FIRST_ROOT = 0.53260437203513055
@@ -135,14 +135,14 @@ class TestQuantization:
             assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
 
     @pytest.mark.parametrize("e_max", [20.0, 200.0])
-    def test_levels_keep_the_bits_of_the_stacked_difference(self, e_max):
-        # the scan step comes from the five-point slope of the phase at 0 and
-        # E_max; the difference now evaluates f(x, d) at x + d, and on the
-        # phase it must give the bits of the stacked x + k h form it replaced,
-        # so the levels (landau_levels.csv) keep theirs
-        x, h = np.array([0.0, e_max]), 1e-3
-        a, b, c, d = landau._phase(np.stack([x + k * h for k in (2, 1, -1, -2)]), GEOM)
-        slope = float(np.max(np.abs((-a + 8.0 * b - 8.0 * c + d) / (12.0 * h))))
+    def test_levels_keep_the_bits_of_the_closed_form_slope(self, e_max):
+        # the scan step lets 0.8 pi of phase pass at the larger phase slope
+        # |2 theta'(E) - log(L^2/2 pi l^2)| of E = 0 and E_max, with theta' in
+        # closed form; the levels are the bits of the scan at that step
+        slope = float(np.max(np.abs(2.0 * _theta_prime(np.array([0.0, e_max])) - GEOM.log_cutoff)))
+        with mp.workdps(25):
+            ref = max(abs(2 * mp.siegeltheta(e, derivative=1) - GEOM.log_cutoff) for e in (0, e_max))
+        assert slope == pytest.approx(float(ref), rel=1e-14)
         want = find_all(lambda E: np.sin(0.5 * landau._phase(E, GEOM)), 0.0, e_max,
                         0.8 * math.pi / slope, landau.n_landau(e_max, GEOM), slack=1.0)
         got = landau.landau_levels(e_max, GEOM)

@@ -36,17 +36,10 @@ def bits(*values):
     return np.array(values, dtype=complex).tobytes()
 
 
-def landau_z(n):
-    """Kummer arguments (x - iy)^2 / 2 of the n x n Landau grid on [-10, 10]^2."""
-    xs = np.linspace(-10.0, 10.0, n)
-    x, y = np.meshgrid(xs, xs, indexing="ij")
-    w = x - 1j * y
-    return (0.5 * w * w).ravel()
-
-
 def landau_grid_z(n):
-    """The same arguments as the |psi| grid forms them, in real arithmetic,
-    so that the grid's x <-> y mirror is z -> -conj z exactly."""
+    """Kummer arguments (x - iy)^2 / 2 of the n x n Landau grid on [-10, 10]^2,
+    formed as the |psi| grid forms them, in real arithmetic, so that the
+    grid's x <-> y mirror is z -> -conj z exactly."""
     xs = np.linspace(-10.0, 10.0, n)
     return landau._z_arg(xs[:, None], xs[None, :], landau.LandauGeometry()).ravel()
 
@@ -57,7 +50,7 @@ def flipped_routes(a, b):
     flip to M(a_eff, b, w) with Re w >= 0: (a_eff, w, {route: (values,
     bounds)}); the asymptotic route from |w| = 10, with infinite bounds
     below, and the double-double bound with the rounding to double."""
-    z = landau_z(41)
+    z = landau_grid_z(41)
     flip = z.real < 0
     a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
     routes = {}
@@ -345,7 +338,7 @@ class TestKummer:
         # Re z at the budget |z| = 200, three default-grid cells whose bound
         # would move if the double-double float path took |term| from
         # math.hypot instead of np.hypot, and the uncovered E = 40 cell.
-        z = np.concatenate([landau_z(5), landau_z(200)[[560, 35760, 36200]],
+        z = np.concatenate([landau_grid_z(5), landau_grid_z(200)[[560, 35760, 36200]],
                             [KUMMER_RADIUS, -KUMMER_RADIUS, UNCOVERED[2]]])
         vals, bounds = kummer_m_grid(a, b, z)
         assert np.any(z == 0.0) and np.any(z.real < 0.0)
@@ -388,7 +381,7 @@ class TestKummer:
         specfun._kummer_coeffs.cache_clear()
         before = one_cell()
         assert specfun._kummer_coeffs.cache_info().currsize == 1
-        kummer_m_grid(a, b, landau_z(41))
+        kummer_m_grid(a, b, landau_grid_z(41))
         after = one_cell()
         for a_g in (a, b - a):  # a table long enough for |w| = 200
             specfun._kummer_series_dd(a_g, b, np.array([KUMMER_RADIUS + 0j]))
@@ -461,7 +454,7 @@ class TestKummer:
         # cells with the largest sum|term| / |M| after the Kummer flip
         edge = np.concatenate([[200.0, -200.0, 200.0j, -200.0j, 0.0],
                                1e-3 * np.exp(0.25j * math.pi * np.arange(8))])
-        z = landau_z(200)
+        z = landau_grid_z(200)
         flip = z.real < 0
         a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
         ratio = np.empty(z.size)
@@ -489,7 +482,7 @@ class TestKummer:
         # the bound also covers rounding to double and the e^z factor of
         # flipped cells, where the series noise alone is far below an ulp;
         # over-budget cells remain at E = 40 only
-        z = landau_z(200)
+        z = landau_grid_z(200)
         vals, bounds = kummer_m_grid(a, b, z)
         rel = bounds / np.abs(vals)
         over = np.flatnonzero(rel > 1e-6)
@@ -540,7 +533,7 @@ class TestKummer:
         asym_tol, plain_tol = specfun._ROUTE_REL_TOLS
         asym = (np.abs(w) >= 2.0 * np.abs(a_eff) + specfun._ASYM_RADIUS) & (ae <= asym_tol * np.abs(av))
         plain = ~asym & (pe <= plain_tol * np.abs(pv))
-        z = landau_z(41)
+        z = landau_grid_z(41)
         vals, bounds = kummer_m_grid(a, b, z)
         for name, mask in (("asymptotic", asym), ("plain", plain), ("double-double", ~asym & ~plain)):
             cells = np.flatnonzero(mask)
