@@ -1,11 +1,12 @@
 """Command-line harness producing the figure-style CSV/SVG/JSON artifacts.
 
 Subcommands: zeros, xih, polya, landau, mirror, perron, mertens,
-interferometer.  Outputs are deterministic: floats are rendered with 17
-significant digits, no timestamps are embedded, and rerunning a command
-with the same configuration reproduces identical bytes.  Option
-precedence is command-line flags > JSON config file > built-in defaults;
-the environment contributes only RZ_CACHE_DIR, the directory of the
+interferometer.  Outputs are deterministic: each CSV column has one
+format, integers as integers and floats with 17 significant digits, no
+timestamps are embedded, and rerunning a command with the same
+configuration reproduces identical bytes.  Option precedence is
+command-line flags > JSON config file > built-in defaults; the
+environment contributes only RZ_CACHE_DIR, the directory of the
 zero-record cache.
 
 Flag conventions: --t-min/--t-max bound the sweep variable of the
@@ -54,7 +55,7 @@ _WORKERS = min(8, os.cpu_count() or 1)
 _CONFIG_INTS = {"n_max", "n_zeros", "n_trivial", "character_modulus"}
 _CONFIG_STRS = {"out", "cache"}
 
-_CSV_BLOCK = 4096  # CSV lines joined per write
+_CSV_BLOCK = 4096  # CSV lines formatted by one % call and written at once
 
 
 @dataclass
@@ -74,25 +75,25 @@ class RunConfig:
     cache: Path
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    # a str value is written as it is, an int as an int, any other value as
-    # a float to 17 significant digits, with one format string per row's
-    # tuple of types; the lines go to the file _CSV_BLOCK rows at a time
-    formats = {}
-    rows = iter(rows)
+def _write_csv(path: Path, header, columns) -> None:
+    # one format per column, from its type: an integer array is written as
+    # integers, a float array to 17 significant digits and a list of str as
+    # it is; each block of _CSV_BLOCK lines is formatted by one % call
+    fmts = [{"i": "%d", "u": "%d", "f": "%.17g"}.get(c.dtype.kind) if isinstance(c, np.ndarray)
+            else "%s" if isinstance(c, list) and all(isinstance(v, str) for v in c) else None
+            for c in columns]
+    if None in fmts:
+        raise TypeError(f"CSV columns {[getattr(c, 'dtype', type(c)) for c in columns]}: "
+                        "each must be an integer or float array or a list of str")
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"CSV columns of unequal lengths {[len(c) for c in columns]}")
+    row = ",".join(fmts) + "\n"
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, _CSV_BLOCK)):
-            lines = []
-            for row in block:
-                row = tuple(row)
-                kinds = tuple(map(type, row))
-                if kinds not in formats:
-                    formats[kinds] = ",".join("%s" if isinstance(v, str)
-                                              else "%d" if isinstance(v, (int, np.integer))
-                                              else "%.17g" for v in row)
-                lines.append(formats[kinds] % row)
-            f.write("\n".join(lines) + "\n")
+        for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+            block = [c[start:start + _CSV_BLOCK] for c in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            f.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _write_json(path: Path, doc) -> None:
@@ -168,12 +169,12 @@ def _cmd_zeros(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 50.0
     db = _ensure_zeros(cfg, t_needed=t_max)
     db.ensure_derivatives()
-    rows = [
-        (r.index, r.t, r.z_prime, r.zeta_prime_at_rho.real, r.zeta_prime_at_rho.imag)
-        for r in db.records if cfg.t_min <= r.t <= t_max
-    ]
+    recs = [r for r in db.records if cfg.t_min <= r.t <= t_max]
+    zp = np.array([r.zeta_prime_at_rho for r in recs], dtype=complex)
     _write_csv(cfg.out / "zeros.csv",
-               ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"], rows)
+               ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"],
+               [np.array([r.index for r in recs], dtype=int), np.array([r.t for r in recs]),
+                np.array([r.z_prime for r in recs]), zp.real, zp.imag])
     lo = max(cfg.t_min, 0.0)
     ts = np.arange(lo, t_max + 1e-9, 0.05)
     svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_grid(lo, 0.05, len(ts))], labels=["Z(t)"],
@@ -184,8 +185,7 @@ def _cmd_xih(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 60.0
     ts = np.arange(cfg.t_min, t_max + 1e-9, 0.25)
     cols = [dirac.xi_h(ts), dirac.polya_xi_star(ts), dirac.riemann_xi(ts)]
-    _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"],
-               zip(ts.tolist(), *(c.tolist() for c in cols)))
+    _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"], [ts, *cols])
     svg.line_plot(cfg.out / "xih.svg", ts, cols,
                   labels=["xi_H", "xi*", "xi"], title="spectral functions",
                   x_label="t", y_label="xi", y_log=True)
@@ -198,7 +198,7 @@ def _cmd_polya(cfg: RunConfig) -> None:
              dirac.SpectralFunctionKind.XI_DIRAC_H]
     cols = [dirac.phi_kernel(k, betas) for k in kinds]
     _write_csv(cfg.out / "polya.csv", ["beta", "phi_riemann", "phi_polya_star", "phi_dirac_h"],
-               zip(betas.tolist(), *(c.tolist() for c in cols)))
+               [betas, *cols])
     svg.line_plot(cfg.out / "polya.svg", betas, cols,
                   labels=["Phi", "Phi*", "Phi_H"], title="cosine-transform kernels",
                   x_label="beta", y_label="Phi")
@@ -211,7 +211,7 @@ def _cmd_landau(cfg: RunConfig) -> None:
     geom = landau.LandauGeometry(magnetic_length=1.0, box_size=cfg.l_over_ell)
     levels = landau.landau_levels(e_max, geom)
     _write_csv(cfg.out / "landau_levels.csv", ["k", "E"],
-               list(enumerate(levels, start=1)))
+               [np.arange(1, len(levels) + 1), np.asarray(levels, dtype=float)])
     es = np.linspace(0.0, e_max, 200)
     svg.line_plot(cfg.out / "landau.svg", es,
                   [landau.n_landau(es, geom), np.searchsorted(levels, es)],
@@ -221,9 +221,8 @@ def _cmd_landau(cfg: RunConfig) -> None:
     amp, bound = landau.psi_abs_grid(10.0, xs, xs, geom)
     # the grid coordinates are formatted once, as strings
     coords = ["%.17g" % v for v in xs.tolist()]
-    rows = ((x, y, v, e) for i, x in enumerate(coords)
-            for y, v, e in zip(coords, amp[i].tolist(), bound[i].tolist()))
-    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"], rows)
+    _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"],
+               [[x for x in coords for _ in coords], coords * grid_n, amp.ravel(), bound.ravel()])
 
 
 def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:
@@ -270,13 +269,13 @@ def _cmd_perron(cfg: RunConfig) -> None:
     terms = perron._dirichlet_terms(perron.moebius_sieve(n_max)[1:], e_val)
     direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
     resid = perron.m_z_perron(ns, e_val, rcfg)
-    rows = [(n, d.real, d.imag, p.real, p.imag, abs(d), abs(p))
-            for n, d, p in zip(ns, direct, resid)]
+    # np.hypot is the libm hypot that abs of a complex scalar calls
+    mags = [np.hypot(v.real, v.imag) for v in (direct, resid)]
     _write_csv(cfg.out / "perron.csv",
                ["n_or_x", "direct_re", "direct_im", "perron_re", "perron_im",
-                "abs_direct", "abs_perron"], rows)
-    svg.line_plot(cfg.out / "perron.svg", [r[0] for r in rows],
-                  [[r[5] for r in rows], [r[6] for r in rows]],
+                "abs_direct", "abs_perron"],
+               [ns, direct.real, direct.imag, resid.real, resid.imag, *mags])
+    svg.line_plot(cfg.out / "perron.svg", ns, mags,
                   labels=["|direct|", "|residue series|"],
                   title=f"partial Dirichlet sums at E = {e_val:g}"
                         + (" (at-zero mode)" if at_zero else ""),
@@ -292,9 +291,9 @@ def _cmd_mertens(cfg: RunConfig) -> None:
     xs = ks + 0.5
     exact = np.cumsum(perron.moebius_sieve(max(int(x_max) - 1, 1)))[ks]
     recon = perron.mertens_residue(xs, rcfg)
-    rows = [(x, m, r, abs(r - m)) for x, m, r in zip(xs, exact, recon)]
     _write_csv(cfg.out / "mertens.csv",
-               ["x", "mertens_exact", "mertens_residue", "abs_error"], rows)
+               ["x", "mertens_exact", "mertens_residue", "abs_error"],
+               [xs, exact, recon, np.abs(recon - exact)])
     svg.line_plot(cfg.out / "mertens.svg", xs, [exact, recon],
                   labels=["M(x)", "residue series"], title="Mertens reconstruction",
                   x_label="x", y_label="M")

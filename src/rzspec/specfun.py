@@ -303,7 +303,7 @@ def bessel_k_complex_order(nu, z):
 KUMMER_RADIUS = 200.0   # documented series budget
 _KUMMER_KMAX = 1600
 _NOISE_PER_TERM = 5e-31  # double-double rounding per term (see _kummer_series_dd)
-_KUMMER_BLOCK = 4096     # cells summed together; each block runs to its slowest cell
+_KUMMER_BLOCK = 4096     # cells per asymptotic or plain call, which runs to its slowest cell
 _HORNER_SCALE = 2 ** 7   # the double-double series sums Q_k (w / 2^7)^k, Q_k = P_k 2^(7k)
 # Rounding the double-double sum to double costs at most u|M| (u = eps/2).
 # On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
@@ -574,14 +574,15 @@ def _kummer_routes(a: complex, b_re: float, w, rel_tols):
     asym = r >= 2.0 * abs(a) + _ASYM_RADIUS
     if _gamma_pole(np.array([a, b_re - a])).any():
         asym[:] = False
-    for route, tried, tol in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
-                                 (asym, True, True), rel_tols + (0.0,)):
-        # _KUMMER_BLOCK cells at a time, in |w| order so that the cells of a
-        # block need about as many terms
+    # Blocks in |w| order, whose cells need about as many terms; the double-
+    # double Horner pass drops finished cells, so all take one call of it.
+    for route, tried, tol, block in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
+                                        (asym, True, True), rel_tols + (0.0,),
+                                        (_KUMMER_BLOCK, _KUMMER_BLOCK, w.size)):
         cells = np.flatnonzero(pending & tried)
         cells = cells[np.argsort(r[cells], kind="stable")]
-        for start in range(0, cells.size, _KUMMER_BLOCK):
-            blk = cells[start:start + _KUMMER_BLOCK]
+        for start in range(0, cells.size, block):
+            blk = cells[start:start + block]
             v, e, s = route(a, b_re, w[blk])
             take = e < bounds[blk]
             vals[blk[take]], bounds[blk[take]] = v[take], e[take]

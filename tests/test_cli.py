@@ -213,28 +213,77 @@ def fmt_per_value(v) -> str:
 
 
 class TestWriters:
-    VALUES = [0, 7, -3, np.int64(-12), 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300,
-              5e-324, 2.5e-310, np.float64(0.1), 1.0 / 3.0, -1.7976931348623157e308,
-              np.float32(0.1)]
+    INTS = [0, 7, -3, np.int64(-12), 2 ** 62, -(2 ** 63)]
+    FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, 2.5e-310,
+              np.float64(0.1), 1.0 / 3.0, -1.7976931348623157e308, np.float32(0.1)]
+    STRS = ["0.5", "x", "-0", "1e-300", ""]
+
+    def columns(self):
+        # 6 x 12 x 5 = 360 rows of every int, float and str value together
+        n_i, n_f, n_s = len(self.INTS), len(self.FLOATS), len(self.STRS)
+        rows = n_i * n_f * n_s
+        ints = np.array(self.INTS, dtype=np.int64)[np.arange(rows) % n_i]
+        floats = np.array(self.FLOATS)[np.arange(rows) // n_i % n_f]
+        strs = [self.STRS[k // (n_i * n_f)] for k in range(rows)]
+        return [ints, floats, strs, floats[::-1]]
 
     def test_csv_rows_match_per_value_formatting(self, tmp_path, monkeypatch):
-        # the lines are written block by block: of the 258 rows the last
+        # the lines are written block by block: of the 360 rows the last
         # block holds a full block, a short one or all of them
-        rows = [(a, b, a) for a in self.VALUES for b in self.VALUES] + [[1, 2.5], ()]
-        want = ["a,b,c"] + [",".join(fmt_per_value(v) for v in row) for row in rows]
+        cols = self.columns()
+        want = ["a,b,c,d"] + [",".join(fmt_per_value(v) if not isinstance(v, str) else v
+                                       for v in row) for row in zip(*(list(c) for c in cols))]
+        assert ",0.10000000149011612," in want[-1]  # np.float32(0.1) upcast
         for block in (1, 7, 258, cli._CSV_BLOCK):
             monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-            cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
+            cli._write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], cols)
             assert (tmp_path / "t.csv").read_text() == "\n".join(want) + "\n"
 
     def test_csv_without_rows_is_the_header(self, tmp_path):
-        cli._write_csv(tmp_path / "t.csv", ["a", "b"], iter(()))
-        assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
+        for cols in ([np.array([], dtype=int), np.array([])], [[], []], []):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b"], cols)
+            assert (tmp_path / "t.csv").read_bytes() == b"a,b\n"
 
     def test_csv_str_values_are_written_as_they_are(self, tmp_path):
-        rows = [("0.5", 1, 0.25), ("x", "7", 3), (0.5, "1e-300", "-0")]
-        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows)
+        cols = [["0.5", "x", "0.5"], ["1", "7", "1e-300"], ["0.25", "3", "-0"]]
+        cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], cols)
         assert (tmp_path / "t.csv").read_text() == "a,b,c\n0.5,1,0.25\nx,7,3\n0.5,1e-300,-0\n"
+
+    @pytest.mark.parametrize("column", [
+        [1, 2.5], [0.5, "x"], ["x", 1], (1, 2), np.array([1, 2.5], dtype=object),
+        np.array(["x", "y"]), np.array([True, False]), np.array([1j, 2])])
+    def test_csv_column_of_no_single_format_raises(self, tmp_path, column):
+        # a float in an integer column is refused, not truncated by %d
+        with pytest.raises(TypeError):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(2), column])
+
+    def test_csv_columns_of_unequal_lengths_raise(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(3), np.zeros(2)])
+
+
+class TestCanonicalFields:
+    """Every field of every CSV the CLI writes is its parsed value formatted
+    by the per-value rule, so the bytes do not depend on the writer's code."""
+
+    @pytest.mark.parametrize("args, files", [
+        (["zeros", "--t-max", "60"], ["zeros.csv"]),
+        (["xih", "--t-max", "5"], ["xih.csv"]),
+        (["polya"], ["polya.csv"]),
+        (["landau", "--n-max", "41"], ["landau_levels.csv", "landau_psi.csv"]),
+        (["perron", "--t-min", "20", "--n-max", "30", "--n-zeros", "10"], ["perron.csv"]),
+        (["perron", "--t-min", "14.1347", "--n-max", "30", "--n-zeros", "10"], ["perron.csv"]),
+        (["mertens", "--n-max", "40", "--n-zeros", "20"], ["mertens.csv"]),
+    ])
+    def test_fields_are_per_value_formatting(self, tmp_path, args, files):
+        assert run(args + ["--out", str(tmp_path), "--cache", str(tmp_path / "cache.json")]) == 0
+        for name in files:
+            lines = (tmp_path / name).read_text().splitlines()
+            assert len(lines) > 2
+            for line in lines[1:]:
+                for field in line.split(","):
+                    value = int(field) if field.lstrip("-").isdigit() else float(field)
+                    assert fmt_per_value(value) == field, (name, line)
 
 
 class TestLandauCommand:

@@ -446,6 +446,38 @@ class TestKummer:
         kummer_m_grid(*LANDAU_SECTORS[0], landau_grid_z(200))
         assert 0 < sum(sent) <= 9400
 
+    def test_double_double_cells_take_one_horner_pass(self, monkeypatch):
+        # the Horner pass keeps only the cells still summing, so one call
+        # does each cell's arithmetic once: on the default E = 10 grid its
+        # 175 steps replace the 105 + 139 + 175 of three 4096-cell blocks,
+        # and the bits equal those of the blocks
+        blocks, steps, calls = [], [], []
+        block, step, route = specfun._horner_block, specfun.horner_step, specfun._kummer_series_dd
+
+        def counted_block(*args):
+            blocks.append(args[2].size)
+            return block(*args)
+
+        def counted_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        def recorded(a, b, w):
+            calls.append((a, b, w))
+            return route(a, b, w)
+        monkeypatch.setattr(specfun, "_horner_block", counted_block)
+        monkeypatch.setattr(specfun, "horner_step", counted_step)
+        monkeypatch.setattr(specfun, "_kummer_series_dd", recorded)
+        xs = np.linspace(-10.0, 10.0, 200)
+        landau.psi_abs_grid(10.0, xs, xs, landau.LandauGeometry(1.0, 100.0))
+        assert len(blocks) == 1 and len(steps) == 175
+        (a, b, w), = calls
+        assert w.size == blocks[0] > 2 * 4096
+        whole = route(a, b, w)
+        parts = [route(a, b, p) for p in np.split(w, [4096, 8192])]
+        for k in range(2):
+            assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
+
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_horner_bound_covers_error(self, a, b):
         # the double-double sum itself, before rounding to double, against
