@@ -269,7 +269,7 @@ def _cmd_perron(cfg: RunConfig) -> None:
     terms = perron._dirichlet_terms(perron.moebius_sieve(n_max)[1:], e_val)
     direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
     resid = perron.m_z_perron(ns, e_val, rcfg)
-    # np.hypot is the libm hypot that abs of a complex scalar calls
+    # np.hypot, not np.abs: only it has the bits of abs() of each complex scalar
     mags = [np.hypot(v.real, v.imag) for v in (direct, resid)]
     _write_csv(cfg.out / "perron.csv",
                ["n_or_x", "direct_re", "direct_im", "perron_re", "perron_im",

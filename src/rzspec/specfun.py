@@ -574,8 +574,8 @@ def _kummer_routes(a: complex, b_re: float, w, rel_tols):
     asym = r >= 2.0 * abs(a) + _ASYM_RADIUS
     if _gamma_pole(np.array([a, b_re - a])).any():
         asym[:] = False
-    # Blocks in |w| order, whose cells need about as many terms; the double-
-    # double Horner pass drops finished cells, so all take one call of it.
+    # blocks in |w| order, whose cells need about as many terms; the double-
+    # double Horner pass drops finished cells, so its cells are one block
     for route, tried, tol, block in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
                                         (asym, True, True), rel_tols + (0.0,),
                                         (_KUMMER_BLOCK, _KUMMER_BLOCK, w.size)):

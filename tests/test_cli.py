@@ -274,7 +274,7 @@ class TestCanonicalFields:
         (["perron", "--t-min", "20", "--n-max", "30", "--n-zeros", "10"], ["perron.csv"]),
         (["perron", "--t-min", "14.1347", "--n-max", "30", "--n-zeros", "10"], ["perron.csv"]),
         (["mertens", "--n-max", "40", "--n-zeros", "20"], ["mertens.csv"]),
-    ])
+    ], ids=["zeros", "xih", "polya", "landau", "perron", "perron-at-zero", "mertens"])
     def test_fields_are_per_value_formatting(self, tmp_path, args, files):
         assert run(args + ["--out", str(tmp_path), "--cache", str(tmp_path / "cache.json")]) == 0
         for name in files:
