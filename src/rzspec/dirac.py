@@ -133,15 +133,15 @@ def _riemann_xi_complex(t):
 def _phi_riemann(beta):
     beta = np.asarray(beta, dtype=float)
     eb = np.exp(beta)
-    out = np.zeros_like(beta)
     # Gaussian decay in n; 0.5 + sqrt(745/(pi e^beta)) terms suffice
     n_max = int(np.ceil(np.sqrt(746.0 / (math.pi * float(eb.min()))))) + 1
-    for n in range(1, n_max + 1):
-        expo = -math.pi * n * n * eb
-        term = np.where(expo < -745.0, 0.0,
-                        (2.0 * math.pi * eb * n * n - 3.0) * n * n * np.exp(expo))
-        out += term
-    return 2.0 * math.pi * np.exp(1.25 * beta) * out
+    # one row per n, n n and never n^2, since the bits follow the grouping;
+    # accumulate adds the rows in order at every shape (reduce would sum a
+    # one-element column pairwise), so each beta gets a term loop's bits
+    n = np.arange(1.0, n_max + 1.0).reshape((-1,) + (1,) * beta.ndim)
+    expo = -math.pi * n * n * eb
+    term = np.where(expo < -745.0, 0.0, (2.0 * math.pi * eb * n * n - 3.0) * n * n * np.exp(expo))
+    return 2.0 * math.pi * np.exp(1.25 * beta) * np.add.accumulate(term, axis=0)[-1]
 
 
 def _phi_polya(beta):

@@ -124,7 +124,9 @@ def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     q = 0.5 * (xs / g.magnetic_length) ** 2
     gauss = np.exp(-q)
     pref = np.hypot(xs, ys) if odd else 1.0
-    amp = np.abs(M) * gauss * pref
+    # |M| by libm hypot, as abs() of one complex: numpy's SIMD complex abs
+    # can differ from it in the last bit
+    amp = np.hypot(M.real, M.imag) * gauss * pref
     u = 0.5 * np.finfo(float).eps
     return amp, (bound + 5.0 * u * grid.sens) * gauss * pref + (3.0 * q + 8.0) * u * amp
 

@@ -158,6 +158,7 @@ class ResidueExpansionConfig:
     at_zero_mode: bool = False
     _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _zeros: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nontrivial > len(self.zero_db):
@@ -183,15 +184,26 @@ class ResidueExpansionConfig:
             self._zeros = np.array(self.pairs() + tuple(trivial), dtype=complex).reshape(-1, 2).T
         return self._zeros
 
+    def residue_terms(self, z: complex, at_zero: bool):
+        """Arrays (e_k, c_k) of the tail sum_k c_k x^(e_k) at z: e_k = s_k - z
+        over the kept zeros, c_k = 1/(e_k zeta'(s_k)), doubled on the upper
+        member of each pair at real z, whose lower member is dropped; at a
+        zero its own pair is dropped.  The arrays of the last (z, at_zero)
+        asked for are kept, so a sweep over z holds one set."""
+        if self._terms is None or self._terms[0] != (z, at_zero):
+            s, dz = self.residue_zeros()
+            real = z.imag == 0.0
+            keep = ~(real & (s.imag < 0.0) | at_zero & (np.abs(s - z) < 1e-6))
+            e = s[keep] - z
+            self._terms = (z, at_zero), e, (1.0 + (real & (e.imag > 0.0))) / (e * dz[keep])
+        return self._terms[1:]
+
 
 def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = False):
     # sum_k x^(s_k - z) / ((s_k - z) zeta'(s_k)), at a zero less its own pair; numpy's
     # pairwise sums, not BLAS, so that the artifacts keep their bits from run to run
-    s, dz = cfg.residue_zeros()
+    e, c = cfg.residue_terms(z, at_zero)
     real = z.imag == 0.0
-    keep = ~(real & (s.imag < 0.0) | at_zero & (np.abs(s - z) < 1e-6))
-    e, dz = s[keep] - z, dz[keep]
-    c = (1.0 + (real & (e.imag > 0.0))) / (e * dz)
     lx = np.log(np.ravel(x))
     out = np.empty(len(lx), dtype=complex)
     step = max(1, _RESIDUE_BLOCK // max(len(e), 1))

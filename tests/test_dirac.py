@@ -148,6 +148,23 @@ class TestKernels:
             assert dirac.phi_kernel(Kind.XI_RIEMANN, -b) == pytest.approx(
                 dirac.phi_kernel(Kind.XI_RIEMANN, b), rel=1e-12)
 
+    def test_phi_riemann_keeps_the_bits_of_the_term_loop(self):
+        # the (n x beta) array sums the theta series in the order of a loop
+        # over n that adds one term array at a time
+        def loop(beta):
+            eb = np.exp(beta)
+            out = np.zeros_like(beta)
+            n_max = int(np.ceil(np.sqrt(746.0 / (math.pi * float(eb.min()))))) + 1
+            for n in range(1, n_max + 1):
+                expo = -math.pi * n * n * eb
+                out += np.where(expo < -745.0, 0.0,
+                                (2.0 * math.pi * eb * n * n - 3.0) * n * n * np.exp(expo))
+            return 2.0 * math.pi * np.exp(1.25 * beta) * out
+        rng = np.random.default_rng(11)
+        for betas in (np.arange(-3.0, 3.0 + 1e-9, 0.02), rng.uniform(-3.0, 5.6, 2000),
+                      rng.uniform(-3.0, 5.6, (3, 7)), *rng.uniform(-3.0, 5.6, (50, 1))):
+            assert dirac.phi_kernel(Kind.XI_RIEMANN, betas).tobytes() == loop(betas).tobytes()
+
     def test_phi_riemann_tail_envelope(self):
         def ratio(b):
             env = 4.0 * math.pi ** 2 * math.exp(2.25 * b) * math.exp(-math.pi * math.exp(b))

@@ -90,6 +90,24 @@ class TestWavefunctions:
                     assert np.array([m[i, j], bound[i, j]]).tobytes() == np.array(want).tobytes()
                     assert amp[i, j] == pytest.approx(abs(psi(7.0, x, y, GEOM)), rel=4e-15, abs=0.0)
 
+    def test_abs_psi_is_the_libm_modulus(self, monkeypatch):
+        # |M| of each cell is abs() of its complex value (libm hypot), not
+        # numpy's vector complex abs, which can differ in the last bit
+        calls = []
+
+        def kept(a, b, z):
+            calls.append(kummer_m_grid(a, b, z))
+            return calls[-1]
+        monkeypatch.setattr(landau, "kummer_m_grid", kept)
+        xs = np.linspace(-10.0, 10.0, 41)
+        for odd in (False, True):
+            amp, _ = landau.psi_abs_grid(10.0, xs, xs, GEOM, odd=odd)
+            m = calls.pop()[0]
+            gauss = np.exp(-0.5 * (xs[:, None] / GEOM.magnetic_length) ** 2)
+            pref = np.hypot(xs[:, None], xs[None, :]) if odd else 1.0
+            modulus = np.array([abs(v) for v in m.ravel().tolist()]).reshape(m.shape)
+            assert amp.tobytes() == (modulus * gauss * pref).tobytes()
+
 
 class TestQuantization:
     def test_residual_at_zero_energy(self):

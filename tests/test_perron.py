@@ -226,6 +226,22 @@ class TestResidueKernel:
         assert s.tolist() == [rho for rho, _ in cfg.pairs()] + [-2.0, -4.0, -6.0, -8.0, -10.0]
         assert dz[-1] == perron.zeta_prime_trivial(5)
 
+    def test_residue_terms_cached_per_point_and_mode(self, zero_db):
+        # one config serving several (z, at_zero) in turn keeps each tail's
+        # bits: a fresh config per call gives the same values
+        cfg = perron.ResidueExpansionConfig(zero_db, 20, 5)
+        xs = np.linspace(1.5, 300.5, 30)
+        keys = [(0j, False), (complex(0.5, 20.0), False),
+                (complex(0.5, zero_db.records[0].t), True), (complex(0.5, 20.0), True)]
+        for _ in range(2):
+            for z, at_zero in keys:
+                fresh = perron.ResidueExpansionConfig(zero_db, 20, 5)
+                assert (perron._residue_tail(xs, z, cfg, at_zero).tobytes()
+                        == perron._residue_tail(xs, z, fresh, at_zero).tobytes())
+        e, c = cfg.residue_terms(0j, False)
+        again = cfg.residue_terms(0j, False)
+        assert again[0] is e and again[1] is c
+
 
 class TestMertensResidue:
     def test_constant_is_inverse_zeta_at_zero(self):

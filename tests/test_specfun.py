@@ -209,10 +209,11 @@ class TestBesselKArray:
         assert worst < 1e-8
 
     def test_elements_equal_one_order_calls(self):
-        # 40 orders of both signs in a 2-d shape: three blocks, the last partial
+        # 300 orders of both signs in a 2-d shape: three blocks, the last partial
         rng = np.random.default_rng(7)
-        nu = (rng.choice([-2.25, -0.5, 0.5, 2.25], 40)
-              + 1j * rng.uniform(-100.0, 100.0, 40)).reshape(5, 8)
+        nu = (rng.choice([-2.25, -0.5, 0.5, 2.25], 300)
+              + 1j * rng.uniform(-100.0, 100.0, 300)).reshape(15, 20)
+        assert 2 * specfun._K_BLOCK < nu.size < 3 * specfun._K_BLOCK
         for z in (1.0, 2.0 * math.pi):
             got = bessel_k_complex_order(nu, z)
             assert got.shape == nu.shape and got.dtype == complex
