@@ -32,11 +32,11 @@ from enum import Enum
 
 import numpy as np
 
-from .counting import ModelScales, n_dirac_smooth
-from .errors import ToleranceNotMet
-from .roots import find_all
+from .counting import ModelScales
+from .errors import MissedZeroError, ToleranceNotMet
+from .roots import find_all, scan_grid
 from .specfun import _nested_trapezoid, _number_or_array, bessel_k_complex_order, log_gamma
-from .zeta import _count_avoiding_zeros, zeta
+from .zeta import ZERO_GRID_STEP, _count_avoiding_zeros, zeta
 
 __all__ = [
     "SpectralFunctionKind",
@@ -54,7 +54,7 @@ __all__ = [
 
 DIRAC_T_BUDGET = 200.0
 FOURIER_T_BUDGET = 100.0
-_SCAN_STEP = {"xi_riemann": 0.05, "xi_polya_star": 0.1, "xi_dirac_h": 0.1}
+_PHASE_STEP = 0.1  # the phase of K moves by at most 0.3 a step on the budget
 _BETA_MAX = 5.6  # kernels underflow well before this
 
 
@@ -107,14 +107,6 @@ def eigen_residual(E, b: BoundaryData):
     return cmath.exp(1j * b.vartheta) * km - kp
 
 
-def _eigen_scan_function(E, b: BoundaryData):
-    # The residual vanishes iff arg K_(1/2+iE/2)(m l_x) = vartheta/2 (mod pi);
-    # this real function changes sign exactly there and is insensitive to
-    # the principal-branch jumps of the argument.
-    k = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx)
-    return np.sin(np.angle(k) - 0.5 * b.vartheta)
-
-
 def riemann_xi(t):
     """Quarter-normalized completed zeta on the critical line; even in t."""
     return _riemann_xi_complex(t).real
@@ -155,25 +147,19 @@ def _phi_dirac(beta):
     return (np.exp(0.5 * beta) + np.exp(-0.5 * beta)) * np.exp(-2.0 * math.pi * np.cosh(beta))
 
 
+# kernel and the factor on its transform: the Riemann kernel's transform is
+# the standard completed zeta = 2 x the quarter-normalized closed form used here
 _PHI = {
-    SpectralFunctionKind.XI_RIEMANN: _phi_riemann,
-    SpectralFunctionKind.XI_POLYA_STAR: _phi_polya,
-    SpectralFunctionKind.XI_DIRAC_H: _phi_dirac,
-}
-
-# The kernel transform of the Riemann kind reproduces the standard
-# completed zeta = 2 x the quarter-normalized closed form used here.
-_FOURIER_SCALE = {
-    SpectralFunctionKind.XI_RIEMANN: 0.5,
-    SpectralFunctionKind.XI_POLYA_STAR: 1.0,
-    SpectralFunctionKind.XI_DIRAC_H: 1.0,
+    SpectralFunctionKind.XI_RIEMANN: (_phi_riemann, 0.5),
+    SpectralFunctionKind.XI_POLYA_STAR: (_phi_polya, 1.0),
+    SpectralFunctionKind.XI_DIRAC_H: (_phi_dirac, 1.0),
 }
 
 
 def phi_kernel(kind: SpectralFunctionKind, beta):
     """Cosine-transform kernel of the chosen spectral function at a float
     beta, or elementwise on an ndarray of beta in one evaluation."""
-    return _number_or_array(_PHI[kind])(beta)
+    return _number_or_array(_PHI[kind][0])(beta)
 
 
 def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:
@@ -187,14 +173,14 @@ def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:
     """
     if abs(t) > FOURIER_T_BUDGET:
         raise ToleranceNotMet(f"|t| = {abs(t):g} beyond the Fourier budget {FOURIER_T_BUDGET:g}")
-    phi = _PHI[kind]
+    phi, factor = _PHI[kind]
     # beta = u / scale: the first step, 1/(4 scale), puts at least four
     # nodes in each period of the cosine, so no level aliases it to a low
     # frequency (at t = 100 the steps 1/4 and 1/8 would alias it alike)
     scale = 2.0 ** math.ceil(math.log2(max(abs(t) / (4.0 * math.pi), 1.0)))
     val = _nested_trapezoid(lambda u, r: phi(u / scale) * np.cos(0.5 * t * (u / scale)),
                             np.array([_BETA_MAX * scale]))
-    return _FOURIER_SCALE[kind] * float(val[0].real) / scale
+    return factor * float(val[0].real) / scale
 
 
 def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
@@ -211,43 +197,41 @@ def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
 
 
 # --------------------------------------------------------------------------
-# zero finding with count guards
+# zero finding with exact counts
 # --------------------------------------------------------------------------
 
-def _smooth_count(kind_or_boundary, t: float) -> float:
-    two_pi = 2.0 * math.pi
-    if isinstance(kind_or_boundary, BoundaryData):
-        scales = ModelScales(l_x=1.0, l_p=kind_or_boundary.m_lx)
-        return max(0.0, n_dirac_smooth(t, scales)) if t > 0 else 0.0
-    if kind_or_boundary is SpectralFunctionKind.XI_DIRAC_H:
-        return max(0.0, n_dirac_smooth(t, ModelScales())) if t > 0 else 0.0
-    if kind_or_boundary is SpectralFunctionKind.XI_POLYA_STAR:
-        if t <= two_pi:
-            return 0.0
-        return max(0.0, t / two_pi * (math.log(t / two_pi) - 1.0) + 0.375)
-    raise ValueError(kind_or_boundary)
+def _k_phase(t, a: float, x: float):
+    """Principal arg K_(a+it/2)(x) at a float t or elementwise on an ndarray."""
+    return np.angle(bessel_k_complex_order(a + 0.5j * t, x))
 
 
 def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     """All real zeros of the chosen spectral function in (t_min, t_max),
-    refined to 1e-9, with a count cross-check.
+    refined to 1e-9, checked against an exact count.
 
     ``target`` is a :class:`SpectralFunctionKind` or :class:`BoundaryData`.
+    xi_H, xi* and the boundary residual vanish where arg K_(a+it/2)(x)
+    passes c (mod pi), (a, x, c) = (1/2, 2 pi, pi/2), (9/4, 2 pi, pi/2),
+    (1/2, m l_x, vartheta/2); the scan and Brent run on sin(arg K - c).
+    Each step must move the phase by (0, pi/2], else :class:`MissedZeroError`,
+    and the count is the levels c + k pi it passes.  riemann_xi is checked
+    against the exact zero count of zeta.
     """
     if not (0.0 <= t_min < t_max <= DIRAC_T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {DIRAC_T_BUDGET:g}")
-    if isinstance(target, BoundaryData):
-        f = lambda E: _eigen_scan_function(E, target)
-        step = 0.1
-    else:
-        f = {
-            SpectralFunctionKind.XI_RIEMANN: riemann_xi,
-            SpectralFunctionKind.XI_POLYA_STAR: polya_xi_star,
-            SpectralFunctionKind.XI_DIRAC_H: xi_h,
-        }[target]
-        step = _SCAN_STEP[target.value]
     if target is SpectralFunctionKind.XI_RIEMANN:
         expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
-        return find_all(f, t_min, t_max, step, expected)
-    expected = _smooth_count(target, t_max) - _smooth_count(target, t_min)
-    return find_all(f, t_min, t_max, step, expected, slack=2.5)
+        return find_all(riemann_xi, scan_grid(t_min, t_max, ZERO_GRID_STEP), expected)
+    if target is SpectralFunctionKind.XI_DIRAC_H:  # the eigenvalues at vartheta = pi
+        target = BoundaryData(math.pi, 2.0 * math.pi)
+    a, x, c = ((2.25, 2.0 * math.pi, 0.5 * math.pi) if target is SpectralFunctionKind.XI_POLYA_STAR
+               else (0.5, target.m_lx, 0.5 * target.vartheta))
+    ts = scan_grid(t_min, t_max, _PHASE_STEP)
+    arg = _k_phase(ts, a, x)
+    phase = np.unwrap(arg)
+    step = np.diff(phase)
+    if not np.all((step > 0.0) & (step <= 0.5 * math.pi)):
+        raise MissedZeroError(f"the phase of K moves by {step.min():.3g} .. {step.max():.3g} "
+                              f"a step on ({t_min:g}, {t_max:g}), not within (0, pi/2]")
+    expected = int(np.floor((phase[-1] - c) / math.pi) - np.floor((phase[0] - c) / math.pi))
+    return find_all(lambda t: np.sin(_k_phase(t, a, x) - c), ts, expected, np.sin(arg - c))

@@ -8,8 +8,8 @@ turns the critical-line phase into the quantization condition
     2 theta(E) - E log(L^2 / (2 pi l^2)) = 0  (mod 2 pi),
 
 whose roots are the levels: the sign changes of sin(phase / 2), found
-by the shared verified-root scan.  The level count reproduces the cutoff
-counting formula with Lambda = L / l and is reconciled with it to +-1.
+by the shared verified-root scan.  The smooth count n_landau is concave,
+so the exact level count follows from it at E_max and at its maximum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .roots import find_all
+from .roots import brent, find_all, scan_grid
 from .specfun import kummer_m_bounded, kummer_m_grid
 from .zeta import _theta_prime, theta_rs
 
@@ -150,6 +150,20 @@ def n_landau(E, g: LandauGeometry):
     return E / (2.0 * math.pi) * g.log_cutoff - theta_rs(E) / math.pi
 
 
+def _level_count(E_max: float, g: LandauGeometry, slope) -> int:
+    # the integers that N = n_landau passes on (0, E_max], given the phase
+    # slope -2 pi N' at 0 and E_max: N(0) = 0 and N is concave (theta is
+    # convex), so floor N(E_max) while N rises, else floor N* + ceil N* -
+    # ceil N(E_max) with N* at the maximum, where 2 theta' = log(L^2/2 pi l^2)
+    n_end = n_landau(E_max, g)
+    if slope[1] <= 0.0:
+        return math.floor(n_end)
+    n_star = 0.0 if slope[0] >= 0.0 else n_landau(brent(
+        lambda E: 2.0 * _theta_prime(E) - g.log_cutoff, np.array([0.0]), np.array([E_max]),
+        fa=slope[:1], fb=slope[1:])[0], g)
+    return math.floor(n_star) + math.ceil(n_star) - math.ceil(n_end)
+
+
 def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     """Positive roots of the quantization condition below E_max.
 
@@ -159,16 +173,15 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     roots.  The scan step lets at most 0.8 pi of phase pass; the phase
     slope 2 theta'(E) - log(L^2/2 pi l^2), with theta' in closed form
     from the digamma function, increases with E, so its largest size on
-    [0, E_max] is at an end.  The root count is reconciled with
-    ``n_landau`` to +-1; a scan misses levels only in pairs, so a miss
-    raises :class:`MissedZeroError`.  E_max above ``LANDAU_E_BUDGET``
-    raises :class:`ToleranceNotMet` before scanning.
+    [0, E_max] is at an end.  A root count other than the exact level
+    count (past the phase's turning point too) raises :class:`MissedZeroError`;
+    E_max above ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` before scanning.
     """
     if E_max <= 0:
         raise ValueError("E_max must be positive")
     if E_max > LANDAU_E_BUDGET:
         raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
-    slope = float(np.max(np.abs(2.0 * _theta_prime(np.array([0.0, E_max])) - g.log_cutoff)))
+    slope = 2.0 * _theta_prime(np.array([0.0, E_max])) - g.log_cutoff
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
-    return find_all(lambda E: np.sin(0.5 * _phase(E, g)), 0.0, E_max,
-                    0.8 * math.pi / slope, n_landau(E_max, g), slack=1.0)
+    ts = scan_grid(0.0, E_max, 0.8 * math.pi / float(np.max(np.abs(slope))))
+    return find_all(lambda E: np.sin(0.5 * _phase(E, g)), ts, _level_count(E_max, g, slope))

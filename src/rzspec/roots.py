@@ -3,9 +3,9 @@
 ``find_all`` is the one verified-root path: a sign-change scan over a
 uniform grid feeds a Brent-style bracketed refiner (Brent 1973) that
 moves all brackets in lockstep on numpy arrays, and the number of roots
-found is reconciled with an independent count.  Nothing
-here knows about zeta; the zeros of Z, of the Dirac/Polya spectral
-functions and the Landau levels all come from ``find_all``.
+found must equal an exact count that the caller gets independently.
+Nothing here knows about zeta; the zeros of Z, of the Dirac/Polya
+spectral functions and the Landau levels all come from ``find_all``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissedZeroError
 
-__all__ = ["brent", "find_all", "scan_sign_changes"]
+__all__ = ["brent", "find_all", "scan_grid", "scan_sign_changes"]
 
 _EPS = 2.220446049250313e-16
 
@@ -80,46 +80,46 @@ def brent(f, a, b, xtol=1e-12, max_iter=200, fa=None, fb=None):
     return roots
 
 
-def scan_sign_changes(f, t_min, t_max, step, grid=None):
-    """Brackets [a, b] with f(a)*f(b) < 0 on a uniform grid of the given step.
+def scan_grid(lo, hi, step):
+    """The scan grid lo + k*step, clipped at hi and ending there."""
+    n = max(2, int(math.ceil((hi - lo) / step)) + 1)
+    ts = np.minimum(lo + np.arange(n + 1) * step, hi)
+    return ts[: np.argmax(ts >= hi) + 1]
 
-    ``f`` maps an array to an array and is called once on the whole grid
-    t_min + k*step clipped at t_max, or ``grid(t_min, step, n)`` gives the
-    n points below t_max and ``f`` the last.  Points exactly on a root move
-    by step/64, in one more call of ``f``, so the bracket survives.
-    Returns four arrays: the left ends, the right ends, and f at each.
+
+def scan_sign_changes(f, ts, fs=None):
+    """Brackets [a, b] with f(a)*f(b) < 0 between neighbours of the grid ts.
+
+    ``f`` maps an array to an array and is called once on ts, unless
+    ``fs`` gives its values there.  Points exactly on a root move by 1/64
+    of the first step, in one more call of ``f``, so the bracket survives.
+    Returns the left ends, the right ends, and f at each, as arrays.
     """
-    n = max(2, int(math.ceil((t_max - t_min) / step)) + 1)
-    ts = np.minimum(t_min + np.arange(n + 1) * step, t_max)
-    ts = ts[: np.argmax(ts >= t_max) + 1]
-    fs = np.asarray(f(ts) if grid is None else
-                    np.append(grid(t_min, step, len(ts) - 1), f(ts[-1:])), dtype=float)
+    ts = np.array(ts, dtype=float)
+    fs = np.array(f(ts) if fs is None else fs, dtype=float)
     hit = np.flatnonzero(fs == 0.0)
     if len(hit):
-        ts[hit] += step / 64.0
+        hi = ts[-1]
+        ts[hit] += (ts[1] - ts[0]) / 64.0
         fs[hit] = f(ts[hit])
-        ts = ts[: np.argmax(ts >= t_max) + 1]  # a nudge past t_max ends the grid
+        ts = ts[: np.argmax(ts >= hi) + 1]  # a nudge past the end ends the grid
         fs = fs[: len(ts)]
     k = np.flatnonzero(fs[:-1] * fs[1:] < 0)
     return ts[k], ts[k + 1], fs[k], fs[k + 1]
 
 
-def find_all(f, lo, hi, step, expected, slack=0.0, grid=None):
-    """Every root of f in (lo, hi), refined to 1e-10, checked against a count.
+def find_all(f, ts, expected, fs=None):
+    """Every root of f between the ends of the grid ts, refined to 1e-10.
 
-    ``f`` maps an array to an array: the scan calls it once on its whole
-    grid (or ``grid`` gives its values, as in :func:`scan_sign_changes`),
-    and Brent refines all brackets in lockstep, one call per iteration on
-    the brackets still open, starting from the scan's values at the
-    bracket ends.  ``expected`` is the number of roots an independent
-    formula predicts; :class:`MissedZeroError` is raised when the scan's
-    count differs from it by more than ``slack`` (0 for an exact count,
-    more for a smooth one).  A sign-change scan misses roots only in
-    pairs, inside one step.
+    ``f`` maps an array to an array: the scan calls it once on ts unless
+    ``fs`` gives its values there, and Brent refines all brackets in
+    lockstep, one call per iteration on the brackets still open, from the
+    scan's values at the bracket ends.  :class:`MissedZeroError` is raised
+    unless the scan finds exactly ``expected`` brackets, the number of
+    roots an exact count gives; a scan misses roots in pairs, in one step.
     """
-    a, b, fa, fb = scan_sign_changes(f, lo, hi, step, grid)
-    if abs(len(a) - expected) > slack:
+    a, b, fa, fb = scan_sign_changes(f, ts, fs)
+    if len(a) != expected:
         raise MissedZeroError(
-            f"found {len(a)} roots in ({lo:g}, {hi:g}) "
-            f"but the count gives {expected:g} (slack {slack:g})")
+            f"found {len(a)} roots in ({ts[0]:g}, {ts[-1]:g}) but the count gives {expected}")
     return brent(f, a, b, xtol=1e-10, fa=fa, fb=fb).tolist()

@@ -42,7 +42,7 @@ from .errors import (
     MonotonicityError,
     PoleError,
 )
-from .roots import find_all
+from .roots import find_all, scan_grid
 from .specfun import _digamma_right, _log_sin_pi_array, _number_or_array, log_gamma
 
 __all__ = [
@@ -390,8 +390,10 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     if not (0.0 <= t_min < t_max <= T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
     lo = _count_avoiding_zeros(t_min)
-    roots = find_all(z_function, t_min, t_max, ZERO_GRID_STEP,
-                     _count_avoiding_zeros(t_max) - lo, grid=_z_grid)
+    ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
+    # the anchored grid call below t_max, a one-point call at the clipped end
+    zs = np.append(_z_grid(t_min, ZERO_GRID_STEP, len(ts) - 1), z_function(ts[-1:]))
+    roots = find_all(z_function, ts, _count_avoiding_zeros(t_max) - lo, zs)
     records = [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
     _fill_derivatives(records)
     return records

@@ -311,6 +311,16 @@ class TestLandauCommand:
             for i in range(xs.size) for j in range(xs.size)]
         assert (tmp_path / "landau_psi.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
+    def test_levels_past_the_phase_turning_point(self, tmp_path):
+        # at L / l = 10 the phase turns back near E = 100; the smooth count at
+        # E = 200 reads 9.89, and all 23 levels are written
+        assert run(["landau", "--l-over-ell", "10", "--t-max", "200", "--n-max", "9",
+                    "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "landau_levels.csv")
+        assert rows[:, 0].tolist() == list(range(1, 24))
+        g = landau.LandauGeometry(1.0, 10.0)
+        assert rows[:, 1].tolist() == landau.landau_levels(200.0, g)
+
 
 class TestAtZeroSnap:
     def test_perron_snaps_to_cached_zero(self, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from rzspec import counting as ct
 from rzspec import dirac
 from rzspec.dirac import BoundaryData, SpectralFunctionKind as Kind
-from rzspec.errors import ToleranceNotMet
-from rzspec.roots import brent
+from rzspec.errors import MissedZeroError, ToleranceNotMet
+from rzspec.roots import brent, scan_grid
 
 T1 = 14.134725141734694
 XI_H_FIRST_ZERO = 18.651790641994954
@@ -58,8 +58,8 @@ class TestArrayArguments:
         for fn in (dirac.xi_h, dirac.polya_xi_star):
             assert fn(self.TS).tolist() == [fn(float(t)) for t in self.TS]
         b = BoundaryData(1.0, TWO_PI)
-        got = dirac._eigen_scan_function(self.TS, b)
-        assert got.tolist() == [float(dirac._eigen_scan_function(float(t), b)) for t in self.TS]
+        got = dirac._k_phase(self.TS, 0.5, b.m_lx)
+        assert got.tolist() == [float(dirac._k_phase(float(t), 0.5, b.m_lx)) for t in self.TS]
         res = dirac.eigen_residual(self.TS, b)
         want = np.array([dirac.eigen_residual(float(t), b) for t in self.TS])
         assert np.all(np.abs(res - want) <= 1e-15 * np.abs(want))
@@ -243,6 +243,40 @@ class TestZeroScans:
         s = ct.ModelScales(l_x=1.0, l_p=TWO_PI)
         expected = ct.n_dirac_smooth(150.0, s) - ct.n_dirac_smooth(50.0, s)
         assert abs(len(zs) / expected - 1.0) < 0.1
+
+    @pytest.mark.parametrize("target, n", [
+        (Kind.XI_DIRAC_H, 28), (Kind.XI_POLYA_STAR, 29), (Kind.XI_RIEMANN, 29),
+        (BoundaryData(1.0, TWO_PI), 29), (BoundaryData(math.pi, TWO_PI), 28)])
+    def test_counts_to_100(self, target, n):
+        assert len(dirac.find_dirac_zeros(target, 0.0, 100.0)) == n
+
+    @pytest.mark.parametrize("target", [
+        Kind.XI_DIRAC_H, Kind.XI_POLYA_STAR, Kind.XI_RIEMANN,
+        BoundaryData(1.0, TWO_PI), BoundaryData(math.pi, TWO_PI)])
+    def test_too_coarse_step_raises(self, monkeypatch, target):
+        # at step 2.6 the scans would miss pairs of zeros: the phase of K
+        # moves by more than pi/2 in a step, and riemann_xi loses pairs
+        # against the exact zero count
+        monkeypatch.setattr(dirac, "_PHASE_STEP", 2.6)
+        monkeypatch.setattr(dirac, "ZERO_GRID_STEP", 2.6)
+        with pytest.raises(MissedZeroError):
+            dirac.find_dirac_zeros(target, 0.0, 100.0)
+
+    @pytest.mark.parametrize("a, x", [(0.5, TWO_PI), (2.25, TWO_PI), (0.5, 0.5), (0.5, 1.0),
+                                      (0.5, 20.0), (0.5, 60.0)])
+    def test_phase_step_is_within_a_quarter_turn(self, a, x):
+        # xi_H, xi* and the boundary family at m l_x in {0.5, 1, 2 pi, 20, 60}:
+        # every step of the scan grid on (0, 200] moves the phase by (0, pi/2]
+        ts = scan_grid(0.0, dirac.DIRAC_T_BUDGET, dirac._PHASE_STEP)
+        step = np.diff(np.unwrap(dirac._k_phase(ts, a, x)))
+        assert np.all(step > 0.0) and np.all(step <= 0.5 * math.pi)
+
+    @pytest.mark.parametrize("m_lx", [0.5, 1.0, 20.0, 60.0])
+    def test_boundary_zeros_on_the_phase(self, m_lx):
+        b = BoundaryData(1.0, m_lx)
+        zs = dirac.find_dirac_zeros(b, 0.0, dirac.DIRAC_T_BUDGET)
+        assert len(zs) > 0 and all(b2 > a2 for a2, b2 in zip(zs, zs[1:]))
+        assert np.all(np.abs(np.sin(dirac._k_phase(np.array(zs), 0.5, m_lx) - 0.5)) < 1e-9)
 
     def test_budget(self):
         with pytest.raises(ValueError):

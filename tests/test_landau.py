@@ -8,7 +8,7 @@ import pytest
 from rzspec import landau
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
-from rzspec.roots import find_all
+from rzspec.roots import find_all, scan_grid
 from rzspec.specfun import kummer_m_bounded, kummer_m_grid
 from rzspec.zeta import _theta_prime, theta_rs
 
@@ -161,8 +161,10 @@ class TestQuantization:
         with mp.workdps(25):
             ref = max(abs(2 * mp.siegeltheta(e, derivative=1) - GEOM.log_cutoff) for e in (0, e_max))
         assert slope == pytest.approx(float(ref), rel=1e-14)
-        want = find_all(lambda E: np.sin(0.5 * landau._phase(E, GEOM)), 0.0, e_max,
-                        0.8 * math.pi / slope, landau.n_landau(e_max, GEOM), slack=1.0)
+        # below E = L^2 the phase only falls, so the count is floor n_landau
+        want = find_all(lambda E: np.sin(0.5 * landau._phase(E, GEOM)),
+                        scan_grid(0.0, e_max, 0.8 * math.pi / slope),
+                        math.floor(landau.n_landau(e_max, GEOM)))
         got = landau.landau_levels(e_max, GEOM)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -172,11 +174,38 @@ class TestQuantization:
             with pytest.raises(ToleranceNotMet):
                 landau.landau_levels(e_max, GEOM)
 
-    def test_phase_turning_back_raises(self):
+    def test_levels_past_the_phase_turning_point(self):
         # above E = L^2 the phase turns back and re-crosses the same multiples
-        # of 2 pi, so the level count leaves the smooth count behind
+        # of 2 pi: 23 levels, where the smooth count at E_max reads 9.89
+        g = LandauGeometry(magnetic_length=1.0, box_size=10.0)
+        lv = landau.landau_levels(200.0, g)
+        assert len(lv) == 23
+        for e in lv:
+            assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
+
+    @pytest.mark.parametrize("box_size", [0.1, 10.0, 30.0, 1000.0])
+    @pytest.mark.parametrize("e_max", [2.0, 20.0, 200.0, 1000.0])
+    def test_exact_count_on_both_sides_of_the_turning_point(self, box_size, e_max):
+        # the multiples of 2 pi that the phase crosses on a grid whose steps
+        # pass well under 2 pi each; at L = 0.1 the phase rises from E = 0
+        g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
+        lv = landau.landau_levels(e_max, g)
+        turns = np.floor(landau._phase(np.linspace(0.0, e_max, 20001)[1:], g) / (2.0 * math.pi))
+        assert len(lv) == np.abs(np.diff(turns)).sum()
+        assert all(abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9 for e in lv)
+
+    @pytest.mark.parametrize("box_size, e_max", [(100.0, 20.0), (10.0, 200.0)])
+    def test_too_coarse_step_raises(self, box_size, e_max):
+        # eight times the step lets up to 6.4 pi of phase pass, so some steps
+        # hold two levels; the exact count sees the missing pairs
+        g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
+        slope = 2.0 * _theta_prime(np.array([0.0, e_max])) - g.log_cutoff
+        step = 0.8 * math.pi / float(np.max(np.abs(slope)))
+        f = lambda E: np.sin(0.5 * landau._phase(E, g))
+        n = landau._level_count(e_max, g, slope)
+        assert len(find_all(f, scan_grid(0.0, e_max, step), n)) == n
         with pytest.raises(MissedZeroError):
-            landau.landau_levels(200.0, LandauGeometry(magnetic_length=1.0, box_size=10.0))
+            find_all(f, scan_grid(0.0, e_max, 8.0 * step), n)
 
     def test_spacing_near_10(self):
         lv = landau.landau_levels(13.0, GEOM)

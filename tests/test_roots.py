@@ -5,32 +5,39 @@ import numpy as np
 import pytest
 
 from rzspec.errors import MissedZeroError
-from rzspec.roots import brent, find_all, scan_sign_changes
+from rzspec.roots import brent, find_all, scan_grid, scan_sign_changes
 
 
 class TestFindAll:
     def test_known_roots(self):
-        roots = find_all(np.sin, 0.5, 10.0, 0.1, 3)
+        roots = find_all(np.sin, scan_grid(0.5, 10.0, 0.1), 3)
         assert len(roots) == 3
         for k, r in enumerate(roots, start=1):
             assert r == pytest.approx(k * math.pi, abs=1e-9)
 
     def test_no_sign_change(self):
-        assert find_all(lambda x: x * x + 1.0, -1.0, 1.0, 0.1, 0) == []
+        assert find_all(lambda x: x * x + 1.0, scan_grid(-1.0, 1.0, 0.1), 0) == []
 
     def test_close_pair_inside_one_step_raises(self):
         def f(x):
             return (x - 1.03) * (x - 1.05)
         # both roots sit between the grid points 1.0 and 1.1
         with pytest.raises(MissedZeroError):
-            find_all(f, 0.0, 2.0, 0.1, 2)
-        assert find_all(f, 0.0, 2.0, 0.005, 2) == pytest.approx([1.03, 1.05], abs=1e-9)
+            find_all(f, scan_grid(0.0, 2.0, 0.1), 2)
+        assert find_all(f, scan_grid(0.0, 2.0, 0.005), 2) == pytest.approx([1.03, 1.05], abs=1e-9)
 
-    def test_smooth_count_beyond_slack_raises(self):
-        # three roots; a smooth count of 5.4 is within 2.5, one of 5.6 is not
-        assert len(find_all(np.sin, 0.5, 10.0, 0.1, 5.4, slack=2.5)) == 3
+    @pytest.mark.parametrize("expected", [2, 4])
+    def test_count_must_be_exact(self, expected):
+        # three roots: a count one off either way raises
         with pytest.raises(MissedZeroError):
-            find_all(np.sin, 0.5, 10.0, 0.1, 5.6, slack=2.5)
+            find_all(np.sin, scan_grid(0.5, 10.0, 0.1), expected)
+
+    def test_grid_is_clipped_at_its_end(self):
+        ts = scan_grid(0.5, 9.98, 0.1)
+        assert ts[:-1].tolist() == (0.5 + np.arange(95) * 0.1).tolist()
+        assert ts[-1] == 9.98
+        assert scan_grid(0.0, 0.05, 0.1).tolist() == [0.0, 0.05]
+        assert scan_grid(0.0, 0.3, 0.1).tolist() == np.minimum(np.arange(4) * 0.1, 0.3).tolist()
 
     def test_grid_point_on_a_root_is_nudged(self):
         calls = []
@@ -39,15 +46,15 @@ class TestFindAll:
             calls.append(np.shape(x))
             return (x - 1.0) * (x - 3.0)
         # 1.0 and 3.0 are grid points; f vanishes there exactly
-        a, b, _, _ = scan_sign_changes(f, 0.0, 4.0, 0.25)
+        a, b, _, _ = scan_sign_changes(f, scan_grid(0.0, 4.0, 0.25))
         assert list(zip(a.tolist(), b.tolist())) == [
             (0.75, 1.0 + 0.25 / 64.0), (2.75, 3.0 + 0.25 / 64.0)]
         assert calls == [(17,), (2,)]  # the whole grid, then the two nudged points
-        assert find_all(f, 0.0, 4.0, 0.25, 2) == pytest.approx([1.0, 3.0], abs=1e-9)
+        assert find_all(f, scan_grid(0.0, 4.0, 0.25), 2) == pytest.approx([1.0, 3.0], abs=1e-9)
 
     def test_grid_gives_the_values_below_t_max(self):
-        # one grid call covers t_min + k step below t_max, f the clipped end;
-        # with the same values the brackets and roots are those of f alone
+        # the caller's values, here one grid call for t_min + k step below
+        # t_max and f at the clipped end, give the brackets and roots of f alone
         calls = []
 
         def grid(lo, step, n):
@@ -57,11 +64,13 @@ class TestFindAll:
         def f(x):
             calls.append(("f", np.shape(x)))
             return np.sin(x)
-        got = scan_sign_changes(f, 0.5, 9.98, 0.1, grid=grid)
-        want = scan_sign_changes(np.sin, 0.5, 9.98, 0.1)
+        ts = scan_grid(0.5, 9.98, 0.1)
+        fs = np.append(grid(0.5, 0.1, len(ts) - 1), f(ts[-1:]))
+        got = scan_sign_changes(f, ts, fs)
+        want = scan_sign_changes(np.sin, ts)
         assert all(np.array_equal(u, v) for u, v in zip(got, want))
         assert calls == [("grid", 0.5, 0.1, 95), ("f", (1,))]
-        assert find_all(f, 0.5, 9.98, 0.1, 3, grid=grid) == find_all(np.sin, 0.5, 9.98, 0.1, 3)
+        assert find_all(f, ts, 3, fs) == find_all(np.sin, ts, 3)
 
 
 class TestLockstepBrent:
@@ -70,11 +79,11 @@ class TestLockstepBrent:
         (lambda x: (x - 1.03) * (x - 1.05), 0.0, 2.0, 0.005, 2),
     ])
     def test_find_all_matches_per_bracket_brent(self, f, lo, hi, step, n):
-        a, b, _, _ = scan_sign_changes(f, lo, hi, step)
+        a, b, _, _ = scan_sign_changes(f, scan_grid(lo, hi, step))
         want = [brent(lambda x: float(f(x)), lo_k, hi_k, xtol=1e-10)
                 for lo_k, hi_k in zip(a.tolist(), b.tolist())]
         assert len(want) == n
-        assert find_all(f, lo, hi, step, n) == pytest.approx(want, abs=1e-10)
+        assert find_all(f, scan_grid(lo, hi, step), n) == pytest.approx(want, abs=1e-10)
 
     def test_brackets_do_not_interact(self):
         # a polynomial takes the same IEEE steps on floats and on arrays
@@ -91,7 +100,7 @@ class TestLockstepBrent:
         def f(x):
             calls.append(np.array(x))
             return np.sin(x)
-        roots = find_all(f, 0.5, 20.0, 0.1, 6)
+        roots = find_all(f, scan_grid(0.5, 20.0, 0.1), 6)
         assert roots == pytest.approx([k * math.pi for k in range(1, 7)], abs=1e-10)
         grid, refine = calls[0], calls[1:]
         assert len(grid) == 196
