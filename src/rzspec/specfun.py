@@ -26,10 +26,12 @@ Three evaluators live here:
   the power series in complex double, the large-|z| asymptotic expansion
   (DLMF 13.7.2), or the power series in double-double arithmetic, which
   absorbs the cancellation of strongly complex z, by Horner's rule on z
-  2^-7 over coefficients P_k 2^(7k) cached per (a, b).  Every value
-  carries an absolute error bound, certified on the series routes and,
-  in its truncation part, on the asymptotic one.  A one-cell call gives
-  its grid cell's bits.
+  2^-7 over coefficients P_k 2^(7k) cached per (a, b).  The first two
+  share one kernel that forms the terms x^k c_k of a chunk of indices as
+  arrays, x^k by a recipe fixed by k, and then runs the sums in order.
+  Every value carries an absolute error bound, certified on the series
+  routes and, in its truncation part, on the asymptotic one.  A one-cell
+  call gives its grid cell's bits.
 
 All evaluators are pure functions and safe for concurrent use.
 """
@@ -39,6 +41,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -303,8 +306,12 @@ def bessel_k_complex_order(nu, z):
 KUMMER_RADIUS = 200.0   # documented series budget
 _KUMMER_KMAX = 1600
 _NOISE_PER_TERM = 5e-31  # double-double rounding per term (see _kummer_series_dd)
+_HORNER_SCALE = 2 ** 7   # the series run on x = w / 2^7 (power series) and 2^7 / w (asymptotic)
+_POWERS = 32             # x^k from x^(32 j) 2^g_j, k = 32 j + 8 q + i (see _term_chunks)
+_TERM_CHUNK = 32         # term indices per pass of a call with few series, at most _POWERS
+_ACCUMULATE_SERIES = 8   # up to this many series a call has few (see _chunk_length)
 _KUMMER_BLOCK = 4096     # cells per asymptotic or plain call, which runs to its slowest cell
-_HORNER_SCALE = 2 ** 7   # the double-double series sums Q_k (w / 2^7)^k, Q_k = P_k 2^(7k)
+_INDICES = np.arange(_KUMMER_KMAX, dtype=float)  # term indices k as floats
 # Rounding the double-double sum to double costs at most u|M| (u = eps/2).
 # On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
 # each, plus the rounding of their product) and the complex product with
@@ -317,40 +324,227 @@ _ROUTE_REL_TOLS = (1e-10, 1e-13)
 _ASYM_RADIUS = 20.0      # the asymptotic route runs from |w| = 2|a| + _ASYM_RADIUS
 
 
+def _rational(re, im=0.0):
+    # (re, im, q) integers with (re + i im) / q exactly the given floats or Fractions
+    re, im = Fraction(re), Fraction(im)
+    q = max(re.denominator, im.denominator)  # both powers of two
+    return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
+
+
+def _rational_series(tops, bottoms, shift, n):
+    """Exact c_k = prod_(i<k) [prod_t (t + i) / prod_b (b + i)] 2^(shift k)
+    for k < n, each as integers (re, im, den) with c_k = (re + i im) / den;
+    a top is complex and a bottom real, both as :func:`_rational` triples."""
+    nr, ni, den = 1, 0, 1
+    for k in range(n):
+        yield nr, ni, den
+        for tr, ti, q in tops:
+            fr = tr + k * q
+            nr, ni, den = nr * fr - ni * ti, nr * ti + ni * fr, den * q
+        for p, _, q in bottoms:
+            nr, ni, den = nr * q, ni * q, den * (p + k * q)
+        if shift >= 0:
+            nr, ni = nr << shift, ni << shift
+        else:
+            den <<= -shift
+
+
+def _rounded(num: int, den: int) -> float:
+    # num / den correctly rounded (integer true division), +-inf beyond the double range
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num < 0) == (den < 0) else -math.inf
+
+
+def _term_table(rows):
+    """The coefficients of the series kernel from exact ones, one row per
+    series: (c, g) with c[k, r] = C_k 2^-g[j] correctly rounded, for k in
+    the j-th run of _POWERS indices, and g[j] the largest binary exponent
+    of |C_(32 j)| over the rows, so that neither c nor x^(32 j) 2^g leaves
+    the double range where the terms do not."""
+    n = len(rows[0])
+    c = np.empty((n, len(rows)), dtype=complex)
+    g = np.zeros(n // _POWERS, dtype=np.int64)
+    for j in range(len(g)):
+        g[j] = max((max(abs(nr), abs(ni)).bit_length() - abs(den).bit_length()
+                    for nr, ni, den in (row[j * _POWERS] for row in rows) if nr or ni), default=0)
+    for r, row in enumerate(rows):
+        for k, (nr, ni, den) in enumerate(row):
+            e = int(g[k // _POWERS])
+            num, dd = ((nr, ni), den << e) if e >= 0 else ((nr << -e, ni << -e), den)
+            c[k, r] = complex(_rounded(num[0], dd), _rounded(num[1], dd))
+    return c, g
+
+
+def _table_length(k: int) -> int:
+    # the length of a coefficient table holding index k - 1: a power of two,
+    # so that the kernel and the Horner pass mostly share one table
+    return max(2 * _POWERS, 1 << (k - 1).bit_length())
+
+
+@functools.lru_cache(maxsize=32)
+def _kummer_coeffs(a: complex, b_re: float, n: int):
+    """Q_k = P_k 2^(7k), P_k = (a)_k / ((b)_k k!), for k < n, from exact
+    integers: (cols, table) with cols four tuples (re_hi, re_lo, im_hi,
+    im_lo), each correctly rounded to double-double, and table the
+    :func:`_term_table` of Q.  No entry depends on n or on earlier tables.
+    P_k alone underflows from about k = 150; 1e-87 < |Q_k| < 1e67 for the
+    k < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
+    """
+    exact = list(_rational_series([_rational(a.real, a.imag)], [_rational(b_re), _rational(1)], 7, n))
+    cols = ([], [], [], [])
+    for nr, ni, den in exact:
+        for num, hi_col, lo_col in ((nr, cols[0], cols[1]), (ni, cols[2], cols[3])):
+            hi, lo = _rounded(num, den), 0.0
+            if math.isfinite(hi):
+                p, q = hi.as_integer_ratio()
+                lo = (num * q - p * den) / (den * q)
+            hi_col.append(hi)
+            lo_col.append(lo)
+    return tuple(map(tuple, cols)), _term_table([exact])
+
+
+@functools.lru_cache(maxsize=32)
+def _asymptotic_coeffs(a: complex, b_re: float, n: int):
+    # the _term_table of (c1)_s (c2)_s / (s! 2^(7s)), s < n, for S1 (c1 = 1 - a,
+    # c2 = b - a) and of (-1)^s times it for S2 (c1 = a, c2 = a - b + 1) of
+    # _kummer_asymptotic, whose sums both run on x = 2^7 / w
+    ar, ai, b = Fraction(a.real), Fraction(a.imag), Fraction(b_re)
+    one = [_rational(1)]
+    s1 = _rational_series([_rational(1 - ar, -ai), _rational(b - ar, -ai)], one, -7, n)
+    s2 = _rational_series([_rational(ar, ai), _rational(ar - b + 1, ai)], one, -7, n)
+    return _term_table([list(s1), [(-nr, -ni, den) if s % 2 else (nr, ni, den)
+                                   for s, (nr, ni, den) in enumerate(s2)]])
+
+
+def _ldexp(z, e: int):
+    # z 2^e for a complex array z, exact within the double range
+    out = np.empty_like(z)
+    np.ldexp(z.view(float), e, out=out.view(float))
+    return out
+
+
+def _chunk_length(series: int) -> int:
+    # A call with few series takes _TERM_CHUNK terms a pass and sums them by
+    # np.add.accumulate; a block takes one term a pass, whose arrays stay in
+    # the cache, and adds it to its running sums in place, where a (chunk x
+    # cells) array would hold megabytes and sum at strided speed.  Either
+    # way the same terms and additions, so the same bits.
+    return _TERM_CHUNK if series <= _ACCUMULATE_SERIES else 1
+
+
+def _term_chunks(x, table):
+    """The terms x^k c_k of R series on the cells of ``x`` (shape (1, n)),
+    :func:`_chunk_length` indices a pass: yields (k, t), k the indices
+    and t of shape (len(k), R, n).  ``table(m)`` gives the
+    :func:`_term_table` (c, g) of at least m coefficients, c[k, r] for
+    series r.
+
+    For k = 32 j + 8 q + i, x^k = (X_j Y_q) T_i with T_i = x^i (T_0 = 1,
+    T_1 = x, T_(h+i) = T_i x^h, h = 2, 4), Y_q = x^(8q) (Y_0 = 1, Y_1 =
+    x^8, Y_(2+q) = Y_q x^16), X_0 = 1 and X_j = X_(j-1) x^32 2^(g_j -
+    g_(j-1)), scaled exactly; x^2h = x^h x^h, and X_0 Y_q is Y_q.  Then
+    t_k = x^k c_k.  Every product is an elementwise complex product fixed
+    by k alone, so a term depends neither on the chunk length nor on the
+    other cells.  T_i, Y_q, X_j 2^-g_j and x^k are within (i - 1) d,
+    (8q - 1) d, (32 j - 1) d and (k - 1) d of their values (k >= 1), d =
+    sqrt(5) u the bound of one complex product (Brent, Percival and
+    Zimmermann, Math. Comp. 2007; 2u with a fused multiply-add), so with
+    c_k correctly rounded t_k is within (k d + u) |t_k| plus the error of x.
+    """
+    # one allocation for T_0..T_7, Y_0..Y_3 and X_j Y_0..X_j Y_3.  Both
+    # factors of each product have the same number of dimensions: numpy
+    # rounds a one-element product that broadcasts across dimensions by
+    # another loop than its vector loop
+    tables = np.empty((16,) + x.shape, dtype=complex)
+    pw, ys, xys = tables[:8], tables[8:12], tables[12:]
+    pw[0], pw[1] = 1.0, x
+    sq = x[None] * x[None]
+    np.multiply(pw[:2], sq, out=pw[2:4])
+    sq = sq * sq
+    np.multiply(pw[:4], sq, out=pw[4:8])
+    ys[0] = 1.0
+    ys[1:2] = sq * sq
+    sq = ys[1:2] * ys[1:2]
+    np.multiply(ys[:2], sq, out=ys[2:4])
+    step = sq * sq  # x^32
+    c, g = table(_table_length(_POWERS))
+    size = _chunk_length(x.size * c.shape[1])
+    xj, xy = None, ys
+    for j in range(_KUMMER_KMAX // _POWERS):
+        k0 = j * _POWERS
+        if k0 + _POWERS > len(c):
+            c, g = table(_table_length(k0 + _POWERS))
+        if j:
+            xj = _ldexp(step if xj is None else xj * step, int(g[j] - g[j - 1]))
+            xy = np.multiply(ys, xj, out=xys)
+        ks, cs = _INDICES[k0:k0 + _POWERS], c[k0:k0 + _POWERS, :, None]
+        for i0 in range(0, _POWERS, size):
+            i1 = min(i0 + size, _POWERS)
+            if i0 >> 3 == (i1 - 1) >> 3:  # one Y_q: slices, the same products
+                p = xy[i0 >> 3:(i0 >> 3) + 1] * pw[i0 & 7:(i1 - 1 & 7) + 1]
+            else:
+                i = np.arange(i0, i1)
+                p = xy[i >> 3] * pw[i & 7]
+            yield ks[i0:i1], p * cs[i0:i1]
+
+
+def _running(carry, rows):
+    """The sums carry + rows[0], (carry + rows[0]) + rows[1], ..., one per
+    row, added in order: by np.add.accumulate for a few series; a block
+    passes one term at a time (see _chunk_length), and its sum is added
+    into the carry in place.  The same additions, so the same bits."""
+    if carry.size <= _ACCUMULATE_SERIES:
+        out = np.concatenate([carry[None], rows])
+        return np.add.accumulate(out, axis=0, out=out)[1:]
+    (row,) = rows
+    carry += row
+    return carry[None]
+
+
+def _after(row, block):
+    # row followed by all but the last row of block: block shifted down by one
+    return row[None] if len(block) == 1 else np.concatenate([row[None], block[:-1]])
+
+
 def _kummer_series_plain(a: complex, b_re: float, w):
-    # The power series in complex double, each cell to its own last term,
-    # the first k > |w| + 6 with |term_k| <= 1e-20 sum|term|.  Term j is
-    # within 8j u (two complex products and the ratio a step), the partial
-    # sums S_j add u sum|S_j| <= u sum (k + 1 - j)|term_j|: the bound u (7
-    # sum j|term_j| + (k + 2) sum|term|) also covers the tail.  sens bounds
-    # |w M'(w)| = |sum j term_j|.
-    ks = np.arange(_KUMMER_KMAX, dtype=float)
-    ratios = ((a + ks) / ((b_re + ks) * (ks + 1.0))).tolist()  # term_k+1 = term_k w ratio_k
-    term, acc, acc_sum = np.ones_like(w), np.ones_like(w), np.ones_like(w)
-    sum_abs, sum_j_abs = np.ones(w.size), np.zeros(w.size)
-    vals, bounds, sens = np.empty_like(w), np.empty(w.size), np.empty(w.size)
+    # The power series in complex double, each cell to its own last term K,
+    # the first k > |w| + 6 with |term_k| <= 1e-20 sum|term|, over the terms
+    # x^k Q_k of _term_chunks (x = w 2^-7 exact, Q_k of _kummer_coeffs).
+    # Term j is within (sqrt(5) j + 1) u, the partial sums S_j add u
+    # sum|S_j| <= u sum (K + 1 - j)|term_j|: the bound u (1.25 sum j|term_j|
+    # + (K + 3) sum|term|) also covers the tail.  sens bounds |w M'(w)| =
+    # |sum j term_j|.
     hump = np.abs(w) + 6.0
     first, left = hump.min(initial=np.inf), w.size
-    for k, ratio in enumerate(ratios):
-        term = term * w * ratio
-        acc = acc + term
-        acc_sum = acc_sum + acc
-        t_abs = np.abs(term)
-        sum_abs += t_abs
-        sum_j_abs += (k + 1) * t_abs
-        if k <= first:
+    # the running sums through term k, carried from chunk to chunk: partial
+    # sums S_k, sum_j<=k S_j, sum|term| and sum j|term|, and per cell K and
+    # the four at K
+    part, part_sum, s_abs, s_j_abs = np.zeros_like(w), np.zeros_like(w), np.zeros(w.size), np.zeros(w.size)
+    last, at_last = np.empty(w.size), (np.empty_like(w), np.empty_like(w), np.empty(w.size), np.empty(w.size))
+    for k, t in _term_chunks((w * (1.0 / _HORNER_SCALE))[None], lambda m: _kummer_coeffs(a, b_re, m)[1]):
+        t_abs = np.abs(t[:, 0])
+        p = _running(part, t[:, 0])
+        ps, sa, sj = _running(part_sum, p), _running(s_abs, t_abs), _running(s_j_abs, k[:, None] * t_abs)
+        part, part_sum, s_abs, s_j_abs = p[-1], ps[-1], sa[-1], sj[-1]
+        if k[-1] <= first + 1.0:
             continue
-        done = ((k > hump) & (t_abs <= 1e-20 * sum_abs)).nonzero()[0]
-        if done.size:
-            err = _U * (7.0 * sum_j_abs[done] + (k + 3) * sum_abs[done])
-            vals[done], bounds[done] = acc[done], err
-            # sum_j j term_j = (k + 2) S_k+1 - sum_j S_j over the partial
-            # sums S_0..S_k+1, within 3(k + 2) err
-            sens[done] = np.abs((k + 2) * acc[done] - acc_sum[done]) + 3.0 * (k + 2) * err
+        stop = ((k - 1.0)[:, None] > hump) & (t_abs <= 1e-20 * sa)
+        if stop.any():
+            done = np.flatnonzero(np.logical_or.reduce(stop))
+            r = stop[:, done].argmax(axis=0)
+            last[done], at = k[r], r * w.size + done
+            for got, s in zip(at_last, (p, ps, sa, sj)):
+                got[done] = np.take(s, at)
             hump[done] = np.inf
             left -= done.size
             if not left:
-                return vals, bounds, sens
+                vals, s_sum, s_abs, s_j_abs = at_last
+                bounds = _U * (1.25 * s_j_abs + (last + 3.0) * s_abs)
+                # sum_j j term_j = (K + 1) S_K - sum_j S_j over the partial
+                # sums S_0..S_K, within 3(K + 1) err
+                return vals, bounds, np.abs((last + 1.0) * vals - s_sum) + 3.0 * (last + 1.0) * bounds
     raise ToleranceNotMet("kummer series did not converge within the term budget")
 
 
@@ -367,34 +561,49 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
 
     The bound covers each sum's truncation by DLMF 13.7.5 (C_n = chi(n) <=
     sqrt(pi (n + 1) / 2) for S1, 1 for S2; it needs |w| > |b - 2a|) and
-    rounding, 8(n + 2) u sum|term|; as estimates, the rounding of the
+    rounding, 7.25 (n + 1) u sum|term|; as estimates, the rounding of the
     exponents, 4u (|w| + |a - b||log w| + |log Gamma| + 8), and within pi/4
     of ph w = 0, the Stokes line of T2 S2, twice its size under either
     sign.  Otherwise, or where not below |M|, it is infinite.  sens
     estimates |w M'(w)| by (|w| + |a - b|)|T1 S1| + |a||T2 S2|.
     """
-    # S1 and S2 as two rows, term_s+1 = term_s x (c1 + s)(c2 + s) / (s + 1),
+    # S1 and S2 as two rows of terms x^s c_s (_term_chunks), x = 2^7 / w and
+    # c_s = (c1)_s (c2)_s / (s! 2^(7s)) for S1, (-1)^s times that for S2,
     # whose size only grows past s = max(|c1|, |c2|): a sum ends before the
-    # first term there that the next does not undercut, or below 1e-20 sum|term|.
+    # first term there that the next does not undercut, or below 1e-20
+    # sum|term|.  1/w is within 5u (Smith's division), so term s is within
+    # (s (5 + sqrt(5)) + 1) u and the n partial sums add u sum (n - s)
+    # |term_s|: 7.25 (n + 1) u sum|term| in all.
     c1, c2 = np.array([[1.0 - a], [a]]), np.array([[b_re - a], [a - b_re + 1.0]])
-    ss = np.arange(_KUMMER_KMAX, dtype=float)
-    x = np.array([[1.0], [-1.0]]) / w
     s_min = np.maximum(np.abs(c1), np.abs(c2))
-    term, acc, t_abs, sum_abs = np.ones_like(x), np.zeros_like(x), np.ones(x.shape), np.zeros(x.shape)
-    sums, omitted, n, s_abs = np.empty_like(x), np.full(x.shape, np.inf), np.empty(x.shape), np.empty(x.shape)
-    live = np.ones(x.shape, dtype=bool)
-    for s, ratio in enumerate(((c1 + ss) * (c2 + ss) / (ss + 1.0)).T[:, :, None]):
-        nxt = term * x * ratio
-        n_abs = np.abs(nxt)
-        done = (live & (((n_abs >= t_abs) & (s >= s_min)) | (t_abs <= 1e-20 * sum_abs))).nonzero()
-        if done[0].size:
-            sums[done], omitted[done], n[done], s_abs[done] = acc[done], t_abs[done], s, sum_abs[done]
-            live[done] = False
-            if not live.any():
-                break
-        acc = acc + term
-        sum_abs += t_abs
-        term, t_abs = nxt, n_abs
+    shape = (2, w.size)
+    # carried from chunk to chunk, for s = k[0] - 1: term_s, |term_s| and
+    # the sums of the terms and of |term| before s
+    prev, prev_abs, acc, sum_abs = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape, complex), np.zeros(shape)
+    sums, omitted, n, s_abs = np.zeros(shape, complex), np.full(shape, np.inf), np.zeros(shape), np.zeros(shape)
+    live = np.ones(shape, dtype=bool)
+    for k, t in _term_chunks(((1.0 / w) * _HORNER_SCALE)[None], lambda m: _asymptotic_coeffs(a, b_re, m)):
+        t_abs = np.abs(t)
+        # s = k[0] - 1, whose growth test waited for this chunk
+        first = live & (t_abs[0] >= prev_abs) & (k[0] - 1.0 >= s_min)
+        if first.any():
+            sums[first], omitted[first], n[first], s_abs[first] = acc[first], prev_abs[first], k[0] - 1.0, sum_abs[first]
+            live &= ~first
+        # s = k: the sums before s, and the tests of s but the last's growth test
+        part = _running(acc, _after(prev, t))
+        before = _running(sum_abs, _after(prev_abs, t_abs))
+        stop = t_abs <= 1e-20 * before
+        stop[:-1] |= (t_abs[1:] >= t_abs[:-1]) & (k[:-1, None, None] >= s_min)
+        stop &= live
+        if stop.any():
+            rr, cc = np.divmod(np.flatnonzero(np.logical_or.reduce(stop)), w.size)
+            r = stop[:, rr, cc].argmax(axis=0)
+            sums[rr, cc], omitted[rr, cc], n[rr, cc], s_abs[rr, cc] = (
+                part[r, rr, cc], t_abs[r, rr, cc], k[r], before[r, rr, cc])
+            live[rr, cc] = False
+        if not live.any():
+            break
+        prev, prev_abs, acc, sum_abs = t[-1], t_abs[-1], part[-1], before[-1]
     log_w = np.log(w)
     lg_b, lg_a, lg_ba = _kummer_log_gammas(a, b_re)
     t1 = np.exp(lg_b - lg_a + w + (a - b_re) * log_w)
@@ -407,7 +616,7 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     rho = 0.5 * abs(2.0 * a * (a - b_re) + b_re) + sigma * (1.0 + 0.25 * sigma) * alpha * alpha
     c_n = np.stack([np.sqrt(0.5 * math.pi * (n[0] + 1.0)), np.ones(w.size)])
     c_1 = np.array([[0.5 * math.pi], [1.0]])
-    trunc = 2.0 * alpha * c_n * omitted * np.exp(2.0 * alpha * rho * c_1 / np.abs(w)) + 8.0 * _U * (n + 2.0) * s_abs
+    trunc = 2.0 * alpha * c_n * omitted * np.exp(2.0 * alpha * rho * c_1 / np.abs(w)) + 7.25 * _U * (n + 1.0) * s_abs
     expo = 4.0 * _U * (m1 * (np.abs(w) + abs(a - b_re) * np.abs(log_w) + abs(lg_a) + abs(lg_b) + 8.0)
                        + m2 * (abs(a) * (np.abs(log_w) + math.pi) + abs(lg_ba) + abs(lg_b) + 8.0))
     stokes = np.where(np.abs(log_w.imag) < 0.25 * math.pi,
@@ -416,35 +625,6 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     bound = np.abs(t1) * trunc[0] + np.abs(t2) * trunc[1] + 8.0 * _U * (m1 + m2) + expo + stokes
     sens = (np.abs(w) + abs(a - b_re)) * m1 + abs(a) * m2
     return value, np.where((bound < np.abs(value)) & (sigma < 1.0), bound, np.inf), sens
-
-
-@functools.lru_cache(maxsize=32)
-def _kummer_coeffs(a: complex, b_re: float, n: int):
-    """Q_k = P_k 2^(7k), P_k = (a)_k / ((b)_k k!), for k < n: four tuples
-    (re_hi, re_lo, im_hi, im_lo), each correctly rounded to double-double
-    from exact integers, so no entry depends on n or on earlier tables.
-    P_k alone underflows from about k = 150; 1e-87 < |Q_k| < 1e67 for the
-    k < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
-    """
-    (ar, sr), (ai, si), (bn, sb) = (x.as_integer_ratio() for x in (a.real, a.imag, b_re))
-    s = max(sr, si)  # a power of two, like sr, si and sb
-    ar, ai = ar * (s // sr), ai * (s // si)
-    nr, ni, den = 1, 0, 1  # Q_k = (nr + i ni) / den
-    cols = ([], [], [], [])
-    for k in range(n):
-        for num, hi_col, lo_col in ((nr, cols[0], cols[1]), (ni, cols[2], cols[3])):
-            try:
-                hi = num / den  # integer true division rounds correctly
-                p, q = hi.as_integer_ratio()
-                lo = (num * q - p * den) / (den * q)
-            except OverflowError:  # the cells that reach Q_k get an infinite bound
-                hi, lo = math.inf if (num < 0) == (den < 0) else -math.inf, 0.0
-            hi_col.append(hi)
-            lo_col.append(lo)
-        fr = ar + k * s
-        nr, ni = (nr * fr - ni * ai) * _HORNER_SCALE * sb, (nr * ai + ni * fr) * _HORNER_SCALE * sb
-        den *= s * (bn + k * sb) * (k + 1)
-    return tuple(map(tuple, cols))
 
 
 def _abs_terms(a: complex, b_re: float, r):
@@ -484,7 +664,7 @@ def _kummer_horner(a: complex, b_re: float, w):
         if k > hump and t <= 1e-34 * s:
             break
     last = k + 1
-    q = _kummer_coeffs(a, b_re, 1 << last.bit_length())
+    q, _ = _kummer_coeffs(a, b_re, _table_length(last + 1))
     x_re, x_im = split(float(x.real[0])), split(float(x.imag[0]))
     acc = tuple(col[last] for col in q)
     for k in range(last - 1, -1, -1):
@@ -498,7 +678,7 @@ def _horner_block(a: complex, b_re: float, r, x):
     last, s = _kummer_last_terms(a, b_re, r)
     order = np.argsort(-last, kind="stable")
     last_sorted = last[order]
-    q = _kummer_coeffs(a, b_re, 1 << int(last_sorted[0]).bit_length())
+    q, _ = _kummer_coeffs(a, b_re, _table_length(int(last_sorted[0]) + 1))
     x_re, x_im = split(x.real[order]), split(x.imag[order])
     acc = [np.zeros(x.size) for _ in range(4)]
     # live[k]: the number of cells whose last term is k or later
@@ -571,9 +751,8 @@ def _kummer_routes(a: complex, b_re: float, w, rel_tols):
     pending = np.ones(w.size, dtype=bool)
     # the asymptotic expansion needs |w| well above |a|; at a pole of
     # Gamma(a) or Gamma(b - a) M is a polynomial, left to the series
-    asym = r >= 2.0 * abs(a) + _ASYM_RADIUS
-    if _gamma_pole(np.array([a, b_re - a])).any():
-        asym[:] = False
+    poles = [v.imag == 0.0 and v.real <= 0.0 and v.real == math.floor(v.real) for v in (a, b_re - a)]
+    asym = r >= (np.inf if any(poles) else 2.0 * abs(a) + _ASYM_RADIUS)
     # blocks in |w| order, whose cells need about as many terms; the double-
     # double Horner pass drops finished cells, so its cells are one block
     for route, tried, tol, block in zip((_kummer_asymptotic, _kummer_series_plain, _kummer_series_dd),
@@ -626,7 +805,7 @@ def _kummer_routed(a, b, z, rel_tols):
             first, inv = _distinct(key[cells])
             v, e, s = _kummer_routes(a_eff, b.real, key[cells[first]], rel_tols)
             vals[cells], bounds[cells], sens[cells] = v[inv], e[inv], s[inv]
-    vals[fold] = vals[fold].conjugate()
+    vals = np.where(fold, vals.conjugate(), vals)
     pref = np.ones_like(vals)
     pref[flip] = np.exp(zf[flip])
     m = vals * pref  # out of place: numpy's in-place complex product may round differently
@@ -634,7 +813,7 @@ def _kummer_routed(a, b, z, rel_tols):
     bounds *= apref
     bounds += _ROUNDING_EPS * am
     sens *= apref
-    sens[flip] += np.abs(zf[flip]) * am[flip]
+    sens += np.where(flip, np.abs(zf) * am, 0.0)
     out = _KummerGrid((m.reshape(z.shape), bounds.reshape(z.shape)))
     out.sens = sens.reshape(z.shape)
     return out
@@ -654,9 +833,21 @@ def kummer_m_grid(a, b, z):
     flipped cell off the real axis is evaluated as conj M(a, b, conj(-z)),
     which every route gives with the bits of M(b - a, b, -z); on a grid
     symmetric under z -> -conj z the flipped half thus reads the values
-    of the other.  Each distinct argument is evaluated once.  Every route
+    of the other.  Each distinct argument is evaluated once.
+
+    The plain and asymptotic routes sum terms x^k c_k, with x = w 2^-7 and
+    the coefficients P_k 2^(7k) of the Horner pass or x = 2^7 / w, w the
+    transformed argument, formed a chunk of indices at a time: up to 32 for a few cells, one for a block
+    of many.  x^k = (x^(32 j) x^(8 q)) x^i for k = 32 j + 8 q + i, from
+    tables of x^i and x^(8q) and a chain of x^32, is a recipe fixed by k,
+    and the sums run in order of k, by np.add.accumulate over a chunk or
+    row by row over a block: the same additions.  Term k is within
+    (sqrt(5) k + 1) u of its value (u = eps/2) on the plain series, which
+    bounds the error by u (1.25 sum k|term_k| + (K + 3) sum|term|) at its
+    last term K, and within (7.24 k + 1) u on the asymptotic sums, whose
+    rounding is within 7.25 (n + 1) u sum|term| over n terms.  Every route
     stops each cell at its own last term, so a cell equals its one-cell
-    :func:`kummer_m_bounded` call bit for bit.
+    :func:`kummer_m_bounded` call bit for bit, whatever the chunk length.
 
     A bound covers, for the given double z, the rounding of the route and
     of the result to double, including the factor e^z of the Kummer

@@ -558,9 +558,9 @@ class TestKummer:
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_one_cell_calls_match_grid_on_every_route(self, a, b):
-        # cells that end on the asymptotic expansion, on the plain series
-        # and on the double-double series (no E = 40 cell of this grid ends
-        # on the asymptotic expansion)
+        # every cell of the 41 x 41 grid: cells that end on the asymptotic
+        # expansion, on the plain series and on the double-double series
+        # (no E = 40 cell of this grid ends on the asymptotic expansion)
         a_eff, w, routes = flipped_routes(a, b)
         (av, ae), (pv, pe) = routes["asymptotic"], routes["plain"]
         asym_tol, plain_tol = specfun._ROUTE_REL_TOLS
@@ -569,10 +569,52 @@ class TestKummer:
         z = landau_grid_z(41)
         vals, bounds = kummer_m_grid(a, b, z)
         for name, mask in (("asymptotic", asym), ("plain", plain), ("double-double", ~asym & ~plain)):
-            cells = np.flatnonzero(mask)
-            assert cells.size or (name == "asymptotic" and (a, b) in LANDAU_SECTORS_40), name
-            for k in cells[::max(1, cells.size // 12)]:
-                assert bits(*kummer_m_bounded(a, b, z[k])) == bits(vals[k], bounds[k]), z[k]
+            assert mask.any() or (name == "asymptotic" and (a, b) in LANDAU_SECTORS_40), name
+        for k in range(z.size):
+            assert bits(*kummer_m_bounded(a, b, z[k])) == bits(vals[k], bounds[k]), z[k]
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_chunk_length_never_changes_bits(self, a, b, monkeypatch):
+        # a term's bits are fixed by its index alone: the grid and one-cell
+        # calls with chunks of 1, 7 and the default number of terms, with
+        # the sums by np.add.accumulate on blocks too, and row by row on
+        # one cell too, give the same bits
+        z = np.concatenate([landau_grid_z(41), [KUMMER_RADIUS, -KUMMER_RADIUS, 60.0 + 60.0j]])
+        cells = np.arange(0, z.size, 97)
+        want = kummer_m_grid(a, b, z)
+        want_cells = [bits(*kummer_m_bounded(a, b, z[k])) for k in cells]
+        chunk, few = specfun._TERM_CHUNK, specfun._ACCUMULATE_SERIES
+        for patched in ((1, few), (7, few), (chunk, 0), (7, 1 << 30), (chunk, 1 << 30)):
+            monkeypatch.setattr(specfun, "_TERM_CHUNK", patched[0])
+            monkeypatch.setattr(specfun, "_ACCUMULATE_SERIES", patched[1])
+            got = kummer_m_grid(a, b, z)
+            for g, v in zip((got[0], got[1], got.sens), (want[0], want[1], want.sens)):
+                assert g.tobytes() == v.tobytes(), patched
+            assert [bits(*kummer_m_bounded(a, b, z[k])) for k in cells] == want_cells, patched
+
+    def test_one_cell_series_take_few_chunk_passes(self, monkeypatch):
+        # a one-cell plain call at |w| = 100 forms its K + 1 terms in at
+        # most ceil((K + 1) / C) + 1 passes of C terms, not one pass a term,
+        # and the asymptotic expansion likewise
+        a, b = LANDAU_SECTORS[0]
+        passes = []
+        kernel = specfun._term_chunks
+
+        def counted(*args):
+            for chunk in kernel(*args):
+                passes[-1] += 1
+                yield chunk
+        monkeypatch.setattr(specfun, "_term_chunks", counted)
+        for route, w in ((specfun._kummer_series_plain, 60.0 + 80.0j), (specfun._kummer_asymptotic, 60.0 + 80.0j)):
+            counts = []
+            for chunk in (1, specfun._TERM_CHUNK):
+                monkeypatch.setattr(specfun, "_TERM_CHUNK", chunk)
+                passes.append(0)
+                route(a, b, np.array([w]))
+                counts.append(passes[-1])
+            terms, chunked = counts
+            assert terms > 3 * specfun._TERM_CHUNK if route is specfun._kummer_series_plain else terms > 10
+            assert chunked <= -(-terms // specfun._TERM_CHUNK) + 1, route.__name__
 
     def test_coefficients_beyond_double_range_give_infinite_bounds(self):
         # at a = 1/4 + 2500i the coefficients P_k 2^(7k) of the long series
