@@ -312,6 +312,7 @@ _TERM_CHUNK = 32         # term indices per pass of a call with few series, at m
 _ACCUMULATE_SERIES = 8   # up to this many series a call has few (see _chunk_length)
 _KUMMER_BLOCK = 4096     # cells per asymptotic or plain call, which runs to its slowest cell
 _INDICES = np.arange(_KUMMER_KMAX, dtype=float)  # term indices k as floats
+_Q_OF, _I_OF = np.arange(_POWERS) >> 3, np.arange(_POWERS) & 7  # k - 32 j = 8 q + i
 # Rounding the double-double sum to double costs at most u|M| (u = eps/2).
 # On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
 # each, plus the rounding of their product) and the complex product with
@@ -322,6 +323,7 @@ _ROUNDING_EPS = 5.0 * np.finfo(float).eps
 # the double-double series is long) and on the plain series (where it is short)
 _ROUTE_REL_TOLS = (1e-10, 1e-13)
 _ASYM_RADIUS = 20.0      # the asymptotic route runs from |w| = 2|a| + _ASYM_RADIUS
+_ASYM_C1 = np.array([[0.5 * math.pi], [1.0]])  # C_1 of DLMF 13.7.5 for S1 and S2
 
 
 def _rational(re, im=0.0):
@@ -485,8 +487,7 @@ def _term_chunks(x, table):
             if i0 >> 3 == (i1 - 1) >> 3:  # one Y_q: slices, the same products
                 p = xy[i0 >> 3:(i0 >> 3) + 1] * pw[i0 & 7:(i1 - 1 & 7) + 1]
             else:
-                i = np.arange(i0, i1)
-                p = xy[i >> 3] * pw[i & 7]
+                p = xy[_Q_OF[i0:i1]] * pw[_I_OF[i0:i1]]
             yield ks[i0:i1], p * cs[i0:i1]
 
 
@@ -574,20 +575,20 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     # sum|term|.  1/w is within 5u (Smith's division), so term s is within
     # (s (5 + sqrt(5)) + 1) u and the n partial sums add u sum (n - s)
     # |term_s|: 7.25 (n + 1) u sum|term| in all.
-    c1, c2 = np.array([[1.0 - a], [a]]), np.array([[b_re - a], [a - b_re + 1.0]])
-    s_min = np.maximum(np.abs(c1), np.abs(c2))
+    s_min = np.array([[max(abs(1.0 - a), abs(b_re - a))], [max(abs(a), abs(a - b_re + 1.0))]])
     shape = (2, w.size)
     # carried from chunk to chunk, for s = k[0] - 1: term_s, |term_s| and
     # the sums of the terms and of |term| before s
-    prev, prev_abs, acc, sum_abs = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape, complex), np.zeros(shape)
-    sums, omitted, n, s_abs = np.zeros(shape, complex), np.full(shape, np.inf), np.zeros(shape), np.zeros(shape)
+    prev, acc, prev_abs, sum_abs = (np.zeros(shape, dtype=d) for d in (complex, complex, float, float))
+    sums, n, s_abs, omitted = np.zeros(shape, complex), np.zeros(shape), np.zeros(shape), np.full(shape, np.inf)
     live = np.ones(shape, dtype=bool)
     for k, t in _term_chunks(((1.0 / w) * _HORNER_SCALE)[None], lambda m: _asymptotic_coeffs(a, b_re, m)):
         t_abs = np.abs(t)
         # s = k[0] - 1, whose growth test waited for this chunk
         first = live & (t_abs[0] >= prev_abs) & (k[0] - 1.0 >= s_min)
         if first.any():
-            sums[first], omitted[first], n[first], s_abs[first] = acc[first], prev_abs[first], k[0] - 1.0, sum_abs[first]
+            sums[first], omitted[first], s_abs[first] = acc[first], prev_abs[first], sum_abs[first]
+            n[first] = k[0] - 1.0
             live &= ~first
         # s = k: the sums before s, and the tests of s but the last's growth test
         part = _running(acc, _after(prev, t))
@@ -604,26 +605,29 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
         if not live.any():
             break
         prev, prev_abs, acc, sum_abs = t[-1], t_abs[-1], part[-1], before[-1]
-    log_w = np.log(w)
+    r, log_w = np.abs(w), np.log(w)
+    abs_log = np.abs(log_w)
     lg_b, lg_a, lg_ba = _kummer_log_gammas(a, b_re)
     t1 = np.exp(lg_b - lg_a + w + (a - b_re) * log_w)
     base2 = np.exp(lg_b - lg_ba - a * log_w)
     t2 = base2 * np.where(w.imag >= 0.0, cmath.exp(1j * math.pi * a), cmath.exp(-1j * math.pi * a))
     p1, p2 = t1 * sums[0], t2 * sums[1]
     m1, m2 = np.abs(p1), np.abs(p2)
-    sigma = abs(b_re - 2.0 * a) / np.abs(w)  # sigma, alpha, rho of DLMF 13.7.7, alike for both sums
+    sigma = abs(b_re - 2.0 * a) / r  # sigma, alpha, rho of DLMF 13.7.7, alike for both sums
     alpha = 1.0 / (1.0 - sigma)
     rho = 0.5 * abs(2.0 * a * (a - b_re) + b_re) + sigma * (1.0 + 0.25 * sigma) * alpha * alpha
-    c_n = np.stack([np.sqrt(0.5 * math.pi * (n[0] + 1.0)), np.ones(w.size)])
-    c_1 = np.array([[0.5 * math.pi], [1.0]])
-    trunc = 2.0 * alpha * c_n * omitted * np.exp(2.0 * alpha * rho * c_1 / np.abs(w)) + 7.25 * _U * (n + 1.0) * s_abs
-    expo = 4.0 * _U * (m1 * (np.abs(w) + abs(a - b_re) * np.abs(log_w) + abs(lg_a) + abs(lg_b) + 8.0)
-                       + m2 * (abs(a) * (np.abs(log_w) + math.pi) + abs(lg_ba) + abs(lg_b) + 8.0))
+    # C_n = sqrt(pi (n + 1) / 2) and C_1 = pi / 2 for S1, both 1 for S2
+    grow = 2.0 * alpha * np.exp(_ASYM_C1 * (2.0 * alpha * rho / r)) * omitted
+    grow[0] *= np.sqrt(0.5 * math.pi * (n[0] + 1.0))
+    trunc = grow + 7.25 * _U * (n + 1.0) * s_abs
+    # the exponents' rounding and, 8u (m1 + m2), that of T1 S1 + T2 S2
+    expo = 4.0 * _U * (m1 * (r + abs(a - b_re) * abs_log + (abs(lg_a) + abs(lg_b) + 10.0))
+                       + m2 * (abs(a) * abs_log + (abs(a) * math.pi + abs(lg_ba) + abs(lg_b) + 10.0)))
     stokes = np.where(np.abs(log_w.imag) < 0.25 * math.pi,
                       4.0 * math.cosh(math.pi * a.imag) * np.abs(base2 * sums[1]), 0.0)
     value = p1 + p2
-    bound = np.abs(t1) * trunc[0] + np.abs(t2) * trunc[1] + 8.0 * _U * (m1 + m2) + expo + stokes
-    sens = (np.abs(w) + abs(a - b_re)) * m1 + abs(a) * m2
+    bound = np.abs(t1) * trunc[0] + np.abs(t2) * trunc[1] + expo + stokes
+    sens = (r + abs(a - b_re)) * m1 + abs(a) * m2
     return value, np.where((bound < np.abs(value)) & (sigma < 1.0), bound, np.inf), sens
 
 
@@ -837,11 +841,12 @@ def kummer_m_grid(a, b, z):
 
     The plain and asymptotic routes sum terms x^k c_k, with x = w 2^-7 and
     the coefficients P_k 2^(7k) of the Horner pass or x = 2^7 / w, w the
-    transformed argument, formed a chunk of indices at a time: up to 32 for a few cells, one for a block
-    of many.  x^k = (x^(32 j) x^(8 q)) x^i for k = 32 j + 8 q + i, from
-    tables of x^i and x^(8q) and a chain of x^32, is a recipe fixed by k,
-    and the sums run in order of k, by np.add.accumulate over a chunk or
-    row by row over a block: the same additions.  Term k is within
+    transformed argument.  The terms are formed a chunk of indices at a
+    time: 32 for a call with up to eight series, one for a block of more.
+    x^k = (x^(32 j) x^(8 q)) x^i for k = 32 j + 8 q + i, from tables of
+    x^i and x^(8q) and a chain of x^32, is a recipe fixed by k, and the
+    sums run in order of k, by np.add.accumulate over a chunk or one term
+    at a time over a block: the same additions.  Term k is within
     (sqrt(5) k + 1) u of its value (u = eps/2) on the plain series, which
     bounds the error by u (1.25 sum k|term_k| + (K + 3) sum|term|) at its
     last term K, and within (7.24 k + 1) u on the asymptotic sums, whose

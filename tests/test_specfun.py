@@ -594,8 +594,8 @@ class TestKummer:
 
     def test_one_cell_series_take_few_chunk_passes(self, monkeypatch):
         # a one-cell plain call at |w| = 100 forms its K + 1 terms in at
-        # most ceil((K + 1) / C) + 1 passes of C terms, not one pass a term,
-        # and the asymptotic expansion likewise
+        # most ceil((K + 1) / C) + 1 passes of C terms, not one pass a term
+        # (counted with C = 1), and the asymptotic expansion likewise
         a, b = LANDAU_SECTORS[0]
         passes = []
         kernel = specfun._term_chunks
@@ -605,16 +605,16 @@ class TestKummer:
                 passes[-1] += 1
                 yield chunk
         monkeypatch.setattr(specfun, "_term_chunks", counted)
-        for route, w in ((specfun._kummer_series_plain, 60.0 + 80.0j), (specfun._kummer_asymptotic, 60.0 + 80.0j)):
+        chunk = specfun._TERM_CHUNK
+        for route, least in ((specfun._kummer_series_plain, 3 * chunk), (specfun._kummer_asymptotic, 10)):
             counts = []
-            for chunk in (1, specfun._TERM_CHUNK):
-                monkeypatch.setattr(specfun, "_TERM_CHUNK", chunk)
+            for length in (1, chunk):
+                monkeypatch.setattr(specfun, "_TERM_CHUNK", length)
                 passes.append(0)
-                route(a, b, np.array([w]))
+                route(a, b, np.array([60.0 + 80.0j]))
                 counts.append(passes[-1])
             terms, chunked = counts
-            assert terms > 3 * specfun._TERM_CHUNK if route is specfun._kummer_series_plain else terms > 10
-            assert chunked <= -(-terms // specfun._TERM_CHUNK) + 1, route.__name__
+            assert terms > least and chunked <= -(-terms // chunk) + 1, route.__name__
 
     def test_coefficients_beyond_double_range_give_infinite_bounds(self):
         # at a = 1/4 + 2500i the coefficients P_k 2^(7k) of the long series
