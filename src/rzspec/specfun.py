@@ -620,7 +620,7 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     grow = 2.0 * alpha * np.exp(_ASYM_C1 * (2.0 * alpha * rho / r)) * omitted
     grow[0] *= np.sqrt(0.5 * math.pi * (n[0] + 1.0))
     trunc = grow + 7.25 * _U * (n + 1.0) * s_abs
-    # the exponents' rounding and, 8u (m1 + m2), that of T1 S1 + T2 S2
+    # the exponents' rounding, 4u (... + 8) each, and 8u (m1 + m2) for T1 S1 + T2 S2
     expo = 4.0 * _U * (m1 * (r + abs(a - b_re) * abs_log + (abs(lg_a) + abs(lg_b) + 10.0))
                        + m2 * (abs(a) * abs_log + (abs(a) * math.pi + abs(lg_ba) + abs(lg_b) + 10.0)))
     stokes = np.where(np.abs(log_w.imag) < 0.25 * math.pi,

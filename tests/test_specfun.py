@@ -577,8 +577,8 @@ class TestKummer:
     def test_chunk_length_never_changes_bits(self, a, b, monkeypatch):
         # a term's bits are fixed by its index alone: the grid and one-cell
         # calls with chunks of 1, 7 and the default number of terms, with
-        # the sums by np.add.accumulate on blocks too, and row by row on
-        # one cell too, give the same bits
+        # the sums by np.add.accumulate on blocks too, and one term a pass
+        # added in place on one cell too, give the same bits
         z = np.concatenate([landau_grid_z(41), [KUMMER_RADIUS, -KUMMER_RADIUS, 60.0 + 60.0j]])
         cells = np.arange(0, z.size, 97)
         want = kummer_m_grid(a, b, z)
