@@ -111,18 +111,23 @@ def _require_n_max(n_max: int, least: int, what: str) -> None:
 # --------------------------------------------------------------------------
 
 def _t_for_count(n: int) -> float:
-    # smallest t with n_average(t) comfortably above n, by bisection
+    # smallest t with n_average(t) comfortably above n, by 60 bisection steps
     lo, hi = 10.0, zeta_mod.T_BUDGET
     if counting.n_average(hi) < n + 2:
         raise RZError(
             f"{n} zeros exceed the computed-scan budget (t <= {zeta_mod.T_BUDGET:g}); "
             "ingest a published table instead")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if counting.n_average(mid) < n + 2:
-            lo = mid
-        else:
-            hi = mid
+    for _ in range(10):
+        # the 63 midpoints the next six steps may visit, each the steps' own
+        # 0.5 * (lo + hi) of its neighbours in the sorted ends, in one theta call
+        ends, tree = np.array([lo, hi]), []
+        for _ in range(6):
+            tree.append(0.5 * (ends[:-1] + ends[1:]))
+            ends = np.insert(ends, np.arange(1, len(ends)), tree[-1])
+        below, i = counting.n_average(np.concatenate(tree)) < n + 2, 0
+        for level in range(6):  # node i of a level has children 2i and 2i + 1
+            i = 2 * i + int(below[2 ** level - 1 + i])
+        lo, hi = float(ends[i]), float(ends[i + 1])
     return hi
 
 

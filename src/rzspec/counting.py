@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConsistencyError, OnZeroError, SubcriticalEnergy
 from .zeta import exact_zero_count, theta_rs
 
@@ -63,9 +65,10 @@ def n_connes(E: float, s: ModelScales) -> float:
             - E / two_pi * (math.log(E / two_pi) - 1.0))
 
 
-def n_average(t: float) -> float:
-    """Riemann-von Mangoldt smooth count theta(t)/pi + 1."""
-    if t <= 0:
+def n_average(t):
+    """Riemann-von Mangoldt smooth count theta(t)/pi + 1, at a float t or
+    elementwise on an ndarray of t."""
+    if np.any(np.asarray(t) <= 0):
         raise ValueError("t must be positive")
     return theta_rs(t) / math.pi + 1.0
 

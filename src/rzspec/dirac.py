@@ -11,8 +11,8 @@ an equal footing:
 
 Each takes a float t or an ndarray of t; an array is one call of the
 array Bessel K (or of the array log Gamma and zeta), so the zero scans
-pass their whole grid, and each Brent iteration its open brackets, in
-one evaluation, with no threads.
+pass their whole grid, and each Newton or Brent iteration its open
+brackets, in one evaluation, with no threads.
 
 Each also has a Fourier-side evaluation as the cosine transform of a
 rapidly decaying kernel, by the nested trapezoidal rule that Bessel K
@@ -35,7 +35,8 @@ import numpy as np
 from .counting import ModelScales
 from .errors import MissedZeroError, ToleranceNotMet
 from .roots import find_all, scan_grid
-from .specfun import _nested_trapezoid, _number_or_array, bessel_k_complex_order, log_gamma
+from .specfun import (_bessel_k, _digamma_right, _nested_trapezoid, _number_or_array,
+                      bessel_k_complex_order, log_gamma)
 from .zeta import ZERO_GRID_STEP, _count_avoiding_zeros, zeta
 
 __all__ = [
@@ -54,7 +55,8 @@ __all__ = [
 
 DIRAC_T_BUDGET = 200.0
 FOURIER_T_BUDGET = 100.0
-_PHASE_STEP = 0.1  # the phase of K moves by at most 0.3 a step on the budget
+_PHASE_PER_STEP = 0.25 * math.pi  # phase move a K scan step is sized for; the guard allows pi/2
+_MIN_SLOPE = 0.25  # floor of the sizing slope, whose large-order form falls below 0 for t << x
 _BETA_MAX = 5.6  # kernels underflow well before this
 
 
@@ -200,22 +202,53 @@ def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
 # zero finding with exact counts
 # --------------------------------------------------------------------------
 
-def _k_phase(t, a: float, x: float):
-    """Principal arg K_(a+it/2)(x) at a float t or elementwise on an ndarray."""
-    return np.angle(bessel_k_complex_order(a + 0.5j * t, x))
+def _k_phase_slope(t, a: float, x: float):
+    """arg K_(a+it/2)(x), its t-slope (1/2) Re(dK/dnu / K) and the error of
+    the phase implied by K's error estimate, elementwise on an ndarray of t."""
+    k, dk, err = _bessel_k(a + 0.5j * t, x, slope=True)
+    return np.angle(k), 0.5 * (dk / k).real, err / np.abs(k)
+
+
+def _phase_scan(a: float, x: float, t_min: float, t_max: float):
+    """Grid, principal arg K_(a+it/2)(x) and node slopes of a checked phase scan.
+
+    The step moves the phase by about ``_PHASE_PER_STEP`` at the slope
+    (1/2) Re psi(a + i t_max/2) - (1/2) log(x/2) of K ~ Gamma(nu) (x/2)^(-nu) / 2
+    (DLMF 10.30.2), floored at ``_MIN_SLOPE``: an estimate, not a bound (for
+    a = 1/2 the slope is not monotone, 1.83 against 1.73 on (0, 200] at
+    x = 2 pi, and 2.6 times it near t = 2x at x = 90).  Each step must move
+    the unwrapped phase by (0, pi/2], and each node slope be > 0, else
+    :class:`MissedZeroError`.
+    """
+    s = max(0.5 * _digamma_right(np.array([a + 0.5j * t_max]))[0].real - 0.5 * math.log(0.5 * x),
+            _MIN_SLOPE)
+    ts = scan_grid(t_min, t_max, _PHASE_PER_STEP / s)
+    arg, slope, _ = _k_phase_slope(ts, a, x)
+    step = np.diff(np.unwrap(arg))
+    if not (np.all((step > 0.0) & (step <= 0.5 * math.pi)) and slope.min() > 0.0):
+        raise MissedZeroError(
+            f"the phase of K moves by {step.min():.3g} .. {step.max():.3g} a step of "
+            f"{ts[1] - ts[0]:.3g} on ({t_min:g}, {t_max:g}), node slopes "
+            f"{slope.min():.3g} .. {slope.max():.3g}: not within (0, pi/2] and > 0")
+    return ts, arg, slope
 
 
 def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     """All real zeros of the chosen spectral function in (t_min, t_max),
-    refined to 1e-9, checked against an exact count.
+    checked against an exact count.
 
     ``target`` is a :class:`SpectralFunctionKind` or :class:`BoundaryData`.
     xi_H, xi* and the boundary residual vanish where arg K_(a+it/2)(x)
     passes c (mod pi), (a, x, c) = (1/2, 2 pi, pi/2), (9/4, 2 pi, pi/2),
-    (1/2, m l_x, vartheta/2); the scan and Brent run on sin(arg K - c).
-    Each step must move the phase by (0, pi/2], else :class:`MissedZeroError`,
-    and the count is the levels c + k pi it passes.  riemann_xi is checked
-    against the exact zero count of zeta.
+    (1/2, m l_x, vartheta/2), on a grid sized from the phase slope
+    (:func:`_phase_scan`); the count is the levels c + k pi it passes.
+    Newton on the unwrapped phase, from inverse cubic Hermite seeds on the
+    node phases and slopes (dK/dnu on K's own nodes), refines each root
+    until its step is below 1e-10 or below the phase error of K's error
+    estimate over the slope; K's phase noise over the slope then sets the
+    root's error (up to about 1e-9 where the slope is small, at m l_x = 60).
+    riemann_xi is refined to 1e-10 and checked against the exact zero count
+    of zeta.
     """
     if not (0.0 <= t_min < t_max <= DIRAC_T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {DIRAC_T_BUDGET:g}")
@@ -226,12 +259,12 @@ def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
         target = BoundaryData(math.pi, 2.0 * math.pi)
     a, x, c = ((2.25, 2.0 * math.pi, 0.5 * math.pi) if target is SpectralFunctionKind.XI_POLYA_STAR
                else (0.5, target.m_lx, 0.5 * target.vartheta))
-    ts = scan_grid(t_min, t_max, _PHASE_STEP)
-    arg = _k_phase(ts, a, x)
+    ts, arg, slope = _phase_scan(a, x, t_min, t_max)
     phase = np.unwrap(arg)
-    step = np.diff(phase)
-    if not np.all((step > 0.0) & (step <= 0.5 * math.pi)):
-        raise MissedZeroError(f"the phase of K moves by {step.min():.3g} .. {step.max():.3g} "
-                              f"a step on ({t_min:g}, {t_max:g}), not within (0, pi/2]")
     expected = int(np.floor((phase[-1] - c) / math.pi) - np.floor((phase[0] - c) / math.pi))
-    return find_all(lambda t: np.sin(_k_phase(t, a, x) - c), ts, expected, np.sin(arg - c))
+
+    def fold(arg, slope, err=None):
+        # asin sin(arg K - c): the phase less its nearest level c + k pi,
+        # signed as sin(arg K - c), so linear in the phase between levels
+        return np.arcsin(np.sin(arg - c)), np.copysign(slope, np.cos(arg - c)), err
+    return find_all(lambda t: fold(*_k_phase_slope(t, a, x)), ts, expected, *fold(arg, slope)[:2])

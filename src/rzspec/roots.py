@@ -1,11 +1,12 @@
 """Verified roots of oscillatory real functions.
 
 ``find_all`` is the one verified-root path: a sign-change scan over a
-uniform grid feeds a Brent-style bracketed refiner (Brent 1973) that
-moves all brackets in lockstep on numpy arrays, and the number of roots
-found must equal an exact count that the caller gets independently.
-Nothing here knows about zeta; the zeros of Z, of the Dirac/Polya
-spectral functions and the Landau levels all come from ``find_all``.
+uniform grid feeds a Brent-style bracketed refiner (Brent 1973), or a
+safeguarded Newton one where the caller gives slopes, that moves all
+brackets in lockstep on numpy arrays, and the number of roots found must
+equal an exact count that the caller gets independently.  Nothing here
+knows about zeta; the zeros of Z, of the Dirac/Polya spectral functions
+and the Landau levels all come from ``find_all``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import MissedZeroError
 
-__all__ = ["brent", "find_all", "scan_grid", "scan_sign_changes"]
+__all__ = ["brent", "find_all", "newton", "scan_grid", "scan_sign_changes"]
 
 _EPS = 2.220446049250313e-16
 
@@ -80,6 +81,35 @@ def brent(f, a, b, xtol=1e-12, max_iter=200, fa=None, fb=None):
     return roots
 
 
+def newton(f, a, b, x0, fa, xtol=1e-10, max_iter=50):
+    """Roots of f in the brackets [a, b] by lockstep Newton from x0 in them.
+
+    ``f`` maps an array to its values, slopes and value errors, one call
+    per iteration on the brackets still open.  Each value cuts its bracket
+    on its sign against ``fa`` (f at the left ends), and a step that leaves
+    the bracket is replaced by bisection.  A bracket closes when its step
+    falls below ``xtol`` or below its value's error over its slope; its root
+    is the point plus that last step.
+    """
+    a, b, x, left = (np.array(v, dtype=float) for v in (a, b, x0, np.sign(fa)))
+    roots, open_ = np.empty(len(x)), np.arange(len(x))
+    for _ in range(max_iter):
+        if not len(x):
+            return roots
+        g, dg, err = f(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - g / dg
+        done = np.abs(g) <= np.maximum(xtol * np.abs(dg), err)
+        right = np.sign(g) == left  # the root lies right of x
+        a, b = np.where(right, x, a), np.where(right, b, x)
+        inside = (nxt >= a) & (nxt <= b)
+        roots[open_[done]] = np.where(inside, nxt, x)[done]
+        x = np.where(inside, nxt, 0.5 * (a + b))
+        a, b, x, left, open_ = (v[~done] for v in (a, b, x, left, open_))
+    roots[open_] = x
+    return roots
+
+
 def scan_grid(lo, hi, step):
     """The scan grid lo + k*step, clipped at hi and ending there."""
     n = max(2, int(math.ceil((hi - lo) / step)) + 1)
@@ -108,18 +138,30 @@ def scan_sign_changes(f, ts, fs=None):
     return ts[k], ts[k + 1], fs[k], fs[k + 1]
 
 
-def find_all(f, ts, expected, fs=None):
+def find_all(f, ts, expected, fs=None, dfs=None):
     """Every root of f between the ends of the grid ts, refined to 1e-10.
 
     ``f`` maps an array to an array: the scan calls it once on ts unless
     ``fs`` gives its values there, and Brent refines all brackets in
     lockstep, one call per iteration on the brackets still open, from the
-    scan's values at the bracket ends.  :class:`MissedZeroError` is raised
-    unless the scan finds exactly ``expected`` brackets, the number of
-    roots an exact count gives; a scan misses roots in pairs, in one step.
+    scan's values at the bracket ends.  With ``dfs``, f's slopes at ts
+    (and ``fs``), ``f`` gives values, slopes and value errors instead, and
+    :func:`newton` refines each bracket from the root of the cubic Hermite
+    interpolant of the inverse of f on it.  :class:`MissedZeroError` is
+    raised unless the scan finds exactly ``expected`` brackets, the number
+    of roots an exact count gives; a scan misses roots in pairs, in one step.
     """
-    a, b, fa, fb = scan_sign_changes(f, ts, fs)
+    a, b, fa, fb = scan_sign_changes(f if dfs is None else (lambda x: f(x)[0]), ts, fs)
     if len(a) != expected:
         raise MissedZeroError(
             f"found {len(a)} roots in ({ts[0]:g}, {ts[-1]:g}) but the count gives {expected}")
-    return brent(f, a, b, xtol=1e-10, fa=fa, fb=fb).tolist()
+    if dfs is None:
+        return brent(f, a, b, xtol=1e-10, fa=fa, fb=fb).tolist()
+    # slopes at the bracket ends, interpolated at an end nudged off a root;
+    # the secant's root where the Hermite one leaves the bracket
+    da, db, h, s = np.interp(a, ts, dfs), np.interp(b, ts, dfs), fb - fa, fa / (fa - fb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = (((2.0 * s - 3.0) * s * s + 1.0) * a + (3.0 - 2.0 * s) * s * s * b
+              + (s - 1.0) * s * h * ((s - 1.0) / da + s / db))
+    x0 = np.where((x0 > a) & (x0 < b), x0, a + s * (b - a))
+    return newton(f, a, b, x0, fa).tolist()

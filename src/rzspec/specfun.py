@@ -78,7 +78,7 @@ _H_FIRST = 0.25         # step of the first trapezoidal level
 _H_FINEST = 2.0 ** -10  # a row still open at this step raises ToleranceNotMet
 
 
-def _nested_trapezoid(f, u_max):
+def _nested_trapezoid(f, u_max, with_error=False):
     """Integrals over [0, u_max[r]] of ``f(u, rows)``, one per row r.
 
     The trapezoidal rule, weight 1/2 at u = 0 and 1 at every k h <= u_max,
@@ -91,10 +91,12 @@ def _nested_trapezoid(f, u_max):
     second term the rounding floor of the sum.  For an integrand analytic
     in a strip the rule converges geometrically in 1/h (Trefethen and
     Weideman, SIAM Review 56, 2014), so the last difference bounds the
-    error of the previous level and S_L is far better.
+    error of the previous level and S_L is far better.  With ``with_error``,
+    ``f`` gives m integrands per row as an (m, nodes) array, a row closes
+    when all m pass, and the (m, rows) integrals come back with their
+    error estimates |S_L - S_(L-1)| + 64 u h sum|f|.
     """
     n = len(u_max)
-    out = np.empty(n, dtype=complex)
     rows = np.arange(n)
 
     def level(h, first, stride):
@@ -103,24 +105,28 @@ def _nested_trapezoid(f, u_max):
         count = (np.floor(u_max[rows] / h).astype(np.int64) - first) // stride + 1
         r = np.repeat(rows, count)
         k = first + stride * (np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count))
-        vals = f(k * h, r)
+        vals = np.atleast_2d(f(k * h, r))
         if first == 0:
-            vals[k == 0] *= 0.5
-        return (h * (np.bincount(r, vals.real, n) + 1j * np.bincount(r, vals.imag, n)),
-                h * np.bincount(r, np.abs(vals), n))
+            vals[:, k == 0] *= 0.5
+        m = len(vals)  # integrand j of row r goes to bin j n + r, its terms in order
+        bins, vals = (r + n * np.arange(m)[:, None]).ravel(), vals.ravel()
+        re, im, ab = (np.bincount(bins, w, m * n).reshape(m, n) for w in (vals.real, vals.imag, np.abs(vals)))
+        return h * (re + 1j * im), h * ab
 
     h = _H_FIRST
     s, a = level(h, 0, 1)
+    out, err = np.empty_like(s), np.empty(s.shape)
     while h > _H_FINEST:
         h *= 0.5
         ds, da = level(h, 1, 2)
         s, s_prev, a = 0.5 * s + ds, s, 0.5 * a + da
-        diff = np.abs(s[rows] - s_prev[rows])
-        done = diff <= np.maximum(1e-13 * np.abs(s[rows]), 64.0 * _U * a[rows])
-        out[rows[done]] = s[rows[done]]
+        diff, floor = np.abs(s[:, rows] - s_prev[:, rows]), 64.0 * _U * a[:, rows]
+        done = np.all(diff <= np.maximum(1e-13 * np.abs(s[:, rows]), floor), axis=0)
+        out[:, rows[done]] = s[:, rows[done]]
+        err[:, rows[done]] = (diff + floor)[:, done]
         rows = rows[~done]
         if not len(rows):
-            return out
+            return (out, err) if with_error else out[0]
     raise ToleranceNotMet(f"trapezoidal rule still open at step {h:g}")
 
 
@@ -247,7 +253,8 @@ def bessel_k_complex_order(nu, z):
     with nu = a + i mu and c = z cos(alpha), and integrated by the nested
     trapezoidal rule on blocks of at most 128 orders.  Every order keeps its
     own closing test, so an array element equals its one-order call bit
-    for bit.  No threads are used.
+    for bit.  No threads are used.  The Dirac zero scans take K with its
+    nu-derivative and error estimate from :func:`_bessel_k`.
 
     Respects ``K_nu = K_{-nu}`` and ``K_conj(nu) = conj(K_nu)`` exactly by
     construction.  Raises :class:`ToleranceNotMet` if the truncation point
@@ -258,12 +265,26 @@ def bessel_k_complex_order(nu, z):
     [0.02, 100]): at worst 9.2e-9 relative, at a = 0.59, mu = 99.3, z = 85.4,
     where mu is just above z and the contour stops short of the saddle.
     """
+    return _bessel_k(nu.astype(complex).ravel(), z).reshape(nu.shape)
+
+
+def _bessel_k(nu, z, slope=False):
+    """K_nu(z) on a 1-d complex array of orders; with ``slope`` also dK/dnu,
+    a second row on K's nodes with alpha held fixed (by Cauchy the height
+    does not change the integral), and an error estimate of K:
+
+        dK/dnu = i alpha K + e^(i nu alpha) integral_0^u_hi e^(-c cosh u)
+                 u sinh(a u + i (mu u - z sin(alpha) sinh u)) du.
+
+    An order closes when both rows do.  The estimate is |e^(i nu alpha)|
+    times K's last difference and rounding floor, plus 4 u (1 + |nu| alpha) |K|
+    for the rounding of the rotation.
+    """
     z = float(z)
     if not z > 0:
         raise ValueError("bessel_k_complex_order requires z > 0")
-    shape = nu.shape
-    nu = nu.astype(complex).ravel()
-    nu = np.where(nu.real < 0, -nu, nu)
+    flip = nu.real < 0
+    nu = np.where(flip, -nu, nu)
     conj = nu.imag < 0
     nu = np.where(conj, nu.conjugate(), nu)
     a, mu = nu.real, nu.imag
@@ -288,15 +309,33 @@ def bessel_k_complex_order(nu, z):
     def integrand(u, r):
         return np.exp(-c[r] * np.cosh(u)) * np.cosh(a[r] * u + 1j * (mu[r] * u - zs[r] * np.sinh(u)))
 
-    out = np.empty(len(nu), dtype=complex)
+    def with_slope(u, r):
+        # e^(-c cosh u) (cosh w, u sinh w), w = a u + i theta, in real parts
+        decay, au, theta = -c[r] * np.cosh(u), a[r] * u, mu[r] * u - zs[r] * np.sinh(u)
+        ep, em, cos, sin = np.exp(decay + au), np.exp(decay - au), np.cos(theta), np.sin(theta)
+        ch, sh, vals = 0.5 * (ep + em), 0.5 * (ep - em), np.empty((2, len(u)), dtype=complex)
+        vals.real[0], vals.imag[0], vals.real[1], vals.imag[1] = ch * cos, sh * sin, u * sh * cos, u * ch * sin
+        return vals
+
+    out, err = np.empty((1 + slope, len(nu)), dtype=complex), np.empty((1 + slope, len(nu)))
     for i in range(0, len(nu), _K_BLOCK):
         b = np.arange(i, min(i + _K_BLOCK, len(nu)))
-        out[b] = _nested_trapezoid(lambda u, r: integrand(u, b[r]), u_hi[b])
+        if slope:
+            out[:, b], err[:, b] = _nested_trapezoid(lambda u, r: with_slope(u, b[r]), u_hi[b], True)
+        else:
+            out[0, b] = _nested_trapezoid(lambda u, r: integrand(u, b[r]), u_hi[b])
     # not in place: numpy's in-place complex product of a one-element array
     # can round differently from its vector loop, and a one-order call
     # must give its array element's bits
-    out = np.exp(1j * nu * alpha) * out
-    return np.where(conj, out.conjugate(), out).reshape(shape)
+    rot = np.exp(1j * nu * alpha)
+    k = rot * out[0]
+    if not slope:
+        return np.where(conj, k.conjugate(), k)
+    # K_conj(nu) = conj K_nu and K_(-nu) = K_nu: dK/dnu is conjugated and changes sign
+    dk = 1j * alpha * k + rot * out[1]
+    dk = np.where(flip, -1.0, 1.0) * np.where(conj, dk.conjugate(), dk)
+    err = np.abs(rot) * err[0] + 4.0 * _U * (1.0 + np.abs(nu) * alpha) * np.abs(k)
+    return np.where(conj, k.conjugate(), k), dk, err
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +65,17 @@ ZERO_GRID_STEP = 0.05     # safely below the minimal zero gap at desk scale
 
 
 def _bernoulli_over_factorial(count):
-    # B_{2k}/(2k)! for k = 1..count, exactly, via the defining recurrence
-    # sum_{j<=m} C(m+1, j) B_j = 0.
-    bern = [Fraction(1), Fraction(-1, 2)]
-    for m in range(2, 2 * count + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += Fraction(math.comb(m + 1, j)) * bern[j]
-        bern.append(-acc / (m + 1))
-    return [float(bern[2 * k] / Fraction(math.factorial(2 * k))) for k in range(1, count + 1)]
+    # B_2k/(2k)! for k = 1..count, each correctly rounded, from the integer
+    # tangent numbers T_(2k-1) (Brent and Harvey 2011):
+    # B_2k = (-1)^(k-1) 2k T_(2k-1) / (4^k (4^k - 1)); int / int rounds correctly
+    tan = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    return [(-1) ** (k - 1) * 2 * k * tan[k] / (4 ** k * (4 ** k - 1) * math.factorial(2 * k))
+            for k in range(1, count + 1)]
 
 
 _EM_COEF = _bernoulli_over_factorial(30)

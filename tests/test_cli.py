@@ -177,6 +177,26 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
 
+class TestTForCount:
+    def test_equals_the_scalar_bisection(self):
+        # six steps to a theta call visit the midpoints of 60 one-point steps
+        def scalar(n):
+            lo, hi = 10.0, ze.T_BUDGET
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if ze.theta_rs(mid) / math.pi + 1.0 < n + 2:
+                    lo = mid
+                else:
+                    hi = mid
+            return hi
+        for n in range(1, 266):
+            assert cli._t_for_count(n).hex() == scalar(n).hex()
+
+    def test_past_the_budget_raises(self):
+        with pytest.raises(cli.RZError):
+            cli._t_for_count(268)
+
+
 class TestSweepSizes:
     @pytest.mark.parametrize("args", [["perron", "--n-max", "1"], ["perron", "--n-max", "2"],
                                       ["mertens", "--n-max", "3"], ["landau", "--n-max", "0"],

@@ -58,8 +58,9 @@ class TestArrayArguments:
         for fn in (dirac.xi_h, dirac.polya_xi_star):
             assert fn(self.TS).tolist() == [fn(float(t)) for t in self.TS]
         b = BoundaryData(1.0, TWO_PI)
-        got = dirac._k_phase(self.TS, 0.5, b.m_lx)
-        assert got.tolist() == [float(dirac._k_phase(float(t), 0.5, b.m_lx)) for t in self.TS]
+        got = dirac._k_phase_slope(self.TS, 0.5, b.m_lx)
+        one = [dirac._k_phase_slope(np.array([t]), 0.5, b.m_lx) for t in self.TS]
+        assert all(g.tolist() == [o[i][0] for o in one] for i, g in enumerate(got))
         res = dirac.eigen_residual(self.TS, b)
         want = np.array([dirac.eigen_residual(float(t), b) for t in self.TS])
         assert np.all(np.abs(res - want) <= 1e-15 * np.abs(want))
@@ -254,29 +255,56 @@ class TestZeroScans:
         Kind.XI_DIRAC_H, Kind.XI_POLYA_STAR, Kind.XI_RIEMANN,
         BoundaryData(1.0, TWO_PI), BoundaryData(math.pi, TWO_PI)])
     def test_too_coarse_step_raises(self, monkeypatch, target):
-        # at step 2.6 the scans would miss pairs of zeros: the phase of K
-        # moves by more than pi/2 in a step, and riemann_xi loses pairs
-        # against the exact zero count
-        monkeypatch.setattr(dirac, "_PHASE_STEP", 2.6)
+        # steps sized for a phase move of 2.6 would miss pairs of zeros: the
+        # phase of K moves by more than pi/2 in a step, and riemann_xi (at
+        # step 2.6) loses pairs against the exact zero count
+        monkeypatch.setattr(dirac, "_PHASE_PER_STEP", 2.6)
         monkeypatch.setattr(dirac, "ZERO_GRID_STEP", 2.6)
-        with pytest.raises(MissedZeroError):
+        with pytest.raises(MissedZeroError, match="pi/2|count gives"):
             dirac.find_dirac_zeros(target, 0.0, 100.0)
 
     @pytest.mark.parametrize("a, x", [(0.5, TWO_PI), (2.25, TWO_PI), (0.5, 0.5), (0.5, 1.0),
                                       (0.5, 20.0), (0.5, 60.0)])
     def test_phase_step_is_within_a_quarter_turn(self, a, x):
         # xi_H, xi* and the boundary family at m l_x in {0.5, 1, 2 pi, 20, 60}:
-        # every step of the scan grid on (0, 200] moves the phase by (0, pi/2]
-        ts = scan_grid(0.0, dirac.DIRAC_T_BUDGET, dirac._PHASE_STEP)
-        step = np.diff(np.unwrap(dirac._k_phase(ts, a, x)))
+        # every step of the slope-sized scan grid on (0, 200] moves the phase
+        # by (0, pi/2], and dK/dnu gives every node a slope > 0
+        ts, arg, slope = dirac._phase_scan(a, x, 0.0, dirac.DIRAC_T_BUDGET)
+        step = np.diff(np.unwrap(arg))
         assert np.all(step > 0.0) and np.all(step <= 0.5 * math.pi)
+        assert np.all(slope > 0.0)
+        assert ts[0] == 0.0 and ts[-1] == dirac.DIRAC_T_BUDGET
 
     @pytest.mark.parametrize("m_lx", [0.5, 1.0, 20.0, 60.0])
     def test_boundary_zeros_on_the_phase(self, m_lx):
         b = BoundaryData(1.0, m_lx)
         zs = dirac.find_dirac_zeros(b, 0.0, dirac.DIRAC_T_BUDGET)
         assert len(zs) > 0 and all(b2 > a2 for a2, b2 in zip(zs, zs[1:]))
-        assert np.all(np.abs(np.sin(dirac._k_phase(np.array(zs), 0.5, m_lx) - 0.5)) < 1e-9)
+        k = dirac.bessel_k_complex_order(0.5 + 0.5j * np.array(zs), m_lx)
+        assert np.all(np.abs(np.sin(np.angle(k) - 0.5)) < 1e-9)
+
+    def test_small_mass_radius_to_the_budget(self):
+        # at m l_x = 0.1 the phase slope reaches 3.8 by t = 200, where a
+        # fixed step of 0.4 would move the phase by up to 1.52 of the pi/2
+        # allowed; the slope-sized step, 0.207, keeps every move below 0.8
+        b = BoundaryData(1.0, 0.1)
+        ts, arg, slope = dirac._phase_scan(0.5, 0.1, 0.0, dirac.DIRAC_T_BUDGET)
+        assert np.diff(np.unwrap(arg)).max() < 0.8 and np.all(slope > 0.0)
+        zs = dirac.find_dirac_zeros(b, 0.0, dirac.DIRAC_T_BUDGET)
+        assert len(zs) == 210
+        k = dirac.bessel_k_complex_order(0.5 + 0.5j * np.array(zs), 0.1)
+        assert np.all(np.abs(np.sin(np.angle(k) - 0.5)) < 1e-9)
+
+    def test_node_slope_below_zero_raises(self, monkeypatch):
+        # the check reads the node slopes of dK/dnu as well as the steps
+        real = dirac._k_phase_slope
+
+        def flipped(t, a, x):
+            arg, slope, err = real(t, a, x)
+            return arg, np.where(np.arange(len(t)) == 3, -slope, slope), err
+        monkeypatch.setattr(dirac, "_k_phase_slope", flipped)
+        with pytest.raises(MissedZeroError, match="node slopes -"):
+            dirac.find_dirac_zeros(Kind.XI_POLYA_STAR, 0.0, 100.0)
 
     def test_budget(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rzspec.errors import MissedZeroError
-from rzspec.roots import brent, find_all, scan_grid, scan_sign_changes
+from rzspec.roots import brent, find_all, newton, scan_grid, scan_sign_changes
 
 
 class TestFindAll:
@@ -116,3 +116,48 @@ class TestLockstepBrent:
             brent(math.cos, 0.0, 1.0)
         with pytest.raises(ValueError):
             brent(np.cos, np.array([0.0, 1.0]), np.array([3.0, 1.5]))
+
+
+class TestLockstepNewton:
+    def test_find_all_with_slopes(self):
+        # values and slopes at the nodes seed each bracket by inverse cubic
+        # Hermite interpolation; Newton then makes one call per round on the
+        # brackets still open
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return np.sin(x), np.cos(x), np.zeros_like(x)
+        ts = scan_grid(0.5, 20.0, 0.5)
+        roots = find_all(f, ts, 6, np.sin(ts), np.cos(ts))
+        assert roots == pytest.approx([k * math.pi for k in range(1, 7)], abs=1e-12)
+        sizes = [len(x) for x in calls]
+        assert sizes[0] == 6 and len(sizes) <= 3
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert np.all(np.abs(calls[0] - np.arange(1, 7) * math.pi) < 1e-3)
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # Newton on atan diverges from |x| > 1.39; the bracket keeps every
+        # point inside it and the cut brackets close in on the root
+        seen = []
+
+        def f(x):
+            seen.append(np.array(x))
+            return np.arctan(x), 1.0 / (1.0 + x * x), np.zeros_like(x)
+        a, b = np.array([-10.0, -3.0]), np.array([5.0, 20.0])
+        roots = newton(f, a, b, np.array([4.0, 15.0]), np.arctan(a))
+        assert np.all(np.abs(roots) < 1e-12)
+        pts = np.concatenate(seen)
+        assert pts.min() >= -10.0 and pts.max() <= 20.0
+
+    def test_stops_at_the_value_error(self):
+        # values carry noise of 1e-7 and say so: Newton stops once the value
+        # is within its error instead of chasing the noise to 1e-10
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return (x - 1.0) + 1e-7 * np.sin(1e9 * x), np.ones_like(x), np.full_like(x, 2e-7)
+        roots = newton(f, np.array([0.0]), np.array([2.0]), np.array([1.3]), np.array([-1.0]))
+        assert abs(roots[0] - 1.0) < 3e-7
+        assert len(calls) <= 3

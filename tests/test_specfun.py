@@ -643,6 +643,45 @@ class TestKummer:
             kummer_m_grid(bad, 0.5, np.array([1.0 + 1.0j, 2.0]))
 
 
+class TestBesselKSlope:
+    """The K variant of the Dirac scans: K with dK/dnu from one more row on
+    K's own trapezoidal nodes, and K's error estimate."""
+
+    @pytest.mark.parametrize("a", [0.5, 2.25])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0 * math.pi, 20.0, 60.0])
+    def test_against_oracle(self, a, x):
+        # seeded orders a + it/2, t in (0, 200]: dK/dnu within K's
+        # documented 1e-8, and each estimate covers K's error
+        t = np.random.default_rng(21).uniform(0.0, 200.0, 5)
+        k, dk, err = specfun._bessel_k(a + 0.5j * t, x, slope=True)
+        with mp.workdps(30):
+            nus = [mp.mpc(a, 0.5 * ti) for ti in t]
+            ref = np.array([complex(mp.besselk(nu, x)) for nu in nus])
+            dref = np.array([complex(mp.diff(lambda n: mp.besselk(n, x), nu)) for nu in nus])
+        assert np.all(np.abs(dk - dref) < 1e-8 * np.abs(dref))
+        assert np.all(np.abs(k - ref) <= err)
+        assert np.all(err < 1e-8 * np.abs(ref))
+
+    def test_reflection_and_conjugation(self):
+        # K_(-nu) = K_nu and K_conj(nu) = conj K_nu: dK/dnu changes sign
+        # and is conjugated
+        nu = np.array([0.5 + 7.0j, 2.25 + 40.0j, 0.5])
+        k, dk, err = specfun._bessel_k(nu, 2.0 * math.pi, slope=True)
+        for other, sign, conj in ((-nu, -1.0, False), (nu.conj(), 1.0, True),
+                                  (-nu.conj(), -1.0, True)):
+            k2, dk2, err2 = specfun._bessel_k(other, 2.0 * math.pi, slope=True)
+            assert k2.tolist() == (k.conj() if conj else k).tolist()
+            assert dk2.tolist() == (sign * (dk.conj() if conj else dk)).tolist()
+            assert err2.tolist() == err.tolist()
+
+    def test_elements_equal_one_order_calls(self):
+        nu = 0.5 + 1j * np.linspace(0.0, 100.0, 300)
+        got = specfun._bessel_k(nu, 1.0, slope=True)
+        for i in (0, 127, 128, 299):
+            one = specfun._bessel_k(nu[i:i + 1], 1.0, slope=True)
+            assert [g[i] for g in got] == [o[0] for o in one]
+
+
 class TestBesselKSweep:
     def test_adversarial_bands_against_oracle(self):
         # crossover |Im nu| ~ z, small z, generic, and the deep-decay band

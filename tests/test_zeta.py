@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -31,6 +32,16 @@ T1 = 14.134725141734694
 
 
 class TestZeta:
+    def test_euler_maclaurin_coefficients_equal_the_exact_rationals(self):
+        # B_2k/(2k)! from the recurrence sum_{j<=m} C(m+1, j) B_j = 0 in
+        # exact rationals, rounded once: the tangent-number table has its bits
+        bern = [Fraction(1), Fraction(-1, 2)]
+        for m in range(2, 61):
+            bern.append(-sum(Fraction(math.comb(m + 1, j)) * bern[j] for j in range(m)) / (m + 1))
+        want = [float(bern[2 * k] / Fraction(math.factorial(2 * k))) for k in range(1, 31)]
+        assert [c.hex() for c in ze._EM_COEF] == [c.hex() for c in want]
+        assert ze._bernoulli_over_factorial(30) == ze._EM_COEF
+
     def test_two(self):
         assert ze.zeta(2.0 + 0j).real == pytest.approx(math.pi ** 2 / 6.0, abs=1e-14)
 
