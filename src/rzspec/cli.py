@@ -390,6 +390,8 @@ def _check_config(opts) -> None:
             ok, kind = isinstance(val, str), "a string"
         elif key in _CONFIG_INTS:
             ok, kind = isinstance(val, int) and not isinstance(val, bool), "an integer"
+            if key in ("n_zeros", "n_trivial"):  # counts of the residue sums' zeros
+                ok, kind = ok and val >= 0, "an integer >= 0"
         else:
             # the bound is false for NaN, the infinities and ints no float holds
             ok = (isinstance(val, (int, float)) and not isinstance(val, bool)

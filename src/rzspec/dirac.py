@@ -11,8 +11,8 @@ an equal footing:
 
 Each takes a float t or an ndarray of t; an array is one call of the
 array Bessel K (or of the array log Gamma and zeta), so the zero scans
-pass their whole grid, and each Newton or Brent iteration its open
-brackets, in one evaluation, with no threads.
+pass their whole grid, and each Newton iteration its open brackets, in
+one evaluation, with no threads.
 
 Each also has a Fourier-side evaluation as the cosine transform of a
 rapidly decaying kernel, by the nested trapezoidal rule that Bessel K
@@ -37,7 +37,7 @@ from .errors import MissedZeroError, ToleranceNotMet
 from .roots import find_all, scan_grid
 from .specfun import (_bessel_k, _digamma_right, _nested_trapezoid, _number_or_array,
                       bessel_k_complex_order, log_gamma)
-from .zeta import ZERO_GRID_STEP, _count_avoiding_zeros, zeta
+from .zeta import find_zeros, zeta
 
 __all__ = [
     "SpectralFunctionKind",
@@ -105,8 +105,7 @@ def eigen_residual(E, b: BoundaryData):
     """Boundary-condition residual e^{i vartheta} K_(1/2-iE/2)(m l_x)
     - K_(1/2+iE/2)(m l_x); its real zeros are the eigenvalues."""
     kp = bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx)
-    km = bessel_k_complex_order(0.5 - 0.5j * E, b.m_lx)
-    return cmath.exp(1j * b.vartheta) * km - kp
+    return cmath.exp(1j * b.vartheta) * kp.conjugate() - kp
 
 
 def riemann_xi(t):
@@ -180,9 +179,9 @@ def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:
     # nodes in each period of the cosine, so no level aliases it to a low
     # frequency (at t = 100 the steps 1/4 and 1/8 would alias it alike)
     scale = 2.0 ** math.ceil(math.log2(max(abs(t) / (4.0 * math.pi), 1.0)))
-    val = _nested_trapezoid(lambda u, r: phi(u / scale) * np.cos(0.5 * t * (u / scale)),
-                            np.array([_BETA_MAX * scale]))
-    return factor * float(val[0].real) / scale
+    val, _ = _nested_trapezoid(lambda u, r: phi(u / scale) * np.cos(0.5 * t * (u / scale)),
+                               np.array([_BETA_MAX * scale]))
+    return factor * float(val[0, 0].real) / scale
 
 
 def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
@@ -205,7 +204,7 @@ def eigenfunction_xp(E: float, x: float, s: ModelScales) -> complex:
 def _k_phase_slope(t, a: float, x: float):
     """arg K_(a+it/2)(x), its t-slope (1/2) Re(dK/dnu / K) and the error of
     the phase implied by K's error estimate, elementwise on an ndarray of t."""
-    k, dk, err = _bessel_k(a + 0.5j * t, x, slope=True)
+    k, dk, err = _bessel_k(a + 0.5j * t, x)
     return np.angle(k), 0.5 * (dk / k).real, err / np.abs(k)
 
 
@@ -247,14 +246,13 @@ def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     until its step is below 1e-10 or below the phase error of K's error
     estimate over the slope; K's phase noise over the slope then sets the
     root's error (up to about 1e-9 where the slope is small, at m l_x = 60).
-    riemann_xi is refined to 1e-10 and checked against the exact zero count
-    of zeta.
+    riemann_xi(t) is Z(t) times a real factor that never vanishes: its zeros
+    are those of :func:`rzspec.zeta.find_zeros`, checked by zeta's exact count.
     """
     if not (0.0 <= t_min < t_max <= DIRAC_T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {DIRAC_T_BUDGET:g}")
     if target is SpectralFunctionKind.XI_RIEMANN:
-        expected = _count_avoiding_zeros(t_max) - _count_avoiding_zeros(t_min)
-        return find_all(riemann_xi, scan_grid(t_min, t_max, ZERO_GRID_STEP), expected)
+        return [r.t for r in find_zeros(t_min, t_max)]
     if target is SpectralFunctionKind.XI_DIRAC_H:  # the eigenvalues at vartheta = pi
         target = BoundaryData(math.pi, 2.0 * math.pi)
     a, x, c = ((2.25, 2.0 * math.pi, 0.5 * math.pi) if target is SpectralFunctionKind.XI_POLYA_STAR

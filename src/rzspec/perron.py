@@ -163,8 +163,8 @@ class ResidueExpansionConfig:
     def __post_init__(self):
         if self.n_nontrivial > len(self.zero_db):
             raise ValueError("n_nontrivial exceeds the zero database size")
-        if self.n_trivial < 0:
-            raise ValueError("n_trivial must be >= 0")
+        if min(self.n_nontrivial, self.n_trivial) < 0:
+            raise ValueError("n_nontrivial and n_trivial must be >= 0")
 
     def pairs(self):
         """(rho, zeta'(rho)) for the first n_nontrivial zeros and their

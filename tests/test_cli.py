@@ -224,6 +224,19 @@ class TestNonFiniteAndOverBudget:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["mertens", "perron"])
+    @pytest.mark.parametrize("flag", ["--n-zeros", "--n-trivial"])
+    def test_negative_zero_count_refused(self, tmp_path, capsys, zero_db, command, flag):
+        # a negative count would slice records[:-5] off the cached table;
+        # it is refused before the cache is read or extended
+        cache, out = tmp_path / "cache.json", tmp_path / "out"
+        ze.persist_zeros(ze.ZeroDatabase(zero_db.records[:13], t_max_verified=60.0), cache)
+        out.mkdir()
+        before = cache.read_bytes()
+        assert run([command, flag, "-5", "--n-max", "20", "--cache", str(cache), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RZError"
+        assert list(out.iterdir()) == [] and cache.read_bytes() == before
+
 
 def fmt_per_value(v) -> str:
     """The per-value CSV rule: an int as an int, anything else as a %.17g float."""

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rzspec import counting as ct
 from rzspec import dirac
+from rzspec import zeta as ze
 from rzspec.dirac import BoundaryData, SpectralFunctionKind as Kind
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.roots import brent, scan_grid
@@ -62,8 +64,16 @@ class TestArrayArguments:
         one = [dirac._k_phase_slope(np.array([t]), 0.5, b.m_lx) for t in self.TS]
         assert all(g.tolist() == [o[i][0] for o in one] for i, g in enumerate(got))
         res = dirac.eigen_residual(self.TS, b)
-        want = np.array([dirac.eigen_residual(float(t), b) for t in self.TS])
+        one = [dirac.eigen_residual(float(t), b) for t in self.TS]
+        want = np.array(one)
         assert np.all(np.abs(res - want) <= 1e-15 * np.abs(want))
+
+        # K_(1/2-iE/2) as the conjugate of K_(1/2+iE/2) has the bits of its own call
+        def two_calls(E):
+            return (cmath.exp(1j * b.vartheta) * dirac.bessel_k_complex_order(0.5 - 0.5j * E, b.m_lx)
+                    - dirac.bessel_k_complex_order(0.5 + 0.5j * E, b.m_lx))
+        assert all(type(v) is complex for v in one) and one == [two_calls(float(t)) for t in self.TS]
+        assert res.tolist() == two_calls(self.TS).tolist()
 
     def test_riemann_xi_matches_scalar(self):
         got = dirac.riemann_xi(self.TS)
@@ -222,6 +232,14 @@ class TestZeroScans:
         assert zs[0] == pytest.approx(14.134725141734694, abs=1e-8)
         assert zs[1] == pytest.approx(21.022039638771555, abs=1e-8)
 
+    def test_riemann_zeros_are_those_of_z(self):
+        # xi(1/2 + it) is Z(t) times a real factor that never vanishes:
+        # the scan is Z's, and each root is a sign change of riemann_xi
+        zs = dirac.find_dirac_zeros(Kind.XI_RIEMANN, 0.0, 100.0)
+        assert zs == [r.t for r in ze.find_zeros(0.0, 100.0)] and len(zs) == 29
+        signs = np.sign(dirac.riemann_xi(np.array(zs)[:, None] + np.array([-1e-8, 1e-8])))
+        assert np.all(signs[:, 0] * signs[:, 1] < 0)
+
     def test_xi_h_count_vs_smooth(self):
         zs = dirac.find_dirac_zeros(Kind.XI_DIRAC_H, 0.0, 100.0)
         smooth = ct.n_dirac_smooth(100.0, ct.ModelScales(l_x=1.0, l_p=TWO_PI))
@@ -256,10 +274,10 @@ class TestZeroScans:
         BoundaryData(1.0, TWO_PI), BoundaryData(math.pi, TWO_PI)])
     def test_too_coarse_step_raises(self, monkeypatch, target):
         # steps sized for a phase move of 2.6 would miss pairs of zeros: the
-        # phase of K moves by more than pi/2 in a step, and riemann_xi (at
+        # phase of K moves by more than pi/2 in a step, and Z (at
         # step 2.6) loses pairs against the exact zero count
         monkeypatch.setattr(dirac, "_PHASE_PER_STEP", 2.6)
-        monkeypatch.setattr(dirac, "ZERO_GRID_STEP", 2.6)
+        monkeypatch.setattr(ze, "ZERO_GRID_STEP", 2.6)
         with pytest.raises(MissedZeroError, match="pi/2|count gives"):
             dirac.find_dirac_zeros(target, 0.0, 100.0)
 

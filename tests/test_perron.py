@@ -155,6 +155,9 @@ class TestResidueExpansion:
     def test_config_validation(self, zero_db):
         with pytest.raises(ValueError):
             perron.ResidueExpansionConfig(zero_db, len(zero_db) + 1, 5)
+        for counts in ((-5, 5), (5, -1)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                perron.ResidueExpansionConfig(zero_db, *counts)
 
 
 def _reference_tail(x, z, cfg, exclude=False):

@@ -219,6 +219,8 @@ class TestBesselKArray:
             assert got.shape == nu.shape and got.dtype == complex
             assert all(g == bessel_k_complex_order(complex(n), z)
                        for g, n in zip(got.ravel(), nu.ravel()))
+            # the first row of the one K kernel, with no integrand of its own
+            assert got.ravel().tolist() == specfun._bessel_k(nu.ravel(), z)[0].tolist()
 
     def test_orders_needing_several_halvings(self, monkeypatch):
         # At z = 0.05 the orders of one block close after one to four
@@ -262,11 +264,11 @@ class TestBesselKArray:
         def both(u, rows):
             levels.append(np.unique(rows).tolist())
             return np.where(rows == 0, smooth(u), peak(u))
-        got = specfun._nested_trapezoid(both, np.array([8.0, 6.0]))
+        got, _ = specfun._nested_trapezoid(both, np.array([8.0, 6.0]))
         assert levels[1] == [0, 1] and levels[-1] == [1] and len(levels) > 3
-        solo = [specfun._nested_trapezoid(lambda u, rows: g(u), np.array([u_max]))[0]
+        solo = [specfun._nested_trapezoid(lambda u, rows: g(u), np.array([u_max]))[0][0, 0]
                 for g, u_max in ((smooth, 8.0), (peak, 6.0))]
-        assert got.tolist() == solo
+        assert got[0].tolist() == solo
         assert solo[1] == pytest.approx(math.sqrt(math.pi) / 20.0, rel=1e-12)
 
     def test_stalled_row_raises(self):
@@ -275,8 +277,8 @@ class TestBesselKArray:
         integrand = lambda u, rows: np.where(rows == 0, np.abs(u - 0.3) ** -0.5, np.exp(-u * u))
         with pytest.raises(ToleranceNotMet):
             specfun._nested_trapezoid(integrand, np.array([1.0, 8.0]))
-        val = specfun._nested_trapezoid(lambda u, rows: np.exp(-u * u), np.array([8.0]))
-        assert val == pytest.approx([math.sqrt(math.pi) / 2.0], rel=1e-14)
+        val, _ = specfun._nested_trapezoid(lambda u, rows: np.exp(-u * u), np.array([8.0]))
+        assert val[0] == pytest.approx([math.sqrt(math.pi) / 2.0], rel=1e-14)
 
 
 class TestKummer:
@@ -644,8 +646,8 @@ class TestKummer:
 
 
 class TestBesselKSlope:
-    """The K variant of the Dirac scans: K with dK/dnu from one more row on
-    K's own trapezoidal nodes, and K's error estimate."""
+    """The one K kernel: K with dK/dnu from a second integrand on K's own
+    trapezoidal nodes, and K's error estimate."""
 
     @pytest.mark.parametrize("a", [0.5, 2.25])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0 * math.pi, 20.0, 60.0])
@@ -653,7 +655,7 @@ class TestBesselKSlope:
         # seeded orders a + it/2, t in (0, 200]: dK/dnu within K's
         # documented 1e-8, and each estimate covers K's error
         t = np.random.default_rng(21).uniform(0.0, 200.0, 5)
-        k, dk, err = specfun._bessel_k(a + 0.5j * t, x, slope=True)
+        k, dk, err = specfun._bessel_k(a + 0.5j * t, x)
         with mp.workdps(30):
             nus = [mp.mpc(a, 0.5 * ti) for ti in t]
             ref = np.array([complex(mp.besselk(nu, x)) for nu in nus])
@@ -666,19 +668,19 @@ class TestBesselKSlope:
         # K_(-nu) = K_nu and K_conj(nu) = conj K_nu: dK/dnu changes sign
         # and is conjugated
         nu = np.array([0.5 + 7.0j, 2.25 + 40.0j, 0.5])
-        k, dk, err = specfun._bessel_k(nu, 2.0 * math.pi, slope=True)
+        k, dk, err = specfun._bessel_k(nu, 2.0 * math.pi)
         for other, sign, conj in ((-nu, -1.0, False), (nu.conj(), 1.0, True),
                                   (-nu.conj(), -1.0, True)):
-            k2, dk2, err2 = specfun._bessel_k(other, 2.0 * math.pi, slope=True)
+            k2, dk2, err2 = specfun._bessel_k(other, 2.0 * math.pi)
             assert k2.tolist() == (k.conj() if conj else k).tolist()
             assert dk2.tolist() == (sign * (dk.conj() if conj else dk)).tolist()
             assert err2.tolist() == err.tolist()
 
     def test_elements_equal_one_order_calls(self):
         nu = 0.5 + 1j * np.linspace(0.0, 100.0, 300)
-        got = specfun._bessel_k(nu, 1.0, slope=True)
+        got = specfun._bessel_k(nu, 1.0)
         for i in (0, 127, 128, 299):
-            one = specfun._bessel_k(nu[i:i + 1], 1.0, slope=True)
+            one = specfun._bessel_k(nu[i:i + 1], 1.0)
             assert [g[i] for g in got] == [o[0] for o in one]
 
 
