@@ -106,6 +106,14 @@ def _require_n_max(n_max: int, least: int, what: str) -> None:
         raise RZError(f"--n-max {n_max}: the {what} needs n_max >= {least}")
 
 
+def _height_sweep(lo: float, hi: float, step: float) -> np.ndarray:
+    # lo, lo + step, ... <= hi, refused before any write unless it has the two points of a plot
+    ts = np.arange(lo, hi + 1e-9, step)
+    if len(ts) < 2:
+        raise RZError(f"heights {lo:g} .. {hi:g} in steps of {step:g}: need t_max >= t_min + {step:g}")
+    return ts
+
+
 # --------------------------------------------------------------------------
 # zero cache
 # --------------------------------------------------------------------------
@@ -131,16 +139,10 @@ def _t_for_count(n: int) -> float:
     return hi
 
 
-def _load_cache(path: Path) -> zeta_mod.ZeroDatabase | None:
-    if path.is_file():
-        return zeta_mod.ingest_zeros(path)
-    return None
-
-
 def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
                   count_needed: int | None = None) -> zeta_mod.ZeroDatabase:
     """Load the cache and extend it (append-only) to cover the request."""
-    db = _load_cache(cfg.cache)
+    db = zeta_mod.ingest_zeros(cfg.cache) if cfg.cache.is_file() else None
     if count_needed is not None:
         # a cache holding enough zeros serves as is, even past the scan budget
         if db is not None and len(db) >= count_needed and t_needed is None:
@@ -148,9 +150,10 @@ def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
         t_needed = max(t_needed or 0.0, _t_for_count(count_needed))
     if t_needed is None:
         raise ValueError("nothing requested")
-    t_needed = min(float(t_needed), zeta_mod.T_BUDGET)
     if db is not None and db.t_max_verified >= t_needed:
         return db
+    if t_needed > zeta_mod.T_BUDGET:
+        raise RZError(f"zeros to t = {t_needed:g}: past the scan budget and the cache; ingest a table")
     if db is None or len(db) == 0:
         db = zeta_mod.build_database(t_needed)
     else:
@@ -172,6 +175,7 @@ def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
 
 def _cmd_zeros(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 50.0
+    ts = _height_sweep(max(cfg.t_min, 0.0), t_max, 0.05)
     db = _ensure_zeros(cfg, t_needed=t_max)
     db.ensure_derivatives()
     recs = [r for r in db.records if cfg.t_min <= r.t <= t_max]
@@ -180,15 +184,13 @@ def _cmd_zeros(cfg: RunConfig) -> None:
                ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"],
                [np.array([r.index for r in recs], dtype=int), np.array([r.t for r in recs]),
                 np.array([r.z_prime for r in recs]), zp.real, zp.imag])
-    lo = max(cfg.t_min, 0.0)
-    ts = np.arange(lo, t_max + 1e-9, 0.05)
-    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_grid(lo, 0.05, len(ts))], labels=["Z(t)"],
+    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_scan(ts[0], 0.05, len(ts))], labels=["Z(t)"],
                   title="Hardy Z on the critical line", x_label="t", y_label="Z")
 
 
 def _cmd_xih(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 60.0
-    ts = np.arange(cfg.t_min, t_max + 1e-9, 0.25)
+    ts = _height_sweep(cfg.t_min, t_max, 0.25)
     cols = [dirac.xi_h(ts), dirac.polya_xi_star(ts), dirac.riemann_xi(ts)]
     _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"], [ts, *cols])
     svg.line_plot(cfg.out / "xih.svg", ts, cols,
@@ -245,7 +247,7 @@ def _cmd_mirror(cfg: RunConfig) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else 100000
     _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability tail n >= 1000")
     if cfg.t_min > 0:
-        db = _ensure_zeros(cfg, t_needed=max(15.0, cfg.t_min + 1.0))
+        db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
         e_val = _snap_to_ordinate(cfg.t_min, db)
     else:
         db = _ensure_zeros(cfg, t_needed=15.0)

@@ -84,7 +84,7 @@ def moebius_sieve(n_max: int) -> np.ndarray:
             mu[p::p] *= -1
             small[p::p] *= p
             mu[p * p::p * p] = 0
-    mu[small < np.arange(n_max + 1, dtype=np.int32)] *= -1
+    mu *= 1 - 2 * (small < np.arange(n_max + 1, dtype=np.int32)).view(np.int8)
     mu[0] = 0
     return mu
 

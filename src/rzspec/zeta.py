@@ -1,6 +1,6 @@
 """Riemann zeta on and off the critical line, and the zero machinery.
 
-The evaluator is Euler-Maclaurin throughout the half-plane Re s >= 0,
+Every value that is returned or refined comes from Euler-Maclaurin on Re s >= 0,
 
     zeta(s) = sum_{n<N} n^-s + N^-s/2 + N^(1-s)/(s-1)
               + sum_k B_2k/(2k)! * (s)_(2k-1) * N^(-s-2k+1),
@@ -18,11 +18,14 @@ and Z' from closed-form derivatives of each Euler-Maclaurin term (order m
 takes (-log n)^m n^-s; Johansson 2015), the branch tracker for Im log
 zeta(1/2 + it), the sign-change zero finder, and a small persistent database
 of zero records.  zeta, theta_rs and z_function run a number as an array.
+Only the scan and plot grids of Z take Riemann-Siegel from t = 50 up, and
+Euler-Maclaurin again where its error bound leaves the sign of a value open.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import logging
 import math
@@ -83,10 +86,11 @@ _ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB 
 _GRID_J = 64       # offsets shared by each anchor of a uniform grid
 
 
-def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None) -> np.ndarray:
+def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None, cols=None) -> np.ndarray:
     # zeta^(m_j)(s0[b] + d[j]) as a (B, J) array, Re s >= 0, order m_j in {0, 1, 2} per
     # column (None: all 0).  Row b takes the cutoff N of its largest |s|; rows sharing N
     # run a block at a time; a point leaves the correction's arrays once its series stops.
+    # With cols (and order None) only the entries (b, cols[b]) are summed, as a (B, 1) array.
     s = np.add.outer(s0, d)
     if not s.size:
         return s
@@ -96,7 +100,7 @@ def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None) -> np.ndarray:
     table = np.exp(np.multiply.outer(-d, log_n))
     if deriv:
         table *= np.power.outer(-log_n, order).T  # (-log n)^m n^-d
-    acc = np.empty(s.shape, dtype=complex)
+    acc = np.empty(s.shape if cols is None else len(s0), dtype=complex)
     by_n = np.argsort(n_row, kind="stable")
     rows = max(1, _ZETA_BLOCK // len(d))
     for grp in np.split(by_n, np.flatnonzero(np.diff(n_row[by_n])) + 1):
@@ -104,7 +108,9 @@ def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None) -> np.ndarray:
         for b in range(0, len(grp), rows):
             idx = grp[b:b + rows]
             head = np.exp(np.multiply.outer(-s0[idx], log_n[:m]))
-            acc[idx] = (head[:, None, :] * table[:, :m]).sum(axis=-1)
+            acc[idx] = (head[:, None, :] * table[:, :m] if cols is None
+                        else head * table[cols[idx], :m]).sum(axis=-1)
+    s, d = (s, d) if cols is None else (s[np.arange(len(s0)), cols][:, None], d[:1])
     s, acc, nb = s.ravel(), acc.ravel(), np.repeat(n_row, len(d)).astype(float)
     half, pole = 0.5 * nb ** (-s), nb ** (1.0 - s) / (s - 1.0)
     live, sl, rising, npow, inv_n2 = np.arange(len(s)), s, s, nb ** (-s - 1.0), 1.0 / (nb * nb)
@@ -180,11 +186,12 @@ def theta_rs(t):
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
-def _z_outer(t0, dt) -> np.ndarray:
+def _z_outer(t0, dt, cols=None) -> np.ndarray:
     # Z(t0 + dt) of shape t0.shape + dt.shape, from one outer zeta call with
-    # the anchors 1/2 + i t0 and the offsets i dt
-    t = np.add.outer(t0, dt)
-    w = np.exp(1j * theta_rs(t)) * _zeta_outer(0.5 + 1j * t0, 1j * dt)
+    # the anchors 1/2 + i t0 and the offsets i dt; with cols, the entries (b, cols[b]) only
+    t = np.add.outer(t0, dt) if cols is None else t0 + dt[cols]
+    w = np.exp(1j * theta_rs(t)) * (_zeta_outer(0.5 + 1j * t0, 1j * dt) if cols is None
+                                    else _zeta_em_array(0.5 + 1j * t0, 1j * dt, None, cols)[:, 0])
     resid = np.abs(w.imag)
     if np.any(resid > 1e-6):
         k = int(np.argmax(resid.ravel()))
@@ -211,6 +218,67 @@ def _z_grid(lo: float, step: float, n: int) -> np.ndarray:
     # Z at lo + k step for k < n: anchors lo + J b step, shared offsets j step
     b = np.arange(-(-n // _GRID_J)) * _GRID_J
     return _z_outer(lo + b * step, np.arange(_GRID_J) * step).ravel()[:n]
+
+
+# Riemann-Siegel (Edwards 1974 ch. 7; Gabcke 1979), a = sqrt(t / 2 pi), N = floor(a), p = a - N:
+#   Z(t) = 2 sum_{n <= N} n^-1/2 cos(theta - t log n) + (-1)^(N-1) a^-1/2 sum_{k <= 4} C_k(p) a^-k,
+# C_k = sum_e r_ke Psi^(4e-k)(p) / pi^(2e), e = [k > 0] .. k; theta by its Stirling series (k <= 5)
+_RS_T_MIN = 50.0
+_RS_R = (((1, 1),), ((-1, 96),), ((1, 64), (1, 18432)), ((-1, 64), (-1, 3840), (-1, 5308416)),
+         ((1, 128), (19, 24576), (11, 5898240), (1, 2038431744)))
+_RS_TERMS = 24  # powers of x^2 per C_k: at |x| <= 1/2 the tail is below 1e-19
+_THETA_STIRLING = [(1.0 - 2.0 ** (1 - 2 * k)) * abs(_EM_COEF[k - 1]) * math.factorial(2 * k)
+                   / (4 * k * (2 * k - 1)) for k in range(5, 0, -1)]
+
+
+@functools.cache
+def _rs_coefficients() -> np.ndarray:
+    # (5, _RS_TERMS): C_k(1/2 + x) = x^(k mod 2) sum_i c[k, i] x^(2i), highest i first, from
+    # Psi(1/2 + x) = -cos(2 pi x^2 - 5 pi/8) / cos(2 pi x) = sum_j q_j x^(2j) by series division in
+    # 400-bit fixed point (it loses 2 bits a term, too many for floats), pi by Machin's formula
+    one = 1 << 400
+    atan = lambda x: sum((-1) ** i * (one // x ** (2 * i + 1) // (2 * i + 1)) for i in range(100))
+    pi, r2 = 16 * atan(5) - 4 * atan(239), math.isqrt(2 * one * one)
+    sc = (math.isqrt((2 * one - r2) * one) // 2, -math.isqrt((2 * one + r2) * one) // 2)
+    den, q, pw = [one], [], one  # pw = (2 pi)^j / j!
+    for j in range(_RS_TERMS + 7):  # Psi^(12) reads q up to _RS_TERMS + 6
+        q.append((pw * sc[j % 2] * (-1) ** (j // 2) - sum(den[i] * q[j - i] for i in range(1, j + 1))) // one)
+        pw = pw * 2 * pi // (one * (j + 1))
+        den.append(-den[-1] * 4 * pi * pi // (one * one * (2 * j + 1) * (2 * j + 2)))
+    inv_pi2 = [one ** (2 * e + 1) // pi ** (2 * e) for e in range(5)]  # Psi^(m) has q_((d+m)/2) (d+m)!/d! x^d
+    return np.array([[sum(a * q[(d + 4 * e - k) // 2] * math.perm(d + 4 * e - k, 4 * e - k)
+                          * inv_pi2[e] // (b * one) for e, (a, b) in enumerate(rs, start=k > 0)) / one
+                      for d in range(k % 2 + 2 * _RS_TERMS - 2, -1, -2)] for k, rs in enumerate(_RS_R)])
+
+
+def _z_rs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Z(t) and an error bound, inf below _RS_T_MIN: 0.025 t^(-11/4) after C_4 (twice the largest
+    # |Z_RS - Z_EM| t^(11/4) on the 0.05 grid of [10, 500]; Gabcke proves 0.017 for t >= 200) plus
+    # 8 eps t log(t / 2 pi) sqrt(N) for the phases' rounding (5x the worst against long double)
+    u = t / (2.0 * math.pi)
+    a, n, log_u = np.sqrt(u), np.floor(np.sqrt(u)), np.log(u)
+    theta = 0.5 * t * log_u - 0.5 * t - math.pi / 8.0 + np.polyval(_THETA_STIRLING, 1.0 / (t * t)) / t
+    ns = np.arange(1, int(n.max(initial=0.0)) + 1)
+    w = np.where(ns <= n[:, None], ns ** -0.5, 0.0)
+    main = 2.0 * (np.cos(theta[:, None] - np.multiply.outer(t, np.log(ns))) * w).sum(axis=1)
+    x = a - n - 0.5
+    c = np.polyval(_rs_coefficients().T[:, :, None], x * x)
+    c[1::2] *= x
+    rem = np.polyval(c[::-1], 1.0 / a) * np.where(n % 2 == 1, 1.0, -1.0) / np.sqrt(a)
+    err = 0.025 * t ** -2.75 + 1.8e-15 * t * log_u * np.sqrt(n)
+    return main + rem, np.where(t >= _RS_T_MIN, err, np.inf)
+
+
+def _z_scan(lo: float, step: float, n: int, hi: float = math.inf) -> np.ndarray:
+    # Z at min(lo + k step, hi), k < n, for the scan and plot grids: _z_grid below _RS_T_MIN,
+    # _z_rs from there, and z_function where |Z_RS| is within its bound, so every sign is certain
+    grid = lo + np.arange(n) * step
+    m = int(np.searchsorted(grid, min(_RS_T_MIN, hi)))
+    t = np.minimum(grid[m:], hi)
+    z, err = _z_rs(t)
+    weak = ~(np.abs(z) > err)
+    z[weak] = z_function(t[weak])
+    return np.concatenate([_z_grid(lo, step, m), z])
 
 
 def _theta_prime(t):
@@ -382,19 +450,29 @@ class ZeroDatabase:
                 raise ConsistencyError("Z' must alternate in sign between simple zeros")
 
 
+def _zero_ordinates(t_min: float, t_max: float) -> tuple[int, list[float]]:
+    # the number of zeros up to t_min, by the exact count, and the ordinates in (t_min, t_max)
+    if not (0.0 <= t_min < t_max <= T_BUDGET):
+        raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
+    lo = _count_avoiding_zeros(t_min)
+    ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
+    zs = _z_scan(t_min, ZERO_GRID_STEP, len(ts), t_max)
+    # Brent starts from Euler-Maclaurin's bits at the bracket ends: _z_grid's, z_function's at t_max
+    ends = np.flatnonzero(np.convolve(zs[:-1] * zs[1:] < 0, [1, 1]))  # the points beside a sign change
+    if len(ends) and ends[-1] == len(ts) - 1:
+        zs[-1:], ends = z_function(ts[-1:]), ends[:-1]
+    j = ends % _GRID_J
+    zs[ends] = _z_outer(t_min + (ends - j) * ZERO_GRID_STEP, np.arange(_GRID_J) * ZERO_GRID_STEP, j)
+    return lo, find_all(z_function, ts, _count_avoiding_zeros(t_max) - lo, zs)
+
+
 def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     """All zeros of Z in (t_min, t_max), refined to |dt| < 1e-9.
 
     The count is cross-checked against the exact counting formula; a
     mismatch raises :class:`MissedZeroError`.
     """
-    if not (0.0 <= t_min < t_max <= T_BUDGET):
-        raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
-    lo = _count_avoiding_zeros(t_min)
-    ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
-    # the anchored grid call below t_max, a one-point call at the clipped end
-    zs = np.append(_z_grid(t_min, ZERO_GRID_STEP, len(ts) - 1), z_function(ts[-1:]))
-    roots = find_all(z_function, ts, _count_avoiding_zeros(t_max) - lo, zs)
+    lo, roots = _zero_ordinates(t_min, t_max)
     records = [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
     _fill_derivatives(records)
     return records

@@ -208,6 +208,35 @@ class TestSweepSizes:
         assert list(out.iterdir()) == []
 
 
+class TestHeightRanges:
+    @pytest.mark.parametrize("args", [["zeros", "--t-min", "50", "--t-max", "10"],
+                                      ["zeros", "--t-max", "0.01"],
+                                      ["xih", "--t-min", "10", "--t-max", "10"]])
+    def test_empty_height_range_writes_nothing(self, tmp_path, capsys, args):
+        # a sweep without the two points of a plot is refused before the cache or a CSV
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RZError"
+        assert list(out.iterdir()) == []
+
+    def test_zeros_past_the_budget_refused(self, tmp_path, capsys):
+        # an empty cache cannot cover t = 600: no table silently cut at the scan budget
+        out, cache = tmp_path / "out", tmp_path / "cache.json"
+        assert run(["zeros", "--t-max", "600", "--out", str(out), "--cache", str(cache)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "RZError"
+        assert list(out.iterdir()) == [] and not cache.exists()
+
+    def test_zeros_past_the_budget_from_a_covering_cache(self, tmp_path, data_dir):
+        # the published table covers t = 600 and serves it as it is
+        out, cache = tmp_path / "out", tmp_path / "zeros_1000.txt"
+        shutil.copyfile(data_dir / "zeros_1000.txt", cache)
+        assert run(["zeros", "--t-max", "600", "--out", str(out), "--cache", str(cache)]) == 0
+        ts = np.loadtxt(out / "zeros.csv", delimiter=",", skiprows=1)[:, 1]
+        table = ze.ingest_zeros(cache).ordinates()
+        assert np.array_equal(ts, table[table <= 600.0])
+        assert cache.read_bytes() == (data_dir / "zeros_1000.txt").read_bytes()
+
+
 class TestNonFiniteAndOverBudget:
     @pytest.mark.parametrize("args, error", [
         (["landau", "--t-max", "nan"], "RZError"),

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rzspec import zeta as ze
+from rzspec.roots import find_all, scan_grid
 from rzspec.errors import (
     ConsistencyError,
     FormatError,
@@ -232,6 +233,95 @@ class TestArrayLayer:
             ze.z_function(np.linspace(10.0, 20.0, 11))
 
 
+class TestRiemannSiegel:
+    # the kernel of the scan and plot grids from _RS_T_MIN up: its C_0..C_4 polynomials, its
+    # values against mpmath and Euler-Maclaurin within its own error bound, and the helper
+    # that hands a value within that bound of 0 to Euler-Maclaurin
+    def test_coefficients_against_mpmath_taylor(self):
+        # C_k(1/2 + x) from Psi's derivatives, Psi's Taylor series at x = 0 by mpmath's
+        # numerical differentiation: each float coefficient within 1e-15 of its value, and the
+        # first power of x^2 left out below 1e-19 at |x| = 1/2
+        terms = ze._RS_TERMS + 1
+        with mp.workdps(40):
+            a = mp.taylor(lambda x: -mp.cos(2 * mp.pi * x * x - 5 * mp.pi / 8)
+                          / mp.cos(2 * mp.pi * x), 0, 2 * terms + 12)
+            ref = np.array([[float(sum(mp.mpf(p) / q * a[d + 4 * e - k] * mp.factorial(d + 4 * e - k)
+                                       / (mp.factorial(d) * mp.pi ** (2 * e))
+                                       for e, (p, q) in enumerate(rs, start=k > 0)))
+                             for d in range(k % 2 + 2 * terms - 2, -1, -2)]
+                            for k, rs in enumerate(ze._RS_R)])
+        got = ze._rs_coefficients()
+        assert got.shape == (5, ze._RS_TERMS)
+        assert np.all(np.abs(got - ref[:, 1:]) <= 1e-15 * np.abs(ref[:, 1:]))
+        assert np.max(np.abs(ref[:, 0]) * 0.5 ** (2 * ze._RS_TERMS)) < 1e-19
+
+    def test_against_mpmath_siegelz_within_bound(self):
+        ts = np.sort(np.random.default_rng(23).uniform(ze._RS_T_MIN, 1420.0, 150))
+        got, err = ze._z_rs(ts)
+        with mp.workdps(20):
+            ref = np.array([float(mp.siegelz(mp.mpf(t))) for t in ts.tolist()])
+        assert np.all(np.abs(got - ref) <= err) and np.all(err < 1e-6)
+
+    def test_against_euler_maclaurin_on_the_scan_grid(self):
+        # every point of the 0.05 scan grid on [_RS_T_MIN, 500]; measured worst 0.49 of the bound
+        ts = np.arange(int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1) * ze.ZERO_GRID_STEP
+        ts = ts[ts >= ze._RS_T_MIN]
+        got, err = ze._z_rs(ts)
+        assert np.all(np.abs(got - ze.z_function(ts)) <= err)
+
+    def test_scan_takes_the_grid_below_and_riemann_siegel_above(self):
+        n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
+        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
+        m = int(ze._RS_T_MIN / ze.ZERO_GRID_STEP)
+        assert got.shape == (n,)
+        assert got[:m].tobytes() == ze._z_grid(0.0, ze.ZERO_GRID_STEP, m).tobytes()
+        assert got[m:].tobytes() == ze._z_rs(np.arange(m, n) * ze.ZERO_GRID_STEP)[0].tobytes()
+
+    @pytest.mark.parametrize("hi", [30.01, 100.01])
+    def test_clipped_end(self, hi):
+        # the scan grid's last point, clipped at hi: Euler-Maclaurin below the crossover
+        ts = scan_grid(0.0, hi, ze.ZERO_GRID_STEP)
+        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, len(ts), hi)
+        want = ze.z_function(ts)
+        assert ts[-1] == hi and got.shape == ts.shape
+        if hi < ze._RS_T_MIN:
+            assert got[-1] == want[-1]
+        assert np.all(np.abs(got - want) <= ze._z_rs(np.maximum(ts, ze._RS_T_MIN))[1])
+
+    def test_grid_entries_keep_their_bits(self):
+        # one entry per anchor row, summed alone, with the bits it has in the full row
+        anchors = 50.0 + np.arange(40) * ze._GRID_J * ze.ZERO_GRID_STEP
+        offsets = np.arange(ze._GRID_J) * ze.ZERO_GRID_STEP
+        cols = np.random.default_rng(29).integers(0, ze._GRID_J, len(anchors))
+        full = ze._z_outer(anchors, offsets)[np.arange(len(anchors)), cols]
+        assert ze._z_outer(anchors, offsets, cols).tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("t_max", [14.15, 56.447, 240.0])
+    def test_roots_keep_the_bits_of_the_euler_maclaurin_scan(self, t_max):
+        # Brent starts from the values an all-Euler-Maclaurin scan gives at the bracket ends,
+        # so the roots are the same floats; 14.15 and 56.447 put a zero in the clipped last step
+        ts = scan_grid(0.0, t_max, ze.ZERO_GRID_STEP)
+        zs = np.append(ze._z_grid(0.0, ze.ZERO_GRID_STEP, len(ts) - 1), ze.z_function(ts[-1:]))
+        got = [r.t for r in ze.find_zeros(0.0, t_max)]
+        assert got == find_all(ze.z_function, ts, len(got), zs)
+        assert t_max > 100.0 or ts[-2] < got[-1] < ts[-1]
+
+    def test_large_bound_routes_through_euler_maclaurin(self, monkeypatch):
+        # with every Riemann-Siegel value inside its bound, every point above the crossover
+        # comes from z_function, in one call
+        rs, em, calls = ze._z_rs, ze.z_function, []
+        monkeypatch.setattr(ze, "_z_rs", lambda t: (rs(t)[0], np.full(len(t), 1e9)))
+        monkeypatch.setattr(ze, "z_function", lambda t: calls.append(t) or em(t))
+        n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
+        m = int(ze._RS_T_MIN / ze.ZERO_GRID_STEP)
+        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
+        ts = np.arange(m, n) * ze.ZERO_GRID_STEP
+        assert len(calls) == 1 and np.array_equal(calls[0], ts)
+        assert got[m:].tobytes() == em(ts).tobytes()
+        # the roots then come from Euler-Maclaurin signs alone, and are the same zeros
+        assert len(ze.find_zeros(0.0, 100.0)) == 29
+
+
 class TestDerivatives:
     def test_zeta_prime_at_zero_point(self):
         assert abs(ze.zeta_prime(0j) - (-0.5 * math.log(2.0 * math.pi))) < 1e-9
@@ -450,4 +540,4 @@ class TestFullBudgetScan:
         recs = ze.find_zeros(0.0, 500.0)
         ref = [r.t for r in ref_db.records if r.t < 500.0]
         assert len(recs) == len(ref)
-        assert max(abs(a.t - b) for a, b in zip(recs, ref)) < 1e-6
+        assert max(abs(a.t - b) for a, b in zip(recs, ref)) < 1e-9
