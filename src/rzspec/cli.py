@@ -177,8 +177,8 @@ def _cmd_zeros(cfg: RunConfig) -> None:
     t_max = cfg.t_max if cfg.t_max is not None else 50.0
     ts = _height_sweep(max(cfg.t_min, 0.0), t_max, 0.05)
     db = _ensure_zeros(cfg, t_needed=t_max)
-    db.ensure_derivatives()
     recs = [r for r in db.records if cfg.t_min <= r.t <= t_max]
+    zeta_mod._fill_derivatives(recs)  # only the rows written: the cache is not rewritten
     zp = np.array([r.zeta_prime_at_rho for r in recs], dtype=complex)
     _write_csv(cfg.out / "zeros.csv",
                ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"],

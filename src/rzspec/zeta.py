@@ -7,19 +7,18 @@ Every value that is returned or refined comes from Euler-Maclaurin on Re s >= 0,
 
 with N chosen so the correction series converges at better than 1e-17
 for |Im s| up to a few thousand; the functional equation continues it to
-Re s < 0.  One kernel gives zeta(s0 + d) for anchors s0 and shared
-offsets d: n^-(s0 + d) = n^-s0 n^-d, so the main sum takes one complex
-exp per anchor and n, times a table of n^-d built per call (the grid
-split of Odlyzko and Schoenhage 1988).  It sums along n by numpy's
-pairwise sum, not BLAS, whose order varies with the machine, so the
-artifacts keep their bits.  A point is the case d = 0.  On top of the
-evaluator sit the Riemann-Siegel theta, the Hardy Z function, zeta', zeta''
-and Z' from closed-form derivatives of each Euler-Maclaurin term (order m
-takes (-log n)^m n^-s; Johansson 2015), the branch tracker for Im log
-zeta(1/2 + it), the sign-change zero finder, and a small persistent database
-of zero records.  zeta, theta_rs and z_function run a number as an array.
-Only the scan and plot grids of Z take Riemann-Siegel from t = 50 up, and
-Euler-Maclaurin again where its error bound leaves the sign of a value open.
+Re s < 0.  One kernel evaluates an array of points, point by point: its
+main sum takes one complex exp per point and n, and a derivative order
+per column multiplies each term n^-s by (-log n)^m (Johansson 2015).  It
+sums along n by numpy's pairwise sum, not BLAS, whose order varies with
+the machine, so the artifacts keep their bits.  On top of the evaluator
+sit the Riemann-Siegel theta, the Hardy Z function, zeta', zeta'' and Z'
+from closed-form derivatives of each Euler-Maclaurin term, the branch
+tracker for Im log zeta(1/2 + it), the sign-change zero finder, and a
+small persistent database of zero records.  zeta, theta_rs and
+z_function run a number as an array.  Only the scan and plot grids of Z
+take Riemann-Siegel from t = 50 up, and Euler-Maclaurin below it and
+again where its error bound leaves the sign of a value open.
 """
 
 from __future__ import annotations
@@ -83,41 +82,37 @@ def _bernoulli_over_factorial(count):
 
 _EM_COEF = _bernoulli_over_factorial(30)
 _ZETA_BLOCK = 512  # points per main-sum block; its 512 x N temporary is 1.7 MB at t = 500
-_GRID_J = 64       # offsets shared by each anchor of a uniform grid
 
 
-def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None, cols=None) -> np.ndarray:
-    # zeta^(m_j)(s0[b] + d[j]) as a (B, J) array, Re s >= 0, order m_j in {0, 1, 2} per
-    # column (None: all 0).  Row b takes the cutoff N of its largest |s|; rows sharing N
-    # run a block at a time; a point leaves the correction's arrays once its series stops.
-    # With cols (and order None) only the entries (b, cols[b]) are summed, as a (B, 1) array.
-    s = np.add.outer(s0, d)
-    if not s.size:
-        return s
+def _zeta_em_array(s: np.ndarray, order=None) -> np.ndarray:
+    # zeta(s) on a 1-d array with Re s >= 0; with order, zeta^(m_j)(s[b]) as a (B, J) array, order
+    # m_j in {0, 1, 2} per column.  Point b takes the cutoff N of its |s|; points sharing N run a
+    # block at a time; a point leaves the correction's arrays once its series stops.
     deriv = order is not None
-    n_row = np.maximum(18, ((np.abs(s).max(axis=1) + 55.0) / 2.6).astype(np.int64) + 1)
-    log_n = np.log(np.arange(1, n_row.max()))
-    table = np.exp(np.multiply.outer(-d, log_n))
-    if deriv:
-        table *= np.power.outer(-log_n, order).T  # (-log n)^m n^-d
-    acc = np.empty(s.shape if cols is None else len(s0), dtype=complex)
-    by_n = np.argsort(n_row, kind="stable")
-    rows = max(1, _ZETA_BLOCK // len(d))
-    for grp in np.split(by_n, np.flatnonzero(np.diff(n_row[by_n])) + 1):
-        m = n_row[grp[0]] - 1
+    width = len(order) if deriv else 1
+    shape = (len(s), width) if deriv else s.shape
+    if not s.size:
+        return np.empty(shape, dtype=complex)
+    n_pt = np.maximum(18, ((np.abs(s) + 55.0) / 2.6).astype(np.int64) + 1)
+    log_n = np.log(np.arange(1, n_pt.max()))
+    if deriv:  # (-log n)^m, contiguous (J, n): a transposed view rounds the product differently
+        table = np.ascontiguousarray(np.power.outer(-log_n, order).T, dtype=complex)
+    acc = np.empty(shape, dtype=complex)
+    by_n = np.argsort(n_pt, kind="stable")
+    rows = _ZETA_BLOCK // width
+    for grp in np.split(by_n, np.flatnonzero(np.diff(n_pt[by_n])) + 1):
+        m = n_pt[grp[0]] - 1
         for b in range(0, len(grp), rows):
             idx = grp[b:b + rows]
-            head = np.exp(np.multiply.outer(-s0[idx], log_n[:m]))
-            acc[idx] = (head[:, None, :] * table[:, :m] if cols is None
-                        else head * table[cols[idx], :m]).sum(axis=-1)
-    s, d = (s, d) if cols is None else (s[np.arange(len(s0)), cols][:, None], d[:1])
-    s, acc, nb = s.ravel(), acc.ravel(), np.repeat(n_row, len(d)).astype(float)
+            head = np.exp(np.multiply.outer(-s[idx], log_n[:m]))
+            acc[idx] = (head[:, None, :] * table[:, :m] if deriv else head).sum(axis=-1)
+    s, acc, nb = np.repeat(s, width), acc.ravel(), np.repeat(n_pt, width).astype(float)
     half, pole = 0.5 * nb ** (-s), nb ** (1.0 - s) / (s - 1.0)
     live, sl, rising, npow, inv_n2 = np.arange(len(s)), s, s, nb ** (-s - 1.0), 1.0 / (nb * nb)
     if deriv:
         # d^m/ds^m of each term: rising holds (s)_(2k-1) and two derivatives, weighted by C(m, i)
         # (-log N)^(m-i); the stop rule reads the parts' moduli (the k = 1 sum is 0 at s = 1/log N)
-        ms, lg, g = np.tile(order, len(s0)), np.log(nb), 1.0 / (s - 1.0)
+        ms, lg, g = np.tile(order, len(n_pt)), np.log(nb), 1.0 / (s - 1.0)
         half, pole = half * (-lg) ** ms, pole * np.choose(ms, (1.0, -(lg + g), (lg + g) ** 2 + g * g))
         w = np.stack([(-lg) ** ms, np.choose(ms, (0.0, 1.0, -2.0 * lg)), ms == 2])
         rising = np.stack([s, np.ones_like(s), np.zeros_like(s)])
@@ -134,7 +129,7 @@ def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None, cols=None) -> np.n
         more = add & ~(mag < 1e-18 * (np.maximum(np.abs(acc), 1.0) if deriv else np.abs(acc)))
         if not more.any() or k == len(_EM_COEF):
             out[live] = acc
-            return out.reshape(len(s0), len(d))
+            return out.reshape(shape)
         if not more.all():
             out[live[~more]] = acc[~more]
             live, acc, mag, sl, rising, npow, inv_n2 = (
@@ -149,22 +144,22 @@ def _zeta_em_array(s0: np.ndarray, d: np.ndarray, order=None, cols=None) -> np.n
         npow = npow * inv_n2
 
 
-def _zeta_outer(s0, d) -> np.ndarray:
-    # zeta(s0 + d), shape s0.shape + d.shape: the outer sum if every Re s >= 0,
-    # else point by point, Re s < 0 by log chi (sine and Gamma overflow alone)
-    s = np.add.outer(s0, d)
+def _zeta_outer(s) -> np.ndarray:
+    # zeta(s) elementwise, any shape: Euler-Maclaurin if every Re s >= 0, else
+    # Re s < 0 by log chi (sine and Gamma overflow alone), written through a C-order view
+    s = np.array(s, dtype=complex, order="C")
     if np.any(s == 1.0):
         raise PoleError("zeta pole at s = 1")
     if np.all(s.real >= 0.0):
-        return _zeta_em_array(np.ravel(s0), np.ravel(d)).reshape(s.shape)
+        return _zeta_em_array(s.ravel()).reshape(s.shape)
     flat = s.ravel()
     right = flat.real >= 0.0
     sl = flat[~right]
     w = 1.0 - sl
     log_chi = (sl * math.log(2.0) + (sl - 1.0) * math.log(math.pi)
                + _log_sin_pi_array(sl / 2.0) + log_gamma(w))
-    flat[~right] = np.exp(log_chi) * _zeta_outer(w, 0j)
-    flat[right] = _zeta_outer(flat[right], 0j)
+    flat[~right] = np.exp(log_chi) * _zeta_outer(w)
+    flat[right] = _zeta_outer(flat[right])
     return s
 
 
@@ -173,7 +168,7 @@ def zeta(s):
     """zeta(s) elementwise on an ndarray of complex s != 1, a number giving a
     Python complex; raises :class:`PoleError` at s = 1.  Within 1e-11
     relative for |Re s| <= 3, |Im s| <= 1420 (tested against mpmath)."""
-    return _zeta_outer(np.asarray(s, dtype=complex), 0j)
+    return _zeta_outer(s)
 
 
 @_number_or_array
@@ -186,12 +181,15 @@ def theta_rs(t):
     return log_gamma(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
-def _z_outer(t0, dt, cols=None) -> np.ndarray:
-    # Z(t0 + dt) of shape t0.shape + dt.shape, from one outer zeta call with
-    # the anchors 1/2 + i t0 and the offsets i dt; with cols, the entries (b, cols[b]) only
-    t = np.add.outer(t0, dt) if cols is None else t0 + dt[cols]
-    w = np.exp(1j * theta_rs(t)) * (_zeta_outer(0.5 + 1j * t0, 1j * dt) if cols is None
-                                    else _zeta_em_array(0.5 + 1j * t0, 1j * dt, None, cols)[:, 0])
+@_number_or_array
+def z_function(t):
+    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
+
+    Elementwise on an ndarray, one evaluation of theta and of zeta.  The
+    imaginary residue of the product is expected below 1e-9; larger
+    residues are reported, and beyond 1e-6 the evaluation is rejected.
+    """
+    w = np.exp(1j * theta_rs(t)) * _zeta_outer(0.5 + 1j * t)
     resid = np.abs(w.imag)
     if np.any(resid > 1e-6):
         k = int(np.argmax(resid.ravel()))
@@ -201,23 +199,6 @@ def _z_outer(t0, dt, cols=None) -> np.ndarray:
         _log.debug("Z: %d imaginary residues above the 1e-9 watermark",
                    int(np.count_nonzero(resid > 1e-9)))
     return w.real
-
-
-@_number_or_array
-def z_function(t):
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it); real and even for real t.
-
-    Elementwise on an ndarray, one evaluation of theta and of zeta.  The
-    imaginary residue of the product is expected below 1e-9; larger
-    residues are reported, and beyond 1e-6 the evaluation is rejected.
-    """
-    return _z_outer(t, 0.0)
-
-
-def _z_grid(lo: float, step: float, n: int) -> np.ndarray:
-    # Z at lo + k step for k < n: anchors lo + J b step, shared offsets j step
-    b = np.arange(-(-n // _GRID_J)) * _GRID_J
-    return _z_outer(lo + b * step, np.arange(_GRID_J) * step).ravel()[:n]
 
 
 # Riemann-Siegel (Edwards 1974 ch. 7; Gabcke 1979), a = sqrt(t / 2 pi), N = floor(a), p = a - N:
@@ -252,7 +233,7 @@ def _rs_coefficients() -> np.ndarray:
 
 
 def _z_rs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Z(t) and an error bound, inf below _RS_T_MIN: 0.025 t^(-11/4) after C_4 (twice the largest
+    # Z(t) and an error bound for t >= _RS_T_MIN: 0.025 t^(-11/4) after C_4 (twice the largest
     # |Z_RS - Z_EM| t^(11/4) on the 0.05 grid of [10, 500]; Gabcke proves 0.017 for t >= 200) plus
     # 8 eps t log(t / 2 pi) sqrt(N) for the phases' rounding (5x the worst against long double)
     u = t / (2.0 * math.pi)
@@ -266,19 +247,18 @@ def _z_rs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c[1::2] *= x
     rem = np.polyval(c[::-1], 1.0 / a) * np.where(n % 2 == 1, 1.0, -1.0) / np.sqrt(a)
     err = 0.025 * t ** -2.75 + 1.8e-15 * t * log_u * np.sqrt(n)
-    return main + rem, np.where(t >= _RS_T_MIN, err, np.inf)
+    return main + rem, err
 
 
 def _z_scan(lo: float, step: float, n: int, hi: float = math.inf) -> np.ndarray:
-    # Z at min(lo + k step, hi), k < n, for the scan and plot grids: _z_grid below _RS_T_MIN,
-    # _z_rs from there, and z_function where |Z_RS| is within its bound, so every sign is certain
-    grid = lo + np.arange(n) * step
-    m = int(np.searchsorted(grid, min(_RS_T_MIN, hi)))
-    t = np.minimum(grid[m:], hi)
-    z, err = _z_rs(t)
-    weak = ~(np.abs(z) > err)
+    # Z at min(lo + k step, hi), k < n, for the scan and plot grids: _z_rs from _RS_T_MIN up, and
+    # one z_function call below it and wherever |Z_RS| is within its bound, so every sign is certain
+    t = np.minimum(lo + np.arange(n) * step, hi)
+    z, weak = np.empty(n), t < _RS_T_MIN
+    z[~weak], err = _z_rs(t[~weak])
+    weak[~weak] = ~(np.abs(z[~weak]) > err)
     z[weak] = z_function(t[weak])
-    return np.concatenate([_z_grid(lo, step, m), z])
+    return z
 
 
 def _theta_prime(t):
@@ -292,7 +272,7 @@ def z_prime(t):
     """Z'(t) = Re(i e^{i theta} (theta' zeta + zeta')) at s = 1/2 + it, elementwise,
     with closed-form derivatives of each Euler-Maclaurin term.  Within 1e-11 at the
     first 1000 zeros and off them on (0.5, 1400] (tested against mpmath)."""
-    z = _zeta_em_array(0.5 + 1j * np.ravel(t), np.zeros(2), (0, 1)).reshape(np.shape(t) + (2,))
+    z = _zeta_em_array(0.5 + 1j * np.ravel(t), (0, 1)).reshape(np.shape(t) + (2,))
     return (1j * np.exp(1j * theta_rs(t)) * (_theta_prime(t) * z[..., 0] + z[..., 1])).real
 
 
@@ -302,7 +282,7 @@ def _zeta_derivative(s, m: int) -> complex:
         raise PoleError(f"zeta derivative {m} too close to the pole at s = 1")
     if s.real < 0.0:
         raise ValueError(f"zeta derivative {m} needs Re s >= 0")
-    return complex(_zeta_em_array(np.array([s]), np.zeros(1), (m,))[0, 0])
+    return complex(_zeta_em_array(np.array([s]), (m,))[0, 0])
 
 
 def zeta_prime(s) -> complex:
@@ -333,7 +313,7 @@ def im_log_zeta_half(t: float) -> float:
         return 0.0
     sigmas = (2.0, 1.6, 1.3, 1.1, 0.95, 0.85, 0.75, 0.675, 0.6, 0.55, 0.52, 0.5)
     pts = [complex(sg, t) for sg in sigmas]
-    vals = _zeta_outer(pts[0], np.array(sigmas) - 2.0).tolist()
+    vals = _zeta_outer(pts).tolist()
     phase = cmath.phase(vals[0])
     for k in range(len(pts) - 1):
         phase += _delta_arg(vals[k], vals[k + 1], pts[k], pts[k + 1], 0)
@@ -457,12 +437,6 @@ def _zero_ordinates(t_min: float, t_max: float) -> tuple[int, list[float]]:
     lo = _count_avoiding_zeros(t_min)
     ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
     zs = _z_scan(t_min, ZERO_GRID_STEP, len(ts), t_max)
-    # Brent starts from Euler-Maclaurin's bits at the bracket ends: _z_grid's, z_function's at t_max
-    ends = np.flatnonzero(np.convolve(zs[:-1] * zs[1:] < 0, [1, 1]))  # the points beside a sign change
-    if len(ends) and ends[-1] == len(ts) - 1:
-        zs[-1:], ends = z_function(ts[-1:]), ends[:-1]
-    j = ends % _GRID_J
-    zs[ends] = _z_outer(t_min + (ends - j) * ZERO_GRID_STEP, np.arange(_GRID_J) * ZERO_GRID_STEP, j)
     return lo, find_all(z_function, ts, _count_avoiding_zeros(t_max) - lo, zs)
 
 
@@ -538,6 +512,25 @@ def _parse_text_table(text: str) -> list[float]:
     return ts
 
 
+def _json_number(e: dict, key: str, nullable: bool = False):
+    # a finite int or float (not a bool) from a JSON field, or None where that may be null
+    v = e.get(key) if nullable else e[key]
+    if v is None and nullable:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise FormatError(f"field {key!r} must be a finite number{' or null' * nullable}, not {v!r}")
+    return v
+
+
+def _json_record(e: dict) -> ZeroRecord:
+    re, im = _json_number(e, "zeta_prime_re", True), _json_number(e, "zeta_prime_im", True)
+    if type(e["index"]) is not int or (re is None) != (im is None):
+        raise FormatError(f"record {e}: 'index' must be an integer, and 'zeta_prime_re' and "
+                          "'zeta_prime_im' both numbers or both null")
+    return ZeroRecord(index=e["index"], t=_json_number(e, "t"), z_prime=_json_number(e, "z_prime", True),
+                      zeta_prime_at_rho=None if re is None else complex(re, im))
+
+
 def ingest_zeros(path) -> ZeroDatabase:
     """Load a zero table: either a plain-text ordinate list (one ascending
     value per line, '#' comments allowed) or a previously persisted JSON
@@ -547,20 +540,10 @@ def ingest_zeros(path) -> ZeroDatabase:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-            records = [
-                ZeroRecord(
-                    index=e["index"],
-                    t=e["t"],
-                    z_prime=e.get("z_prime"),
-                    zeta_prime_at_rho=(
-                        None if e.get("zeta_prime_re") is None
-                        else complex(e["zeta_prime_re"], e["zeta_prime_im"])),
-                )
-                for e in doc["zeros"]
-            ]
+            records = [_json_record(e) for e in doc["zeros"]]
             db = ZeroDatabase(records=records, source=doc.get("source", "ingested"),
-                              t_max_verified=doc["t_max_verified"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                              t_max_verified=_json_number(doc, "t_max_verified"))
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"malformed zero-record document: {exc}") from exc
     else:
         ts = _parse_text_table(text)

@@ -236,6 +236,52 @@ class TestHeightRanges:
         assert np.array_equal(ts, table[table <= 600.0])
         assert cache.read_bytes() == (data_dir / "zeros_1000.txt").read_bytes()
 
+    def test_zeros_fills_only_the_rows_it_writes(self, tmp_path, data_dir, monkeypatch):
+        # Z' and zeta'(rho) are filled for the 341 rows of zeros.csv, not for the 1000 records
+        # of the cache; filling every record first (the second run) gives the same bytes
+        cache, dbs = tmp_path / "zeros_1000.txt", []
+        shutil.copyfile(data_dir / "zeros_1000.txt", cache)
+        ensure = cli._ensure_zeros
+
+        def ensure_and_keep(*args, **kwargs):
+            dbs.append(ensure(*args, **kwargs))
+            if len(dbs) == 2:
+                dbs[-1].ensure_derivatives()
+            return dbs[-1]
+
+        monkeypatch.setattr(cli, "_ensure_zeros", ensure_and_keep)
+        for name in ("a", "b"):
+            assert run(["zeros", "--t-max", "600", "--out", str(tmp_path / name), "--cache", str(cache)]) == 0
+        above = [r for r in dbs[0].records if r.t > 600.0]
+        assert len(above) == 659 and all(r.z_prime is None for r in above)
+        assert (tmp_path / "a" / "zeros.csv").read_bytes() == (tmp_path / "b" / "zeros.csv").read_bytes()
+        assert len((tmp_path / "a" / "zeros.csv").read_text().splitlines()) == 342
+
+
+class TestMalformedCache:
+    @pytest.mark.parametrize("doc", [
+        {"zeros": [{"index": 1, "t": "14.13"}], "t_max_verified": 15.0},
+        {"zeros": [{"index": 1, "t": 14.134725141734694, "z_prime": "x"}], "t_max_verified": 15.0},
+        {"zeros": [], "t_max_verified": "abc"},
+        {"zeros": [{"index": True, "t": 14.134725141734694}], "t_max_verified": 15.0},
+        {"zeros": [{"index": 1.0, "t": 14.134725141734694}], "t_max_verified": 15.0},
+        {"zeros": [{"index": 1, "t": 14.134725141734694, "zeta_prime_re": 0.8, "zeta_prime_im": None}],
+         "t_max_verified": 15.0},
+        {"zeros": [{"index": 1, "t": 14.134725141734694, "zeta_prime_im": [0.8]}], "t_max_verified": 15.0},
+        {"zeros": [], "t_max_verified": math.inf},
+        {"zeros": [], "t_max_verified": 10 ** 400},
+        {"zeros": [{"index": 1, "t": math.nan}], "t_max_verified": 15.0}],
+        ids=["t-str", "z_prime-str", "t_max-str", "index-bool", "index-float", "zeta_prime-half-null",
+             "zeta_prime-list", "t_max-inf", "t_max-huge-int", "t-nan"])
+    def test_field_of_wrong_type_is_a_format_error(self, tmp_path, capsys, doc):
+        # each field type is checked on load: a FormatError, not a traceback, and nothing written
+        cache, out = tmp_path / "cache.json", tmp_path / "out"
+        cache.write_text(json.dumps(doc))
+        before = cache.read_bytes()
+        assert run(["zeros", "--t-max", "20", "--cache", str(cache), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
+        assert list(out.iterdir()) == [] and cache.read_bytes() == before
+
 
 class TestNonFiniteAndOverBudget:
     @pytest.mark.parametrize("args, error", [

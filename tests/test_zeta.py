@@ -139,39 +139,14 @@ class TestArrayLayer:
         zeta_sc = np.array([ze.zeta(complex(0.5, t)) for t in ts])
         assert np.all(np.abs(zeta_arr - zeta_sc) <= 1e-14 * np.maximum(1.0, np.abs(zeta_sc)))
 
-    def test_grid_against_pointwise_z(self):
-        # the scan and plot grids lo + k step against pointwise Z at the same
-        # floats.  The grid takes zeta at the exact anchor + offset and theta
-        # at the rounded point, |Z| theta' ulp(t)/2 <= 3e-13 |Z| below
-        # t = 1420; the rest is each evaluator's rounding (about 1e-12 of
-        # max(1, |Z|) against mpmath).  Measured worst: 5.3e-13 on (0, 500],
-        # 2.6e-12 on (1.3, 1420]
-        for lo, n in ((0.0, len(self.SCAN_GRID)), (1.3, 28375)):
-            got = ze._z_grid(lo, ze.ZERO_GRID_STEP, n)
-            want = ze.z_function(lo + np.arange(n) * ze.ZERO_GRID_STEP)
-            assert got.shape == (n,)
-            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 5e-12
-
-    def test_grid_rows_against_mpmath_siegelz(self):
-        # rows of the outer sum: seeded anchors up to t = 1420, each with the
-        # scan grid's offsets 0.05 j, against Z at the exact anchor + offset.
-        # The bound is the 1e-11 of the whole-domain zeta test, of
-        # max(1, |Z|) since grid points sit near zeros too; measured 1.9e-12
-        anchors = np.append(np.random.default_rng(14).uniform(0.0, 1410.0, 2),
-                            1420.0 - (ze._GRID_J - 1) * ze.ZERO_GRID_STEP)
-        offsets = np.arange(ze._GRID_J) * ze.ZERO_GRID_STEP
-        got = ze._z_outer(anchors, offsets)
-        with mp.workdps(20):
-            ref = np.array([[float(mp.siegelz(mp.mpf(a) + mp.mpf(d))) for d in offsets]
-                            for a in anchors.tolist()])
-        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-11
-
     def test_zeta_off_the_line_and_shape(self):
         s = np.array([[2.0 + 3.0j, 0.0, 0.3 - 40.0j], [-1.5 + 10.0j, -3.0 + 0.5j, -2.5 + 40.0j]])
         got = ze.zeta(s)
         assert got.shape == s.shape
         ref = np.array([[ze.zeta(complex(v)) for v in row] for row in s])
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+        # a transposed view, not in C order, is written point by point too
+        assert ze.zeta(s.T).tobytes() == got.T.copy().tobytes()
         assert ze.zeta(np.array([], dtype=complex)).shape == (0,)
         with pytest.raises(PoleError):
             ze.zeta(np.array([0.5 + 1j, 1.0]))
@@ -270,11 +245,12 @@ class TestRiemannSiegel:
         assert np.all(np.abs(got - ze.z_function(ts)) <= err)
 
     def test_scan_takes_the_grid_below_and_riemann_siegel_above(self):
+        # the scan grid below the crossover is z_function's, point for point
         n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
         got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
         m = int(ze._RS_T_MIN / ze.ZERO_GRID_STEP)
         assert got.shape == (n,)
-        assert got[:m].tobytes() == ze._z_grid(0.0, ze.ZERO_GRID_STEP, m).tobytes()
+        assert got[:m].tobytes() == ze.z_function(np.arange(m) * ze.ZERO_GRID_STEP).tobytes()
         assert got[m:].tobytes() == ze._z_rs(np.arange(m, n) * ze.ZERO_GRID_STEP)[0].tobytes()
 
     @pytest.mark.parametrize("hi", [30.01, 100.01])
@@ -288,36 +264,27 @@ class TestRiemannSiegel:
             assert got[-1] == want[-1]
         assert np.all(np.abs(got - want) <= ze._z_rs(np.maximum(ts, ze._RS_T_MIN))[1])
 
-    def test_grid_entries_keep_their_bits(self):
-        # one entry per anchor row, summed alone, with the bits it has in the full row
-        anchors = 50.0 + np.arange(40) * ze._GRID_J * ze.ZERO_GRID_STEP
-        offsets = np.arange(ze._GRID_J) * ze.ZERO_GRID_STEP
-        cols = np.random.default_rng(29).integers(0, ze._GRID_J, len(anchors))
-        full = ze._z_outer(anchors, offsets)[np.arange(len(anchors)), cols]
-        assert ze._z_outer(anchors, offsets, cols).tobytes() == full.tobytes()
-
     @pytest.mark.parametrize("t_max", [14.15, 56.447, 240.0])
-    def test_roots_keep_the_bits_of_the_euler_maclaurin_scan(self, t_max):
-        # Brent starts from the values an all-Euler-Maclaurin scan gives at the bracket ends,
-        # so the roots are the same floats; 14.15 and 56.447 put a zero in the clipped last step
+    def test_roots_start_from_the_scan_values(self, t_max):
+        # Brent starts from the scan's values at the bracket ends, the clipped last point
+        # included; 14.15 and 56.447 put a zero in the clipped last step
         ts = scan_grid(0.0, t_max, ze.ZERO_GRID_STEP)
-        zs = np.append(ze._z_grid(0.0, ze.ZERO_GRID_STEP, len(ts) - 1), ze.z_function(ts[-1:]))
         got = [r.t for r in ze.find_zeros(0.0, t_max)]
+        zs = ze._z_scan(0.0, ze.ZERO_GRID_STEP, len(ts), t_max)
         assert got == find_all(ze.z_function, ts, len(got), zs)
         assert t_max > 100.0 or ts[-2] < got[-1] < ts[-1]
 
     def test_large_bound_routes_through_euler_maclaurin(self, monkeypatch):
-        # with every Riemann-Siegel value inside its bound, every point above the crossover
-        # comes from z_function, in one call
+        # with every Riemann-Siegel value inside its bound, every point of the scan comes from
+        # z_function, in one call
         rs, em, calls = ze._z_rs, ze.z_function, []
         monkeypatch.setattr(ze, "_z_rs", lambda t: (rs(t)[0], np.full(len(t), 1e9)))
         monkeypatch.setattr(ze, "z_function", lambda t: calls.append(t) or em(t))
         n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
-        m = int(ze._RS_T_MIN / ze.ZERO_GRID_STEP)
         got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
-        ts = np.arange(m, n) * ze.ZERO_GRID_STEP
+        ts = np.arange(n) * ze.ZERO_GRID_STEP
         assert len(calls) == 1 and np.array_equal(calls[0], ts)
-        assert got[m:].tobytes() == em(ts).tobytes()
+        assert got.tobytes() == em(ts).tobytes()
         # the roots then come from Euler-Maclaurin signs alone, and are the same zeros
         assert len(ze.find_zeros(0.0, 100.0)) == 29
 
