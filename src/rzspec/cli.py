@@ -31,6 +31,7 @@ import numpy as np
 from . import counting, dirac, landau, mirrors, perron, svg
 from . import zeta as zeta_mod
 from .errors import RZError
+from .roots import bisect
 
 _DEFAULTS = {
     "t_min": 0.0,
@@ -120,23 +121,11 @@ def _height_sweep(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _t_for_count(n: int) -> float:
     # smallest t with n_average(t) comfortably above n, by 60 bisection steps
-    lo, hi = 10.0, zeta_mod.T_BUDGET
-    if counting.n_average(hi) < n + 2:
+    if counting.n_average(zeta_mod.T_BUDGET) < n + 2:
         raise RZError(
             f"{n} zeros exceed the computed-scan budget (t <= {zeta_mod.T_BUDGET:g}); "
             "ingest a published table instead")
-    for _ in range(10):
-        # the 63 midpoints the next six steps may visit, each the steps' own
-        # 0.5 * (lo + hi) of its neighbours in the sorted ends, in one theta call
-        ends, tree = np.array([lo, hi]), []
-        for _ in range(6):
-            tree.append(0.5 * (ends[:-1] + ends[1:]))
-            ends = np.insert(ends, np.arange(1, len(ends)), tree[-1])
-        below, i = counting.n_average(np.concatenate(tree)) < n + 2, 0
-        for level in range(6):  # node i of a level has children 2i and 2i + 1
-            i = 2 * i + int(below[2 ** level - 1 + i])
-        lo, hi = float(ends[i]), float(ends[i + 1])
-    return hi
+    return bisect(lambda t: counting.n_average(t) < n + 2, 10.0, zeta_mod.T_BUDGET)[1]
 
 
 def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
@@ -157,12 +146,9 @@ def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
     if db is None or len(db) == 0:
         db = zeta_mod.build_database(t_needed)
     else:
-        extra = zeta_mod.find_zeros(db.t_max_verified, t_needed)
-        base = len(db.records)
-        for k, rec in enumerate(extra):
-            rec.index = base + k + 1
-        db = zeta_mod.ZeroDatabase(records=db.records + extra, source=db.source,
-                                   t_max_verified=t_needed)
+        # find_zeros numbers the new zeros on from the count at t_max_verified, the cache's length
+        db = zeta_mod.ZeroDatabase(records=db.records + zeta_mod.find_zeros(db.t_max_verified, t_needed),
+                                   source=db.source, t_max_verified=t_needed)
         db.check_invariants()
     cfg.cache.parent.mkdir(parents=True, exist_ok=True)
     zeta_mod.persist_zeros(db, cfg.cache)

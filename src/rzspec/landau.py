@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .roots import brent, find_all, scan_grid
+from .roots import bisect, find_all, scan_grid
 from .specfun import kummer_m_bounded, kummer_m_grid
 from .zeta import _theta_prime, theta_rs
 
@@ -135,6 +135,14 @@ def _phase(E: float, g: LandauGeometry) -> float:
     return 2.0 * theta_rs(E) - E * g.log_cutoff
 
 
+def _half_phase(E, g: LandauGeometry):
+    # sin(phase / 2) at an array of E, its slope cos(phase / 2) (theta' - log(L^2/2 pi l^2) / 2), and
+    # as its error the rounding of theta and E log(L^2/2 pi l^2), |theta| <= |phase / 2| + |E log(...)|
+    half = 0.5 * _phase(E, g)
+    return (np.sin(half), np.cos(half) * (_theta_prime(E) - 0.5 * g.log_cutoff),
+            2.2e-16 * (np.abs(half) + 2.0 * np.abs(E * g.log_cutoff)))
+
+
 def quantization_residual(E: float, g: LandauGeometry) -> float:
     """Box-quantization phase 2 theta(E) - E log(L^2/2 pi l^2), reduced
     mod 2 pi to (-pi, pi]; levels are its zeros."""
@@ -158,9 +166,8 @@ def _level_count(E_max: float, g: LandauGeometry, slope) -> int:
     n_end = n_landau(E_max, g)
     if slope[1] <= 0.0:
         return math.floor(n_end)
-    n_star = 0.0 if slope[0] >= 0.0 else n_landau(brent(
-        lambda E: 2.0 * _theta_prime(E) - g.log_cutoff, np.array([0.0]), np.array([E_max]),
-        fa=slope[:1], fb=slope[1:])[0], g)
+    n_star = 0.0 if slope[0] >= 0.0 else n_landau(bisect(
+        lambda E: 2.0 * _theta_prime(E) < g.log_cutoff, 0.0, E_max)[0], g)
     return math.floor(n_star) + math.ceil(n_star) - math.ceil(n_end)
 
 
@@ -173,7 +180,8 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     roots.  The scan step lets at most 0.8 pi of phase pass; the phase
     slope 2 theta'(E) - log(L^2/2 pi l^2), with theta' in closed form
     from the digamma function, increases with E, so its largest size on
-    [0, E_max] is at an end.  A root count other than the exact level
+    [0, E_max] is at an end; one Newton refiner runs on sin(phase / 2)
+    and its closed-form slope.  A root count other than the exact level
     count (past the phase's turning point too) raises :class:`MissedZeroError`;
     E_max above ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` before scanning.
     """
@@ -184,4 +192,4 @@ def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     slope = 2.0 * _theta_prime(np.array([0.0, E_max])) - g.log_cutoff
     # phase(0) = 0 is not a level; the scan steps off a zero at its start
     ts = scan_grid(0.0, E_max, 0.8 * math.pi / float(np.max(np.abs(slope))))
-    return find_all(lambda E: np.sin(0.5 * _phase(E, g)), ts, _level_count(E_max, g, slope))
+    return find_all(lambda E: _half_phase(E, g), ts, _level_count(E_max, g, slope))

@@ -9,6 +9,7 @@ import cmath
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,7 +17,6 @@ from rzspec import counting as ct
 from rzspec import dirac, landau, mirrors, perron
 from rzspec import zeta as ze
 from rzspec.dirac import SpectralFunctionKind as Kind
-from rzspec.roots import brent
 from rzspec.specfun import bessel_k_complex_order, log_gamma
 
 TWO_PI = 2.0 * math.pi
@@ -116,7 +116,7 @@ def test_criterion_06_polya_envelope():
     k0 = math.ceil(phase(72.0) / math.pi)
     ratios = []
     for k in range(k0, k0 + 8):
-        t = brent(lambda u, kk=k: phase(u) - kk * math.pi, 70.0, 95.0, xtol=1e-10)
+        t = float(mp.findroot(lambda u, kk=k: phase(u) - kk * math.pi, (70.0, 95.0), solver="anderson"))
         ratios.append((t, abs(dirac.polya_xi_star(t)) / dirac.polya_xi_star_envelope(t)))
     devs = [abs(r - 1.0) for _, r in ratios]
     assert max(devs) < 0.04

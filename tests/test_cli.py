@@ -282,6 +282,16 @@ class TestMalformedCache:
         assert json.loads(capsys.readouterr().err)["error"] == "FormatError"
         assert list(out.iterdir()) == [] and cache.read_bytes() == before
 
+    def test_records_numbered_out_of_order_are_refused(self, tmp_path, capsys):
+        # a record's index must be its place in the table, or extending it would number rows 7, 2
+        cache, out = tmp_path / "cache.json", tmp_path / "out"
+        cache.write_text(json.dumps({"zeros": [{"index": 7, "t": 14.134725141734694}],
+                                     "t_max_verified": 15.0}))
+        before = cache.read_bytes()
+        assert run(["zeros", "--t-max", "22", "--cache", str(cache), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConsistencyError"
+        assert not (out / "zeros.csv").exists() and cache.read_bytes() == before
+
 
 class TestNonFiniteAndOverBudget:
     @pytest.mark.parametrize("args, error", [

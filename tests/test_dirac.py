@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,6 @@ from rzspec import dirac
 from rzspec import zeta as ze
 from rzspec.dirac import BoundaryData, SpectralFunctionKind as Kind
 from rzspec.errors import MissedZeroError, ToleranceNotMet
-from rzspec.roots import brent, scan_grid
 
 T1 = 14.134725141734694
 XI_H_FIRST_ZERO = 18.651790641994954
@@ -118,7 +118,7 @@ class TestEnvelopes:
             return 0.5 * t * math.log(t / (TWO_PI * math.e)) + 7.0 * math.pi / 8.0
 
         def extremum_ratio(t_lo, t_hi, k):
-            t = brent(lambda u: phase(u) - k * math.pi, t_lo, t_hi, xtol=1e-10)
+            t = float(mp.findroot(lambda u: phase(u) - k * math.pi, (t_lo, t_hi), solver="anderson"))
             return abs(dirac.polya_xi_star(t)) / dirac.polya_xi_star_envelope(t), t
 
         k70 = math.ceil(phase(72.0) / math.pi)
@@ -136,7 +136,7 @@ class TestEnvelopes:
 
         def pred(k):
             f = lambda t: 0.5 * t * math.log(t / (TWO_PI * math.e)) - (0.5 + k) * math.pi
-            return brent(f, TWO_PI * math.e + 1e-6, 300.0, xtol=1e-10)
+            return float(mp.findroot(f, (TWO_PI * math.e + 1e-6, 300.0), solver="anderson"))
 
         gaps = [abs(zh[k] - pred(k)) for k in (0, 10, len(zh) - 1)]
         assert gaps[0] > gaps[1] > gaps[2]

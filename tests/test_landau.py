@@ -143,6 +143,15 @@ class TestQuantization:
         lv = landau.landau_levels(20.0, GEOM)
         assert abs(len(lv) - round(landau.n_landau(20.0, GEOM))) <= 1
 
+    @pytest.mark.parametrize("box_size, n_levels", [(100.0, 156), (10.0, 23)])
+    def test_levels_solve_the_condition_to_rounding(self, box_size, n_levels):
+        # Newton on sin(phase / 2) and its closed-form slope stops at the phase's own rounding;
+        # at L / l = 10 the phase turns at E ~ 100 and rises to E = 200
+        g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
+        lv = landau.landau_levels(200.0, g)
+        assert len(lv) == n_levels
+        assert max(abs(landau.quantization_residual(e, g)) for e in lv) <= 1e-12
+
     @pytest.mark.parametrize("box_size", [30.0, 100.0, 1000.0])
     @pytest.mark.parametrize("e_max", [2.0, 20.0, 200.0])
     def test_count_is_floor_of_smooth_and_levels_on_phase(self, box_size, e_max):
@@ -162,7 +171,7 @@ class TestQuantization:
             ref = max(abs(2 * mp.siegeltheta(e, derivative=1) - GEOM.log_cutoff) for e in (0, e_max))
         assert slope == pytest.approx(float(ref), rel=1e-14)
         # below E = L^2 the phase only falls, so the count is floor n_landau
-        want = find_all(lambda E: np.sin(0.5 * landau._phase(E, GEOM)),
+        want = find_all(lambda E: landau._half_phase(E, GEOM),
                         scan_grid(0.0, e_max, 0.8 * math.pi / slope),
                         math.floor(landau.n_landau(e_max, GEOM)))
         got = landau.landau_levels(e_max, GEOM)
@@ -201,7 +210,7 @@ class TestQuantization:
         g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
         slope = 2.0 * _theta_prime(np.array([0.0, e_max])) - g.log_cutoff
         step = 0.8 * math.pi / float(np.max(np.abs(slope)))
-        f = lambda E: np.sin(0.5 * landau._phase(E, g))
+        f = lambda E: landau._half_phase(E, g)
         n = landau._level_count(e_max, g, slope)
         assert len(find_all(f, scan_grid(0.0, e_max, step), n)) == n
         with pytest.raises(MissedZeroError):

@@ -1,26 +1,33 @@
 import math
 
+import mpmath as mp
 import numpy as np
 
 import pytest
 
 from rzspec.errors import MissedZeroError
-from rzspec.roots import brent, find_all, newton, scan_grid, scan_sign_changes
+from rzspec.roots import bisect, find_all, newton, scan_grid, scan_sign_changes
+
+
+def sin(x):
+    # np.sin as find_all takes it: values, slopes and no value error
+    return np.sin(x), np.cos(x), np.zeros_like(x)
 
 
 class TestFindAll:
     def test_known_roots(self):
-        roots = find_all(np.sin, scan_grid(0.5, 10.0, 0.1), 3)
+        roots = find_all(sin, scan_grid(0.5, 10.0, 0.1), 3)
         assert len(roots) == 3
         for k, r in enumerate(roots, start=1):
             assert r == pytest.approx(k * math.pi, abs=1e-9)
 
     def test_no_sign_change(self):
-        assert find_all(lambda x: x * x + 1.0, scan_grid(-1.0, 1.0, 0.1), 0) == []
+        f = lambda x: (x * x + 1.0, 2.0 * x, np.zeros_like(x))
+        assert find_all(f, scan_grid(-1.0, 1.0, 0.1), 0) == []
 
     def test_close_pair_inside_one_step_raises(self):
         def f(x):
-            return (x - 1.03) * (x - 1.05)
+            return (x - 1.03) * (x - 1.05), 2.0 * x - 2.08, np.zeros_like(x)
         # both roots sit between the grid points 1.0 and 1.1
         with pytest.raises(MissedZeroError):
             find_all(f, scan_grid(0.0, 2.0, 0.1), 2)
@@ -30,7 +37,7 @@ class TestFindAll:
     def test_count_must_be_exact(self, expected):
         # three roots: a count one off either way raises
         with pytest.raises(MissedZeroError):
-            find_all(np.sin, scan_grid(0.5, 10.0, 0.1), expected)
+            find_all(sin, scan_grid(0.5, 10.0, 0.1), expected)
 
     def test_grid_is_clipped_at_its_end(self):
         ts = scan_grid(0.5, 9.98, 0.1)
@@ -50,7 +57,8 @@ class TestFindAll:
         assert list(zip(a.tolist(), b.tolist())) == [
             (0.75, 1.0 + 0.25 / 64.0), (2.75, 3.0 + 0.25 / 64.0)]
         assert calls == [(17,), (2,)]  # the whole grid, then the two nudged points
-        assert find_all(f, scan_grid(0.0, 4.0, 0.25), 2) == pytest.approx([1.0, 3.0], abs=1e-9)
+        g = lambda x: (f(x), 2.0 * x - 4.0, np.zeros_like(x))
+        assert find_all(g, scan_grid(0.0, 4.0, 0.25), 2) == pytest.approx([1.0, 3.0], abs=1e-9)
 
     def test_grid_gives_the_values_below_t_max(self):
         # the caller's values, here one grid call for t_min + k step below
@@ -70,52 +78,40 @@ class TestFindAll:
         want = scan_sign_changes(np.sin, ts)
         assert all(np.array_equal(u, v) for u, v in zip(got, want))
         assert calls == [("grid", 0.5, 0.1, 95), ("f", (1,))]
-        assert find_all(f, ts, 3, fs) == find_all(np.sin, ts, 3)
+        g = lambda x: (f(x), np.cos(x), np.zeros_like(x))
+        assert find_all(g, ts, 3, fs, np.cos(ts)) == find_all(sin, ts, 3)
 
 
 class TestLockstepBrent:
+    """find_all's lockstep refinement, checked bracket by bracket against mpmath.findroot."""
+
     @pytest.mark.parametrize("f,lo,hi,step,n", [
-        (np.sin, 0.5, 10.0, 0.1, 3),
-        (lambda x: (x - 1.03) * (x - 1.05), 0.0, 2.0, 0.005, 2),
+        (sin, 0.5, 10.0, 0.1, 3),
+        (lambda x: ((x - 1.03) * (x - 1.05), 2.0 * x - 2.08, np.zeros_like(x)), 0.0, 2.0, 0.005, 2),
     ])
     def test_find_all_matches_per_bracket_brent(self, f, lo, hi, step, n):
-        a, b, _, _ = scan_sign_changes(f, scan_grid(lo, hi, step))
-        want = [brent(lambda x: float(f(x)), lo_k, hi_k, xtol=1e-10)
+        a, b, _, _ = scan_sign_changes(lambda x: f(x)[0], scan_grid(lo, hi, step))
+        want = [float(mp.findroot(lambda x: float(f(float(x))[0]), (lo_k, hi_k), solver="anderson"))
                 for lo_k, hi_k in zip(a.tolist(), b.tolist())]
         assert len(want) == n
         assert find_all(f, scan_grid(lo, hi, step), n) == pytest.approx(want, abs=1e-10)
-
-    def test_brackets_do_not_interact(self):
-        # a polynomial takes the same IEEE steps on floats and on arrays
-        def f(x):
-            return (x - 1.3) * (x - 2.9) * (x - 4.1) + 0.1 * x
-        a, b = np.array([0.0, 2.0, 3.5]), np.array([2.0, 3.5, 6.0])
-        got = brent(f, a, b, xtol=1e-12)
-        assert got.tolist() == [brent(f, float(lo), float(hi), xtol=1e-12) for lo, hi in zip(a, b)]
-        assert got[1:].tolist() == brent(f, a[1:], b[1:], xtol=1e-12).tolist()
 
     def test_one_call_per_iteration_on_open_brackets(self):
         calls = []
 
         def f(x):
             calls.append(np.array(x))
-            return np.sin(x)
+            return sin(x)
         roots = find_all(f, scan_grid(0.5, 20.0, 0.1), 6)
         assert roots == pytest.approx([k * math.pi for k in range(1, 7)], abs=1e-10)
         grid, refine = calls[0], calls[1:]
         assert len(grid) == 196
-        # one call per iteration, on the six brackets and fewer as they
-        # close; the scan's values at the bracket ends are reused
+        # one call on the grid, then one per iteration, on the six brackets
+        # and fewer as they close; the grid's values and slopes seed them
         sizes = [len(x) for x in refine]
         assert 1 < len(sizes) < 20 and sizes[0] == 6
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert not np.isin(np.concatenate(refine), grid).any()
-
-    def test_not_a_bracket_raises(self):
-        with pytest.raises(ValueError):
-            brent(math.cos, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            brent(np.cos, np.array([0.0, 1.0]), np.array([3.0, 1.5]))
 
 
 class TestLockstepNewton:
@@ -161,3 +157,19 @@ class TestLockstepNewton:
         roots = newton(f, np.array([0.0]), np.array([2.0]), np.array([1.3]), np.array([-1.0]))
         assert abs(roots[0] - 1.0) < 3e-7
         assert len(calls) <= 3
+
+
+class TestBisect:
+    def test_equals_the_scalar_bisection(self):
+        # ten calls of six levels each visit the midpoints of 60 one-point steps
+        calls = []
+
+        def right(x):
+            calls.append(len(x))
+            return x * x < 2.0
+        lo, hi = 0.0, 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mid * mid < 2.0 else (lo, mid)
+        assert bisect(right, 0.0, 2.0) == (lo, hi)
+        assert lo < math.sqrt(2.0) <= hi and calls == [63] * 10

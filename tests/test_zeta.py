@@ -266,12 +266,12 @@ class TestRiemannSiegel:
 
     @pytest.mark.parametrize("t_max", [14.15, 56.447, 240.0])
     def test_roots_start_from_the_scan_values(self, t_max):
-        # Brent starts from the scan's values at the bracket ends, the clipped last point
-        # included; 14.15 and 56.447 put a zero in the clipped last step
+        # Newton starts from the secant on the scan's values at the bracket ends, the clipped
+        # last point included; 14.15 and 56.447 put a zero in the clipped last step
         ts = scan_grid(0.0, t_max, ze.ZERO_GRID_STEP)
         got = [r.t for r in ze.find_zeros(0.0, t_max)]
         zs = ze._z_scan(0.0, ze.ZERO_GRID_STEP, len(ts), t_max)
-        assert got == find_all(ze.z_function, ts, len(got), zs)
+        assert got == find_all(ze._z_newton, ts, len(got), zs)
         assert t_max > 100.0 or ts[-2] < got[-1] < ts[-1]
 
     def test_large_bound_routes_through_euler_maclaurin(self, monkeypatch):
@@ -418,6 +418,14 @@ class TestZetaPrimeAtZero:
         assert abs(rec.zeta_prime_at_rho - direct) < 1e-6
         assert abs(rec.zeta_prime_at_rho - ZETA_PRIME_RHO1) < 1e-6
 
+    def test_records_match_mpmath_at_their_ordinates(self, zero_db):
+        # zeta'(rho) by the phase relation at each record's t, against zeta'(1/2 + it) at that t:
+        # Z(t) ~ Z' dt off the true zero moves the relation by theta' dt relative
+        with mp.workdps(25):
+            rel = [abs(complex(mp.zeta(mp.mpc(0.5, r.t), derivative=1)) - r.zeta_prime_at_rho)
+                   / abs(r.zeta_prime_at_rho) for r in zero_db.records[:100]]
+        assert max(rel) < 1e-12
+
     def test_conjugate_zero(self, zero_db):
         rec = zero_db.records[0]
         lower = ze.zeta_prime(complex(0.5, -rec.t))
@@ -508,3 +516,9 @@ class TestFullBudgetScan:
         ref = [r.t for r in ref_db.records if r.t < 500.0]
         assert len(recs) == len(ref)
         assert max(abs(a.t - b) for a, b in zip(recs, ref)) < 1e-9
+
+    def test_scan_to_500_within_the_table_decimals(self, ref_db):
+        # Newton stops at Z's own error: every ordinate is within 2e-12 of the 13-decimal table
+        ts = np.array([r.t for r in ze.find_zeros(0.0, 500.0)])
+        assert len(ts) == 269
+        assert np.max(np.abs(ts - ref_db.ordinates()[:269])) < 2e-12
