@@ -7,7 +7,10 @@ timestamps are embedded, and rerunning a command with the same
 configuration reproduces identical bytes.  Option precedence is
 command-line flags > JSON config file > built-in defaults; the
 environment contributes only RZ_CACHE_DIR, the directory of the
-zero-record cache.
+zero-record cache.  A command that needs more zeros extends the cache to
+a multiple of 0.05 (zeta.extend_database): its records depend on that
+height alone, not on the commands that built it, and an append counts the
+zeros once at each height.
 
 Flag conventions: --t-min/--t-max bound the sweep variable of the
 command (ordinate t, energy E, or level range); for the perron command
@@ -134,22 +137,14 @@ def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
     db = zeta_mod.ingest_zeros(cfg.cache) if cfg.cache.is_file() else None
     if count_needed is not None:
         # a cache holding enough zeros serves as is, even past the scan budget
-        if db is not None and len(db) >= count_needed and t_needed is None:
+        if db is not None and len(db) >= count_needed:
             return db
-        t_needed = max(t_needed or 0.0, _t_for_count(count_needed))
-    if t_needed is None:
-        raise ValueError("nothing requested")
+        t_needed = _t_for_count(count_needed)
     if db is not None and db.t_max_verified >= t_needed:
         return db
     if t_needed > zeta_mod.T_BUDGET:
         raise RZError(f"zeros to t = {t_needed:g}: past the scan budget and the cache; ingest a table")
-    if db is None or len(db) == 0:
-        db = zeta_mod.build_database(t_needed)
-    else:
-        # find_zeros numbers the new zeros on from the count at t_max_verified, the cache's length
-        db = zeta_mod.ZeroDatabase(records=db.records + zeta_mod.find_zeros(db.t_max_verified, t_needed),
-                                   source=db.source, t_max_verified=t_needed)
-        db.check_invariants()
+    db = zeta_mod.extend_database(db, t_needed)
     cfg.cache.parent.mkdir(parents=True, exist_ok=True)
     zeta_mod.persist_zeros(db, cfg.cache)
     return db
@@ -170,7 +165,7 @@ def _cmd_zeros(cfg: RunConfig) -> None:
                ["index", "t", "z_prime", "zeta_prime_re", "zeta_prime_im"],
                [np.array([r.index for r in recs], dtype=int), np.array([r.t for r in recs]),
                 np.array([r.z_prime for r in recs]), zp.real, zp.imag])
-    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_scan(ts[0], 0.05, len(ts))], labels=["Z(t)"],
+    svg.line_plot(cfg.out / "zeros.svg", ts, [zeta_mod._z_scan(ts)], labels=["Z(t)"],
                   title="Hardy Z on the critical line", x_label="t", y_label="Z")
 
 
@@ -232,12 +227,8 @@ def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:
 def _cmd_mirror(cfg: RunConfig) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else 100000
     _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability tail n >= 1000")
-    if cfg.t_min > 0:
-        db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
-        e_val = _snap_to_ordinate(cfg.t_min, db)
-    else:
-        db = _ensure_zeros(cfg, t_needed=15.0)
-        e_val = db.records[0].t
+    db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
+    e_val = _snap_to_ordinate(cfg.t_min, db) if cfg.t_min > 0 else db.records[0].t
     vt = cfg.vartheta if cfg.vartheta is not None else mirrors.tuned_theta(e_val)
     report = mirrors.normalizability_diagnostic(e_val, cfg.epsilon, n_max, vt)
     _write_json(cfg.out / "mirror_diagnostic.json", report.to_json_dict())
@@ -391,37 +382,30 @@ def _check_config(opts) -> None:
 
 def resolve_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
-    _check_config({k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None})
+    flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None}
+    _check_config(flags)
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         _check_config(file_cfg)
-
-    def pick(name):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return _DEFAULTS[name]
-
-    out = Path(pick("out"))
-    cache = pick("cache")
+    opts = {**_DEFAULTS, **file_cfg, **flags}  # flags > config file > defaults
+    out = Path(opts["out"])
+    cache = opts["cache"]
     if cache is None:
         cache_dir = os.environ.get("RZ_CACHE_DIR", str(out))
         cache = Path(cache_dir) / "zeros_cache.json"
     return RunConfig(
         command=args.command,
-        t_min=float(pick("t_min") or 0.0),
-        t_max=None if pick("t_max") is None else float(pick("t_max")),
-        epsilon=float(pick("epsilon")),
-        vartheta=None if pick("vartheta") is None else float(pick("vartheta")),
-        n_max=None if pick("n_max") is None else int(pick("n_max")),
-        n_zeros=int(pick("n_zeros")),
-        n_trivial=int(pick("n_trivial")),
-        l_over_ell=float(pick("l_over_ell")),
-        character_modulus=(None if pick("character_modulus") is None
-                           else int(pick("character_modulus"))),
+        t_min=float(opts["t_min"] or 0.0),
+        t_max=None if opts["t_max"] is None else float(opts["t_max"]),
+        epsilon=float(opts["epsilon"]),
+        vartheta=None if opts["vartheta"] is None else float(opts["vartheta"]),
+        n_max=None if opts["n_max"] is None else int(opts["n_max"]),
+        n_zeros=int(opts["n_zeros"]),
+        n_trivial=int(opts["n_trivial"]),
+        l_over_ell=float(opts["l_over_ell"]),
+        character_modulus=(None if opts["character_modulus"] is None
+                           else int(opts["character_modulus"])),
         out=out,
         cache=Path(cache),
     )
@@ -433,11 +417,7 @@ def main(argv=None) -> int:
         cfg.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[cfg.command](cfg)
         return 0
-    except RZError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (RZError, ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(json.dumps(
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

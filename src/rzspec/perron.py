@@ -18,6 +18,7 @@ so that the x-by-zeros temporary stays near 4 MB.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -119,7 +120,9 @@ def m_z_direct(x: float, E: float, primed: bool = False) -> complex:
     return complex(w.sum())
 
 
-_ZETA_ODD_CACHE: dict[int, float] = {}
+@functools.cache
+def _zeta_odd(n: int) -> float:
+    return zeta(complex(2 * n + 1, 0.0)).real
 
 
 def zeta_prime_trivial(n: int) -> float:
@@ -128,9 +131,7 @@ def zeta_prime_trivial(n: int) -> float:
         raise ValueError("n >= 1")
     if n > 80:
         raise ValueError("factorial overflow beyond n = 80")
-    if n not in _ZETA_ODD_CACHE:
-        _ZETA_ODD_CACHE[n] = zeta(complex(2 * n + 1, 0.0)).real
-    return ((-1) ** n * _ZETA_ODD_CACHE[n] * math.factorial(2 * n)
+    return ((-1) ** n * _zeta_odd(n) * math.factorial(2 * n)
             / (2.0 ** (2 * n + 1) * math.pi ** (2 * n)))
 
 

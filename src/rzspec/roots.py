@@ -19,6 +19,9 @@ from .errors import MissedZeroError
 
 __all__ = ["bisect", "find_all", "newton", "scan_grid", "scan_sign_changes"]
 
+NEWTON_XTOL = 1e-10  # a Newton step below this closes its bracket
+NEWTON_MAX_ITER = 50
+
 
 def bisect(right, lo, hi):
     """The last bracket [lo, hi] of 60 bisection steps, each to the right
@@ -38,25 +41,25 @@ def bisect(right, lo, hi):
     return lo, hi
 
 
-def newton(f, a, b, x0, fa, xtol=1e-10, max_iter=50):
+def newton(f, a, b, x0, fa):
     """Roots of f in the brackets [a, b] by lockstep Newton from x0 in them.
 
     ``f`` maps an array to its values, slopes and value errors, one call
     per iteration on the brackets still open.  Each value cuts its bracket
     on its sign against ``fa`` (f at the left ends), and a step that leaves
     the bracket is replaced by bisection.  A bracket closes when its step
-    falls below ``xtol`` or below its value's error over its slope; its root
-    is the point plus that last step.
+    falls below ``NEWTON_XTOL`` or below its value's error over its slope;
+    its root is the point plus that last step.
     """
     a, b, x, left = (np.array(v, dtype=float) for v in (a, b, x0, np.sign(fa)))
     roots, open_ = np.empty(len(x)), np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not len(x):
             return roots
         g, dg, err = f(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - g / dg
-        done = np.abs(g) <= np.maximum(xtol * np.abs(dg), err)
+        done = np.abs(g) <= np.maximum(NEWTON_XTOL * np.abs(dg), err)
         right = np.sign(g) == left  # the root lies right of x
         a, b = np.where(right, x, a), np.where(right, b, x)
         inside = (nxt >= a) & (nxt <= b)

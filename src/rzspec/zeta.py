@@ -18,7 +18,10 @@ tracker for Im log zeta(1/2 + it), the zero finder (Newton on Z and Z'),
 and a persistent database of zero records.  zeta, theta_rs and z_function
 run a number as an array.  Only the scan and plot grids of Z take
 Riemann-Siegel from t = 50 up, and Euler-Maclaurin below it and again
-where its error bound leaves the sign of a value open.
+where its error bound leaves the sign of a value open.  One builder,
+:func:`extend_database`, makes and extends tables: a computed table's height
+is a multiple of 0.05, its records depend on that height alone, not on the
+appends that reached it, and an append counts each height once.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "zeta_second_prime",
     "im_log_zeta_half",
     "find_zeros",
+    "extend_database",
     "zeta_prime_at_zero",
     "ZeroRecord",
     "ZeroDatabase",
@@ -239,7 +243,9 @@ def _z_rs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = t / (2.0 * math.pi)
     a, n, log_u = np.sqrt(u), np.floor(np.sqrt(u)), np.log(u)
     theta = 0.5 * t * log_u - 0.5 * t - math.pi / 8.0 + np.polyval(_THETA_STIRLING, 1.0 / (t * t)) / t
-    ns = np.arange(1, int(n.max(initial=0.0)) + 1)
+    # at least 8 columns: numpy sums a shorter row in another order, and Z at a point would then
+    # depend on the other points of the call (with 8 to 14 columns it does not, to t = 1400)
+    ns = np.arange(1, max(8, int(n.max(initial=0.0))) + 1)
     w = np.where(ns <= n[:, None], ns ** -0.5, 0.0)
     main = 2.0 * (np.cos(theta[:, None] - np.multiply.outer(t, np.log(ns))) * w).sum(axis=1)
     x = a - n - 0.5
@@ -250,11 +256,10 @@ def _z_rs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return main + rem, err
 
 
-def _z_scan(lo: float, step: float, n: int, hi: float = math.inf) -> np.ndarray:
-    # Z at min(lo + k step, hi), k < n, for the scan and plot grids: _z_rs from _RS_T_MIN up, and
-    # one z_function call below it and wherever |Z_RS| is within its bound, so every sign is certain
-    t = np.minimum(lo + np.arange(n) * step, hi)
-    z, weak = np.empty(n), t < _RS_T_MIN
+def _z_scan(t: np.ndarray) -> np.ndarray:
+    # Z on a scan or plot grid: _z_rs from _RS_T_MIN up, and one z_function call below it and
+    # wherever |Z_RS| is within its bound, so every sign is certain
+    z, weak = np.empty(len(t)), t < _RS_T_MIN
     z[~weak], err = _z_rs(t[~weak])
     weak[~weak] = ~(np.abs(z[~weak]) > err)
     z[weak] = z_function(t[weak])
@@ -388,8 +393,8 @@ def _zeta_prime_by_phase(theta: float, zp: float) -> complex:
     return -1j * cmath.exp(-1j * theta) * zp
 
 
-def _fill_derivatives(records) -> None:
-    # the missing Z' and zeta'(rho) come from one z_prime and one theta_rs call
+def _fill_derivatives(records: list[ZeroRecord]) -> list[ZeroRecord]:
+    # the missing Z' and zeta'(rho) come from one z_prime and one theta_rs call; returns records
     pending = [rec for rec in records if rec.z_prime is None]
     if pending:
         zps = z_prime(np.array([rec.t for rec in pending]))
@@ -402,6 +407,7 @@ def _fill_derivatives(records) -> None:
         thetas = theta_rs(np.array([rec.t for rec in pending]))
         for rec, theta in zip(pending, thetas.tolist()):
             rec.zeta_prime_at_rho = _zeta_prime_by_phase(theta, rec.z_prime)
+    return records
 
 
 @dataclass
@@ -447,8 +453,7 @@ def _zero_ordinates(t_min: float, t_max: float) -> tuple[int, list[float]]:
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
     lo = _count_avoiding_zeros(t_min)
     ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
-    zs = _z_scan(t_min, ZERO_GRID_STEP, len(ts), t_max)
-    return lo, find_all(_z_newton, ts, _count_avoiding_zeros(t_max) - lo, zs)
+    return lo, find_all(_z_newton, ts, _count_avoiding_zeros(t_max) - lo, _z_scan(ts))
 
 
 def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
@@ -459,17 +464,25 @@ def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
     formula; a mismatch raises :class:`MissedZeroError`.
     """
     lo, roots = _zero_ordinates(t_min, t_max)
-    records = [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
-    _fill_derivatives(records)
-    return records
+    return _fill_derivatives([ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)])
 
 
-def build_database(t_max: float) -> ZeroDatabase:
-    """Compute, verify, and package all zeros with ordinate below t_max."""
-    db = ZeroDatabase(records=find_zeros(0.0, t_max), source="computed",
-                      t_max_verified=t_max)
-    db.check_invariants()
-    return db
+def extend_database(db: ZeroDatabase | None, t_max: float) -> ZeroDatabase:
+    """The verified table ``db`` (None: no table) extended to k * ZERO_GRID_STEP,
+    the first multiple at or above t_max - 1e-9, on a scan of db's height and
+    the multiples above it.  db's records are the zeros up to its height,
+    counted on load; the exact count at the new height checks the new ones,
+    so each height is counted once and the records depend on it alone.
+    """
+    if t_max > T_BUDGET:
+        raise ValueError(f"zero scan budget is t_max <= {T_BUDGET:g}")
+    records, h = (db.records, db.t_max_verified) if db else ([], 0.0)
+    lo = sum(1 for r in records if r.t <= h)
+    grid = np.arange(math.ceil((t_max - 1e-9) / ZERO_GRID_STEP) + 1) * ZERO_GRID_STEP
+    ts = np.concatenate(([h], grid[grid > h]))
+    roots = find_all(_z_newton, ts, _count_avoiding_zeros(ts[-1]) - lo, _z_scan(ts))
+    new = _fill_derivatives([ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)])
+    return ZeroDatabase(records[:lo] + new, db.source if db else "computed", float(ts[-1]))
 
 
 # --------------------------------------------------------------------------

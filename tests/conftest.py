@@ -15,7 +15,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def zero_db():
     # every zero below 240 (102 of them), computed once for the whole suite
-    return zeta_mod.build_database(240.0)
+    return zeta_mod.extend_database(None, 240.0)
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,17 @@ class TestZerosCommand:
         assert len(second["zeros"]) > len(first["zeros"])
         assert second["zeros"][: len(first["zeros"])] == first["zeros"]
 
+    def test_each_height_is_counted_once(self, tmp_path, monkeypatch):
+        # a build from empty counts the zeros at its height; an append at the cache's height, on
+        # load, and at the new one
+        count, heights = ze.exact_zero_count, []
+        monkeypatch.setattr(ze, "exact_zero_count", lambda t: heights.append(t) or count(t))
+        args = ["--out", str(tmp_path / "out"), "--cache", str(tmp_path / "cache.json")]
+        assert run(["zeros", "--t-max", "60"] + args) == 0
+        assert heights == [60.0]
+        assert run(["zeros", "--t-max", "100"] + args) == 0
+        assert heights == [60.0, 60.0, 100.0]
+
     def test_cache_dir_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RZ_CACHE_DIR", str(tmp_path / "cachedir"))
         out = tmp_path / "o"

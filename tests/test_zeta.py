@@ -247,17 +247,24 @@ class TestRiemannSiegel:
     def test_scan_takes_the_grid_below_and_riemann_siegel_above(self):
         # the scan grid below the crossover is z_function's, point for point
         n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
-        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
+        got = ze._z_scan(np.arange(n) * ze.ZERO_GRID_STEP)
         m = int(ze._RS_T_MIN / ze.ZERO_GRID_STEP)
         assert got.shape == (n,)
         assert got[:m].tobytes() == ze.z_function(np.arange(m) * ze.ZERO_GRID_STEP).tobytes()
         assert got[m:].tobytes() == ze._z_rs(np.arange(m, n) * ze.ZERO_GRID_STEP)[0].tobytes()
 
+    def test_scan_value_does_not_depend_on_the_other_points(self):
+        # a window of the 0.05 lattice has the bits of the same points in one call over [0, 500]
+        ts = np.arange(int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1) * ze.ZERO_GRID_STEP
+        whole = ze._z_scan(ts)
+        for lo, hi in [(2000, 4001), (4000, 8001), (9990, 10001)]:
+            assert ze._z_scan(ts[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+
     @pytest.mark.parametrize("hi", [30.01, 100.01])
     def test_clipped_end(self, hi):
         # the scan grid's last point, clipped at hi: Euler-Maclaurin below the crossover
         ts = scan_grid(0.0, hi, ze.ZERO_GRID_STEP)
-        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, len(ts), hi)
+        got = ze._z_scan(ts)
         want = ze.z_function(ts)
         assert ts[-1] == hi and got.shape == ts.shape
         if hi < ze._RS_T_MIN:
@@ -270,7 +277,7 @@ class TestRiemannSiegel:
         # last point included; 14.15 and 56.447 put a zero in the clipped last step
         ts = scan_grid(0.0, t_max, ze.ZERO_GRID_STEP)
         got = [r.t for r in ze.find_zeros(0.0, t_max)]
-        zs = ze._z_scan(0.0, ze.ZERO_GRID_STEP, len(ts), t_max)
+        zs = ze._z_scan(ts)
         assert got == find_all(ze._z_newton, ts, len(got), zs)
         assert t_max > 100.0 or ts[-2] < got[-1] < ts[-1]
 
@@ -281,8 +288,8 @@ class TestRiemannSiegel:
         monkeypatch.setattr(ze, "_z_rs", lambda t: (rs(t)[0], np.full(len(t), 1e9)))
         monkeypatch.setattr(ze, "z_function", lambda t: calls.append(t) or em(t))
         n = int(ze.T_BUDGET / ze.ZERO_GRID_STEP) + 1
-        got = ze._z_scan(0.0, ze.ZERO_GRID_STEP, n)
         ts = np.arange(n) * ze.ZERO_GRID_STEP
+        got = ze._z_scan(ts)
         assert len(calls) == 1 and np.array_equal(calls[0], ts)
         assert got.tobytes() == em(ts).tobytes()
         # the roots then come from Euler-Maclaurin signs alone, and are the same zeros
@@ -506,6 +513,39 @@ class TestDatabaseIO:
     def test_ingested_reference_consistent(self, ref_db):
         assert len(ref_db) == 1000
         assert ref_db.records[0].t == pytest.approx(T1, abs=1e-9)
+
+
+class TestTableBuilder:
+    @staticmethod
+    def fields(db):
+        return [(r.index, r.t, r.z_prime, r.zeta_prime_at_rho) for r in db.records], db.t_max_verified
+
+    def test_appends_equal_the_one_shot_table(self):
+        # a table built in five appends to 500 is the one-shot table, record for record, bit for bit
+        db = None
+        for t in (100.0, 200.0, 300.0, 400.0, 500.0):
+            db = ze.extend_database(db, t)
+        assert self.fields(db) == self.fields(ze.extend_database(None, 500.0))
+        assert len(db) == 269
+
+    def test_extends_off_lattice_and_recomputes_unverified_records(self, ref_db, zero_db):
+        # an ingested table (height 0.01 past its last zero) extends from that height; records
+        # past a table's verified height are dropped and found again by the scan
+        db = ze.extend_database(ze.ZeroDatabase(ref_db.records[:10], "ingested", ref_db.records[9].t + 0.01),
+                                100.0)
+        assert len(db) == 29 and db.t_max_verified == 100.0 and db.source == "ingested"
+        assert np.max(np.abs(db.ordinates() - ref_db.ordinates()[:29])) < 2e-12
+        past = ze.extend_database(ze.ZeroDatabase(zero_db.records[:13], t_max_verified=40.0), 100.0)
+        assert self.fields(past) == self.fields(ze.extend_database(None, 100.0))
+
+    def test_height_rounds_up_to_the_lattice(self, zero_db):
+        # 240.3085 becomes 4807 * 0.05; a height within 1e-9 of a lattice point is that point
+        db = ze.extend_database(zero_db, 240.3085)
+        assert db.t_max_verified == 4807 * ze.ZERO_GRID_STEP
+        assert self.fields(db)[0][:len(zero_db)] == self.fields(zero_db)[0]
+        assert ze.extend_database(None, 60.0 + 1e-10).t_max_verified == 60.0
+        with pytest.raises(ValueError):
+            ze.extend_database(None, 500.01)
 
 
 class TestFullBudgetScan:
