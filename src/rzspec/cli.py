@@ -4,13 +4,15 @@ Subcommands: zeros, xih, polya, landau, mirror, perron, mertens,
 interferometer.  Outputs are deterministic: each CSV column has one
 format, integers as integers and floats with 17 significant digits, no
 timestamps are embedded, and rerunning a command with the same
-configuration reproduces identical bytes.  Option precedence is
-command-line flags > JSON config file > built-in defaults; the
-environment contributes only RZ_CACHE_DIR, the directory of the
-zero-record cache.  A command that needs more zeros extends the cache to
-a multiple of 0.05 (zeta.extend_database): its records depend on that
-height alone, not on the commands that built it, and an append counts the
-zeros once at each height.
+configuration reproduces identical bytes.  The options are one table
+(_OPTIONS): a flag is an option's name with dashes and a JSON config-file
+key its name, null is accepted only where the default is None, and a bad
+value from either is refused before any write.  Precedence is flags >
+config file > defaults; the environment contributes only RZ_CACHE_DIR,
+the directory of the zero-record cache.  A command that needs more zeros
+extends the cache to a multiple of 0.05 (zeta.extend_database): its
+records depend on that height alone, not on the commands that built it,
+and an append counts the zeros once at each height.
 
 Flag conventions: --t-min/--t-max bound the sweep variable of the
 command (ordinate t, energy E, or level range); for the perron command
@@ -36,28 +38,27 @@ from . import zeta as zeta_mod
 from .errors import RZError
 from .roots import bisect
 
-_DEFAULTS = {
-    "t_min": 0.0,
-    "t_max": None,       # per-command fallback
-    "epsilon": 0.1,
-    "vartheta": None,    # tuned when omitted
-    "n_max": None,       # per-command fallback
-    "n_zeros": 100,
-    "n_trivial": 20,
-    "l_over_ell": 100.0,
-    "character_modulus": None,
-    "out": ".",
-    "cache": None,
+# The one option list, name: (type, default, accepted range, help).  The flag
+# is the name with dashes and the config key the name; a default of None means
+# the command falls back to (or tunes) a value, and only there is null accepted.
+_OPTIONS = {
+    "t_min": (float, 0.0, None, "lower sweep bound; fixed height E for perron/mirror"),
+    "t_max": (float, None, None, "upper sweep bound"),
+    "epsilon": (float, 0.1, (0, math.inf), "mirror strength scale"),
+    "vartheta": (float, None, None, "boundary phase in [0, 2pi); tuned automatically if omitted"),
+    "n_max": (int, None, None, "mirror count / sweep end / grid size, per command"),
+    "n_zeros": (int, 100, (0, math.inf), "nontrivial zeros in residue series"),
+    "n_trivial": (int, 20, (0, perron.TRIVIAL_ZEROS_MAX), "trivial zeros in residue series"),
+    "l_over_ell": (float, 100.0, None, "box size over magnetic length (landau)"),
+    "character_modulus": (int, None, None,
+                          "modulus of the built-in quadratic character (4 or odd prime)"),
+    "out": (str, ".", None, "output directory"),
+    "cache": (str, None, None, "zero-cache JSON path"),
 }
 
 # The commands start no threads; the value stays because the benchmark's
 # host record (perfbench/run.py) reports it.
 _WORKERS = min(8, os.cpu_count() or 1)
-
-# config-file options that take an integer or a string; the others take a
-# number, and null is accepted only where the default is null
-_CONFIG_INTS = {"n_max", "n_zeros", "n_trivial", "character_modulus"}
-_CONFIG_STRS = {"out", "cache"}
 
 _CSV_BLOCK = 4096  # CSV lines formatted by one % call and written at once
 
@@ -104,10 +105,10 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _require_n_max(n_max: int, least: int, what: str) -> None:
+def _require_n_max(n_max: int, least: int, what: str, most: float = math.inf) -> None:
     # checked before any artifact or cache write, so a refused run leaves nothing
-    if n_max < least:
-        raise RZError(f"--n-max {n_max}: the {what} needs n_max >= {least}")
+    if not least <= n_max <= most:
+        raise RZError(f"--n-max {n_max}: the {what} needs {least} <= n_max <= {most}")
 
 
 def _height_sweep(lo: float, hi: float, step: float) -> np.ndarray:
@@ -213,20 +214,24 @@ def _cmd_landau(cfg: RunConfig) -> None:
                [[x for x in coords for _ in coords], coords * grid_n, amp.ravel(), bound.ravel()])
 
 
-def _snap_to_ordinate(e_val: float, db, window: float = 1e-3) -> float:
-    # a height given to a few decimals that lands near a cached zero is
-    # meant to be that zero; snap so the at-zero machinery engages exactly
+_SNAP_WINDOW = 1e-3  # a height this close to a cached zero, given to a few decimals, is that zero
+
+
+def _cached_zero(e_val: float, db) -> float | None:
+    # the cached zero nearest e_val if within _SNAP_WINDOW, else None: at-zero mode engages there
     ts = db.ordinates()
-    if len(ts):
-        j = int(np.argmin(np.abs(ts - e_val)))
-        if abs(float(ts[j]) - e_val) < window:
-            return float(ts[j])
-    return e_val
+    j = int(np.argmin(np.abs(ts - e_val))) if len(ts) else None
+    return float(ts[j]) if j is not None and abs(float(ts[j]) - e_val) < _SNAP_WINDOW else None
+
+
+def _snap_to_ordinate(e_val: float, db) -> float:
+    return _cached_zero(e_val, db) or e_val  # the ordinates are > 0
 
 
 def _cmd_mirror(cfg: RunConfig) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else 100000
-    _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability tail n >= 1000")
+    _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability diagnostic",
+                   mirrors.DIAGNOSTIC_N_BUDGET)
     db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
     e_val = _snap_to_ordinate(cfg.t_min, db) if cfg.t_min > 0 else db.records[0].t
     vt = cfg.vartheta if cfg.vartheta is not None else mirrors.tuned_theta(e_val)
@@ -244,9 +249,8 @@ def _cmd_perron(cfg: RunConfig) -> None:
     n_max = cfg.n_max if cfg.n_max is not None else 50
     _require_n_max(n_max, 3, "n sweep from 2 to n_max")
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
-    e_val = _snap_to_ordinate(e_val, db)
-    ts = db.ordinates()
-    at_zero = bool(len(ts)) and float(np.min(np.abs(ts - e_val))) < 1e-6
+    zero = _cached_zero(e_val, db)
+    at_zero, e_val = zero is not None, zero or e_val
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial,
                                          at_zero_mode=at_zero)
     ns = np.arange(2, n_max + 1)
@@ -331,24 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "functions, Landau levels, mirror diagnostics, and "
                     "residue-series reconstructions as CSV/SVG/JSON artifacts.")
     p.add_argument("command", choices=sorted(_COMMANDS))
-    p.add_argument("--t-min", type=float, default=None,
-                   help="lower sweep bound; fixed height E for perron/mirror")
-    p.add_argument("--t-max", type=float, default=None, help="upper sweep bound")
-    p.add_argument("--epsilon", type=float, default=None, help="mirror strength scale")
-    p.add_argument("--vartheta", type=float, default=None,
-                   help="boundary phase in [0, 2pi); tuned automatically if omitted")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="mirror count / sweep end / grid size, per command")
-    p.add_argument("--n-zeros", type=int, default=None,
-                   help="nontrivial zeros in residue series")
-    p.add_argument("--n-trivial", type=int, default=None,
-                   help="trivial zeros in residue series")
-    p.add_argument("--l-over-ell", type=float, default=None,
-                   help="box size over magnetic length (landau)")
-    p.add_argument("--character-modulus", type=int, default=None,
-                   help="modulus of the built-in quadratic character (4 or odd prime)")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--cache", type=str, default=None, help="zero-cache JSON path")
+    for key, (typ, _, _, text) in _OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=typ, default=None, help=text)
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of option defaults (flags win)")
     return p
@@ -359,56 +347,40 @@ def _check_config(opts) -> None:
     # here, before any cache or artifact write
     if not isinstance(opts, dict):
         raise RZError("a config file holds one JSON object of option values")
-    unknown = set(opts) - set(_DEFAULTS)
+    unknown = set(opts) - set(_OPTIONS)
     if unknown:
         raise RZError(f"unknown config keys: {sorted(unknown)}")
     for key, val in opts.items():
-        if val is None and _DEFAULTS[key] is None:
+        typ, default, rng, _ = _OPTIONS[key]
+        if val is None and default is None:
             continue
-        if key in _CONFIG_STRS:
+        if typ is str:
             ok, kind = isinstance(val, str), "a string"
-        elif key in _CONFIG_INTS:
-            ok, kind = isinstance(val, int) and not isinstance(val, bool), "an integer"
-            if key in ("n_zeros", "n_trivial"):  # counts of the residue sums' zeros
-                ok, kind = ok and val >= 0, "an integer >= 0"
         else:
+            lo, hi = rng or (-math.inf, math.inf)
             # the bound is false for NaN, the infinities and ints no float holds
-            ok = (isinstance(val, (int, float)) and not isinstance(val, bool)
-                  and abs(val) <= sys.float_info.max)
-            kind = "a finite number"
+            ok = (isinstance(val, (typ, int)) and not isinstance(val, bool)
+                  and abs(val) <= sys.float_info.max and lo <= val <= hi)
+            kind = "an integer" if typ is int else "a finite number"
+            kind += f" in [{lo}, {hi}]" if rng else ""
         if not ok:
             raise RZError(f"option {key!r}: expected {kind}, got {json.dumps(val)}")
 
 
 def resolve_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k in _DEFAULTS and v is not None}
+    flags = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
     _check_config(flags)
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        _check_config(file_cfg)
-    opts = {**_DEFAULTS, **file_cfg, **flags}  # flags > config file > defaults
-    out = Path(opts["out"])
-    cache = opts["cache"]
+    file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    _check_config(file_cfg)
+    opts = {k: default for k, (_, default, _, _) in _OPTIONS.items()}
+    opts = {k: None if v is None else _OPTIONS[k][0](v)
+            for k, v in (opts | file_cfg | flags).items()}  # flags > config file > defaults
+    opts["t_min"] += 0.0  # a sweep from -0 starts at +0
+    out, cache = Path(opts.pop("out")), opts.pop("cache")
     if cache is None:
-        cache_dir = os.environ.get("RZ_CACHE_DIR", str(out))
-        cache = Path(cache_dir) / "zeros_cache.json"
-    return RunConfig(
-        command=args.command,
-        t_min=float(opts["t_min"] or 0.0),
-        t_max=None if opts["t_max"] is None else float(opts["t_max"]),
-        epsilon=float(opts["epsilon"]),
-        vartheta=None if opts["vartheta"] is None else float(opts["vartheta"]),
-        n_max=None if opts["n_max"] is None else int(opts["n_max"]),
-        n_zeros=int(opts["n_zeros"]),
-        n_trivial=int(opts["n_trivial"]),
-        l_over_ell=float(opts["l_over_ell"]),
-        character_modulus=(None if opts["character_modulus"] is None
-                           else int(opts["character_modulus"])),
-        out=out,
-        cache=Path(cache),
-    )
+        cache = Path(os.environ.get("RZ_CACHE_DIR", out)) / "zeros_cache.json"
+    return RunConfig(args.command, out=out, cache=Path(cache), **opts)
 
 
 def main(argv=None) -> int:

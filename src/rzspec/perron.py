@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 MOEBIUS_BUDGET = 10 ** 9
+TRIVIAL_ZEROS_MAX = 80  # zeta'(-2n) in closed form for n <= 80: (2n)! stays within a float
 _RESIDUE_BLOCK = 1 << 18  # complex entries per x-by-zeros block of a residue sum, 4 MB
 
 # growth_fit classification constants (calibrated, not derived)
@@ -129,8 +130,8 @@ def zeta_prime_trivial(n: int) -> float:
     """Closed form zeta'(-2n) = (-1)^n zeta(2n+1) (2n)! / (2^(2n+1) pi^(2n))."""
     if n < 1:
         raise ValueError("n >= 1")
-    if n > 80:
-        raise ValueError("factorial overflow beyond n = 80")
+    if n > TRIVIAL_ZEROS_MAX:
+        raise ValueError(f"factorial overflow beyond n = {TRIVIAL_ZEROS_MAX}")
     return ((-1) ** n * _zeta_odd(n) * math.factorial(2 * n)
             / (2.0 ** (2 * n + 1) * math.pi ** (2 * n)))
 

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,43 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
 
+class TestOptionTable:
+    """Flags, config keys, defaults and the README's flag table come from one option list."""
+
+    # a value of each option type inside every option's range; 16 is an integral float
+    VALUES = {float: 16, int: 7, str: "elsewhere"}
+
+    @pytest.mark.parametrize("key", list(cli._OPTIONS))
+    def test_flag_and_config_key_resolve_the_same(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("RZ_CACHE_DIR", raising=False)
+        value = self.VALUES[cli._OPTIONS[key][0]]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: value}))
+        by_flag = cli.resolve_config(["zeros", "--" + key.replace("_", "-"), str(value)])
+        by_file = cli.resolve_config(["zeros", "--config", str(cfgfile)])
+        assert by_flag == by_file
+        assert type(getattr(by_flag, key)) is type(getattr(by_file, key))
+        assert by_flag != cli.resolve_config(["zeros"])
+
+    def test_defaults_are_the_table(self, tmp_path, monkeypatch):
+        # with neither a flag nor a config key, and with a null key where null is accepted
+        monkeypatch.delenv("RZ_CACHE_DIR", raising=False)
+        want = {k: default for k, (_, default, _, _) in cli._OPTIONS.items()}
+        want.update(out=Path("."), cache=Path(".") / "zeros_cache.json")
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({k: None for k, v in want.items() if v is None}))
+        for argv in (["zeros"], ["zeros", "--config", str(cfgfile)]):
+            cfg = cli.resolve_config(argv)
+            assert {k: getattr(cfg, k) for k in cli._OPTIONS} == want
+
+    def test_readme_lists_the_flags_in_order(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        listed = re.findall(r"^\| `(--[a-z-]+)` \|", readme, flags=re.MULTILINE)
+        parsed = [a.option_strings[0] for a in cli.build_parser()._actions
+                  if a.option_strings and a.dest != "help"]
+        assert listed == parsed
+
+
 class TestTForCount:
     def test_equals_the_scalar_bisection(self):
         # six steps to a theta call visit the midpoints of 60 one-point steps
@@ -311,7 +350,11 @@ class TestNonFiniteAndOverBudget:
         (["zeros", "--t-max", "inf"], "RZError"),
         (["xih", "--t-min=-inf"], "RZError"),
         (["mirror", "--vartheta", "nan"], "RZError"),
-        (["landau", "--t-max", "1e9", "--n-max", "2"], "ToleranceNotMet")])
+        (["landau", "--t-max", "1e9", "--n-max", "2"], "ToleranceNotMet"),
+        (["mirror", "--epsilon", "-0.5", "--n-max", "1000"], "RZError"),
+        (["mirror", "--n-max", "2000000"], "RZError"),
+        (["perron", "--n-trivial", "81"], "RZError"),
+        (["mertens", "--n-trivial", "81"], "RZError")])
     def test_refused_before_any_write(self, tmp_path, capsys, args, error):
         # no traceback, no cache and no partial artifact set
         out = tmp_path / "out"
