@@ -5,11 +5,12 @@ interferometer.  Outputs are deterministic: each CSV column has one
 format, integers as integers and floats with 17 significant digits, no
 timestamps are embedded, and rerunning a command with the same
 configuration reproduces identical bytes.  The options are one table
-(_OPTIONS): a flag is an option's name with dashes and a JSON config-file
-key its name, null is accepted only where the default is None, and a bad
-value from either is refused before any write.  Precedence is flags >
-config file > defaults; the environment contributes only RZ_CACHE_DIR,
-the directory of the zero-record cache.  A command that needs more zeros
+(_OPTIONS), defaults and ranges per command where they differ: a flag is
+an option's name with dashes and a JSON config-file key its name, null
+means the default where no option-wide one is set, and every value is
+checked against its command's range before any write.  Precedence is
+flags > config file > defaults; the environment contributes only
+RZ_CACHE_DIR, the zero-cache directory.  A command that needs more zeros
 extends the cache to a multiple of 0.05 (zeta.extend_database): its
 records depend on that height alone, not on the commands that built it,
 and an append counts the zeros once at each height.
@@ -38,15 +39,20 @@ from . import zeta as zeta_mod
 from .errors import RZError
 from .roots import bisect
 
-# The one option list, name: (type, default, accepted range, help).  The flag
-# is the name with dashes and the config key the name; a default of None means
-# the command falls back to (or tunes) a value, and only there is null accepted.
+# The one option list, name: (type, default, accepted range, help); the flag is the name with
+# dashes and the config key the name.  A dict gives a default or range per command, None for the
+# others; a default of None means the command tunes a value or takes none, and null is accepted
+# only for an option that is None outside its dict.
 _OPTIONS = {
     "t_min": (float, 0.0, None, "lower sweep bound; fixed height E for perron/mirror"),
-    "t_max": (float, None, None, "upper sweep bound"),
+    "t_max": (float, {"zeros": 50.0, "xih": 60.0, "landau": 20.0}, None, "upper sweep bound"),
     "epsilon": (float, 0.1, (0, math.inf), "mirror strength scale"),
-    "vartheta": (float, None, None, "boundary phase in [0, 2pi); tuned automatically if omitted"),
-    "n_max": (int, None, None, "mirror count / sweep end / grid size, per command"),
+    "vartheta": (float, {"interferometer": 0.0}, (0, math.nextafter(2.0 * math.pi, 0.0)),  # [0, 2 pi)
+                 "boundary phase in [0, 2pi); tuned automatically if omitted"),
+    "n_max": (int, {"landau": 200, "mirror": 100000, "perron": 50, "mertens": 100, "interferometer": 30},
+              {"landau": (1, math.inf), "mirror": (mirrors.DIAGNOSTIC_N_MIN, mirrors.DIAGNOSTIC_N_BUDGET),
+               "perron": (3, math.inf), "mertens": (4, math.inf), "interferometer": (2, math.inf)},
+              "mirror count / sweep end / grid size, per command"),
     "n_zeros": (int, 100, (0, math.inf), "nontrivial zeros in residue series"),
     "n_trivial": (int, 20, (0, perron.TRIVIAL_ZEROS_MAX), "trivial zeros in residue series"),
     "l_over_ell": (float, 100.0, None, "box size over magnetic length (landau)"),
@@ -105,12 +111,6 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _require_n_max(n_max: int, least: int, what: str, most: float = math.inf) -> None:
-    # checked before any artifact or cache write, so a refused run leaves nothing
-    if not least <= n_max <= most:
-        raise RZError(f"--n-max {n_max}: the {what} needs {least} <= n_max <= {most}")
-
-
 def _height_sweep(lo: float, hi: float, step: float) -> np.ndarray:
     # lo, lo + step, ... <= hi, refused before any write unless it has the two points of a plot
     ts = np.arange(lo, hi + 1e-9, step)
@@ -156,10 +156,9 @@ def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
 # --------------------------------------------------------------------------
 
 def _cmd_zeros(cfg: RunConfig) -> None:
-    t_max = cfg.t_max if cfg.t_max is not None else 50.0
-    ts = _height_sweep(max(cfg.t_min, 0.0), t_max, 0.05)
-    db = _ensure_zeros(cfg, t_needed=t_max)
-    recs = [r for r in db.records if cfg.t_min <= r.t <= t_max]
+    ts = _height_sweep(max(cfg.t_min, 0.0), cfg.t_max, 0.05)
+    db = _ensure_zeros(cfg, t_needed=cfg.t_max)
+    recs = [r for r in db.records if cfg.t_min <= r.t <= cfg.t_max]
     zeta_mod._fill_derivatives(recs)  # only the rows written: the cache is not rewritten
     zp = np.array([r.zeta_prime_at_rho for r in recs], dtype=complex)
     _write_csv(cfg.out / "zeros.csv",
@@ -171,8 +170,7 @@ def _cmd_zeros(cfg: RunConfig) -> None:
 
 
 def _cmd_xih(cfg: RunConfig) -> None:
-    t_max = cfg.t_max if cfg.t_max is not None else 60.0
-    ts = _height_sweep(cfg.t_min, t_max, 0.25)
+    ts = _height_sweep(cfg.t_min, cfg.t_max, 0.25)
     cols = [dirac.xi_h(ts), dirac.polya_xi_star(ts), dirac.riemann_xi(ts)]
     _write_csv(cfg.out / "xih.csv", ["t", "xi_h", "xi_polya_star", "xi_riemann"], [ts, *cols])
     svg.line_plot(cfg.out / "xih.svg", ts, cols,
@@ -194,24 +192,21 @@ def _cmd_polya(cfg: RunConfig) -> None:
 
 
 def _cmd_landau(cfg: RunConfig) -> None:
-    e_max = cfg.t_max if cfg.t_max is not None else 20.0
-    grid_n = cfg.n_max if cfg.n_max is not None else 200
-    _require_n_max(grid_n, 1, "|psi| grid")
     geom = landau.LandauGeometry(magnetic_length=1.0, box_size=cfg.l_over_ell)
-    levels = landau.landau_levels(e_max, geom)
+    levels = landau.landau_levels(cfg.t_max, geom)
     _write_csv(cfg.out / "landau_levels.csv", ["k", "E"],
                [np.arange(1, len(levels) + 1), np.asarray(levels, dtype=float)])
-    es = np.linspace(0.0, e_max, 200)
+    es = np.linspace(0.0, cfg.t_max, 200)
     svg.line_plot(cfg.out / "landau.svg", es,
                   [landau.n_landau(es, geom), np.searchsorted(levels, es)],
                   labels=["smooth count", "levels"], title="box-quantized level count",
                   x_label="E", y_label="n")
-    xs = np.linspace(-10.0, 10.0, grid_n)
+    xs = np.linspace(-10.0, 10.0, cfg.n_max)
     amp, bound = landau.psi_abs_grid(10.0, xs, xs, geom)
     # the grid coordinates are formatted once, as strings
     coords = ["%.17g" % v for v in xs.tolist()]
     _write_csv(cfg.out / "landau_psi.csv", ["x", "y", "abs_psi", "abs_psi_bound"],
-               [[x for x in coords for _ in coords], coords * grid_n, amp.ravel(), bound.ravel()])
+               [[x for x in coords for _ in coords], coords * cfg.n_max, amp.ravel(), bound.ravel()])
 
 
 _SNAP_WINDOW = 1e-3  # a height this close to a cached zero, given to a few decimals, is that zero
@@ -229,13 +224,10 @@ def _snap_to_ordinate(e_val: float, db) -> float:
 
 
 def _cmd_mirror(cfg: RunConfig) -> None:
-    n_max = cfg.n_max if cfg.n_max is not None else 100000
-    _require_n_max(n_max, mirrors.DIAGNOSTIC_N_MIN, "normalizability diagnostic",
-                   mirrors.DIAGNOSTIC_N_BUDGET)
     db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
     e_val = _snap_to_ordinate(cfg.t_min, db) if cfg.t_min > 0 else db.records[0].t
-    vt = cfg.vartheta if cfg.vartheta is not None else mirrors.tuned_theta(e_val)
-    report = mirrors.normalizability_diagnostic(e_val, cfg.epsilon, n_max, vt)
+    vt = mirrors.tuned_theta(e_val) if cfg.vartheta is None else cfg.vartheta
+    report = mirrors.normalizability_diagnostic(e_val, cfg.epsilon, cfg.n_max, vt)
     _write_json(cfg.out / "mirror_diagnostic.json", report.to_json_dict())
     svg.line_plot(cfg.out / "mirror.svg", report.checkpoints,
                   [report.norm_partials, report.divergent_partials],
@@ -246,15 +238,13 @@ def _cmd_mirror(cfg: RunConfig) -> None:
 
 def _cmd_perron(cfg: RunConfig) -> None:
     e_val = cfg.t_min if cfg.t_min > 0 else 20.0
-    n_max = cfg.n_max if cfg.n_max is not None else 50
-    _require_n_max(n_max, 3, "n sweep from 2 to n_max")
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
     zero = _cached_zero(e_val, db)
     at_zero, e_val = zero is not None, zero or e_val
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial,
                                          at_zero_mode=at_zero)
-    ns = np.arange(2, n_max + 1)
-    terms = perron._dirichlet_terms(perron.moebius_sieve(n_max)[1:], e_val)
+    ns = np.arange(2, cfg.n_max + 1)
+    terms = perron._dirichlet_terms(perron.moebius_sieve(cfg.n_max)[1:], e_val)
     direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
     resid = perron.m_z_perron(ns, e_val, rcfg)
     # np.hypot, not np.abs: only it has the bits of abs() of each complex scalar
@@ -271,13 +261,11 @@ def _cmd_perron(cfg: RunConfig) -> None:
 
 
 def _cmd_mertens(cfg: RunConfig) -> None:
-    x_max = cfg.n_max if cfg.n_max is not None else 100
-    _require_n_max(x_max, 4, "x sweep from 2.5 to n_max - 0.5")
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
     rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial)
-    ks = np.arange(2, int(x_max))
+    ks = np.arange(2, cfg.n_max)
     xs = ks + 0.5
-    exact = np.cumsum(perron.moebius_sieve(max(int(x_max) - 1, 1)))[ks]
+    exact = np.cumsum(perron.moebius_sieve(cfg.n_max - 1))[ks]
     recon = perron.mertens_residue(xs, rcfg)
     _write_csv(cfg.out / "mertens.csv",
                ["x", "mertens_exact", "mertens_residue", "abs_error"],
@@ -288,12 +276,8 @@ def _cmd_mertens(cfg: RunConfig) -> None:
 
 
 def _cmd_interferometer(cfg: RunConfig) -> None:
-    n_max = cfg.n_max if cfg.n_max is not None else 30
-    character = None
-    if cfg.character_modulus is not None:
-        character = _quadratic_character(cfg.character_modulus)
-    vt = cfg.vartheta if cfg.vartheta is not None else 0.0
-    layout = mirrors.interferometer_layout(n_max, character, boundary_phase=vt)
+    character = None if cfg.character_modulus is None else _quadratic_character(cfg.character_modulus)
+    layout = mirrors.interferometer_layout(cfg.n_max, character, boundary_phase=cfg.vartheta)
     _write_json(cfg.out / "interferometer.json", layout.to_json_dict())
 
 
@@ -342,9 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _check_config(opts) -> None:
-    # option values from a config file or from flags; a bad one is refused
-    # here, before any cache or artifact write
+def _per(command: str | None, entry):
+    # an _OPTIONS default or range for the command; a dict gives one per command
+    return entry.get(command) if isinstance(entry, dict) else entry
+
+
+def _check_config(opts, command: str) -> None:
+    # option values from a config file or from flags; a bad one for the
+    # command is refused here, before any directory, cache or artifact write
     if not isinstance(opts, dict):
         raise RZError("a config file holds one JSON object of option values")
     unknown = set(opts) - set(_OPTIONS)
@@ -352,17 +341,17 @@ def _check_config(opts) -> None:
         raise RZError(f"unknown config keys: {sorted(unknown)}")
     for key, val in opts.items():
         typ, default, rng, _ = _OPTIONS[key]
-        if val is None and default is None:
+        if val is None and _per(None, default) is None:
             continue
         if typ is str:
             ok, kind = isinstance(val, str), "a string"
         else:
-            lo, hi = rng or (-math.inf, math.inf)
+            lo, hi = _per(command, rng) or (-math.inf, math.inf)
             # the bound is false for NaN, the infinities and ints no float holds
             ok = (isinstance(val, (typ, int)) and not isinstance(val, bool)
                   and abs(val) <= sys.float_info.max and lo <= val <= hi)
             kind = "an integer" if typ is int else "a finite number"
-            kind += f" in [{lo}, {hi}]" if rng else ""
+            kind += f" in [{lo}, {hi}]" if _per(command, rng) else ""
         if not ok:
             raise RZError(f"option {key!r}: expected {kind}, got {json.dumps(val)}")
 
@@ -370,12 +359,12 @@ def _check_config(opts) -> None:
 def resolve_config(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k in _OPTIONS and v is not None}
-    _check_config(flags)
+    _check_config(flags, args.command)
     file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    _check_config(file_cfg)
-    opts = {k: default for k, (_, default, _, _) in _OPTIONS.items()}
-    opts = {k: None if v is None else _OPTIONS[k][0](v)
-            for k, v in (opts | file_cfg | flags).items()}  # flags > config file > defaults
+    _check_config(file_cfg, args.command)
+    opts = {k: _per(args.command, default) for k, (_, default, _, _) in _OPTIONS.items()}
+    # flags > config file > defaults, where a null config key means the default
+    opts |= {k: _OPTIONS[k][0](v) for k, v in (file_cfg | flags).items() if v is not None}
     opts["t_min"] += 0.0  # a sweep from -0 starts at +0
     out, cache = Path(opts.pop("out")), opts.pop("cache")
     if cache is None:

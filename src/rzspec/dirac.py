@@ -37,7 +37,7 @@ from .errors import MissedZeroError, ToleranceNotMet
 from .roots import find_all, scan_grid
 from .specfun import (_bessel_k, _digamma_right, _nested_trapezoid, _number_or_array,
                       bessel_k_complex_order, log_gamma)
-from .zeta import _zero_ordinates, zeta
+from .zeta import _lattice_scan, zeta
 
 __all__ = [
     "SpectralFunctionKind",
@@ -252,7 +252,7 @@ def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     if not (0.0 <= t_min < t_max <= DIRAC_T_BUDGET):
         raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {DIRAC_T_BUDGET:g}")
     if target is SpectralFunctionKind.XI_RIEMANN:
-        return _zero_ordinates(t_min, t_max)[1]
+        return [r.t for r in _lattice_scan(t_min, t_max)[1] if t_min < r.t < t_max]
     if target is SpectralFunctionKind.XI_DIRAC_H:  # the eigenvalues at vartheta = pi
         target = BoundaryData(math.pi, 2.0 * math.pi)
     a, x, c = ((2.25, 2.0 * math.pi, 0.5 * math.pi) if target is SpectralFunctionKind.XI_POLYA_STAR

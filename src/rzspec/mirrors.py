@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -372,9 +372,10 @@ def norm_limit(E: float, epsilon: float) -> float:
 def zero_sensitivity(E: float) -> complex:
     """First-order motion of the eigenvalue with the mirror strength:
     dE/d eps at eps = 0 equals 2 e^{i(vartheta + theta(E))} / Z'(E) with
-    the tuned vartheta."""
-    vt = tuned_theta(E)
-    return 2.0 * cmath.exp(1j * (vt + theta_rs(E))) / z_prime(E)
+    the tuned vartheta, that is -2i / |Z'(E)|."""
+    if abs(z_function(E)) > 1e-6:
+        raise NotAZero(f"E = {E:g} is not a verified zero ordinate")
+    return -2j / abs(z_prime(E))
 
 
 @dataclass
@@ -401,19 +402,9 @@ class DiagnosticReport:
     power_floor: float = POWER_FLOOR
 
     def to_json_dict(self) -> dict:
-        return {
-            "E": self.E,
-            "epsilon": self.epsilon,
-            "vartheta": self.vartheta,
-            "checkpoints": self.checkpoints,
-            "norm_partials": self.norm_partials,
-            "divergent_partials": self.divergent_partials,
-            "cos_phase": self.cos_phase,
-            "cos_tail_min": self.cos_tail_min,
-            "growth_exponent": self.growth_exponent,
-            "classification": self.classification,
-            "calibration": {"cos_floor": self.cos_floor, "power_floor": self.power_floor},
-        }
+        doc = asdict(self)
+        doc["calibration"] = {k: doc.pop(k) for k in ("cos_floor", "power_floor")}
+        return doc
 
 
 def normalizability_diagnostic(E: float, epsilon: float, N: int,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoSimpleZero, NotAZero, OnZeroAmbiguity
-from .zeta import ZeroDatabase, zeta, zeta_prime, zeta_second_prime
+from .zeta import ZeroDatabase, _zeta_em_array, zeta
 
 __all__ = [
     "moebius",
@@ -242,10 +242,9 @@ def m_z_perron(x, E: float, cfg: ResidueExpansionConfig):
         ts = cfg.zero_db.ordinates()
         if not len(ts) or np.min(np.abs(ts - E)) > 1e-6:
             raise NotAZero(f"E = {E:g} is not within 1e-6 of a database ordinate")
-        zp = zeta_prime(z)
+        zp, zpp = _zeta_em_array(np.array([z]), (1, 2))[0].tolist()  # zeta' and zeta''
         if abs(zp) < 1e-8:
             raise NoSimpleZero(f"zeta'({z}) ~ 0; multiple zero not supported")
-        zpp = zeta_second_prime(z)
         head = np.log(x) / zp - zpp / (2.0 * zp * zp)
     else:
         zv = zeta(z)

@@ -45,8 +45,9 @@ from .errors import (
     FormatError,
     MonotonicityError,
     PoleError,
+    ToleranceNotMet,
 )
-from .roots import find_all, scan_grid
+from .roots import find_all
 from .specfun import _digamma_right, _log_sin_pi_array, _number_or_array, log_gamma
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 T_BUDGET = 500.0          # zero-scan budget for computed (not ingested) zeros
+ZETA_T_BUDGET = 1e4       # |Im s| past it is refused: a 512-point main-sum block there is 32 MB
 ZERO_GRID_STEP = 0.05     # safely below the minimal zero gap at desk scale
 
 
@@ -97,6 +99,8 @@ def _zeta_em_array(s: np.ndarray, order=None) -> np.ndarray:
     shape = (len(s), width) if deriv else s.shape
     if not s.size:
         return np.empty(shape, dtype=complex)
+    if np.abs(s.imag).max() > ZETA_T_BUDGET:
+        raise ToleranceNotMet(f"|Im s| past the Euler-Maclaurin height budget {ZETA_T_BUDGET:g}")
     n_pt = np.maximum(18, ((np.abs(s) + 55.0) / 2.6).astype(np.int64) + 1)
     log_n = np.log(np.arange(1, n_pt.max()))
     if deriv:  # (-log n)^m, contiguous (J, n): a transposed view rounds the product differently
@@ -170,7 +174,8 @@ def _zeta_outer(s) -> np.ndarray:
 @_number_or_array
 def zeta(s):
     """zeta(s) elementwise on an ndarray of complex s != 1, a number giving a
-    Python complex; raises :class:`PoleError` at s = 1.  Within 1e-11
+    Python complex; raises :class:`PoleError` at s = 1, and
+    :class:`ToleranceNotMet` past |Im s| = ZETA_T_BUDGET.  Within 1e-11
     relative for |Re s| <= 3, |Im s| <= 1420 (tested against mpmath)."""
     return _zeta_outer(s)
 
@@ -447,24 +452,30 @@ class ZeroDatabase:
                 raise ConsistencyError("Z' must alternate in sign between simple zeros")
 
 
-def _zero_ordinates(t_min: float, t_max: float) -> tuple[int, list[float]]:
-    # the number of zeros up to t_min, by the exact count, and the ordinates in (t_min, t_max)
-    if not (0.0 <= t_min < t_max <= T_BUDGET):
-        raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
-    lo = _count_avoiding_zeros(t_min)
-    ts = scan_grid(t_min, t_max, ZERO_GRID_STEP)
-    return lo, find_all(_z_newton, ts, _count_avoiding_zeros(t_max) - lo, _z_scan(ts))
+def _lattice_scan(h: float, t_max: float, lo: int | None = None) -> tuple[float, list[ZeroRecord]]:
+    # the first multiple of ZERO_GRID_STEP at or above t_max - 1e-9 and the zeros above h up to it,
+    # without derivatives, by a scan of h and the multiples above it checked by the exact count at
+    # the top: a zero depends on its bracket alone.  lo zeros lie at or below h; without lo the
+    # scan starts at the multiple at or below h and counts there
+    grid = np.arange(math.ceil((t_max - 1e-9) / ZERO_GRID_STEP) + 1) * ZERO_GRID_STEP
+    if lo is None:
+        h = float(grid[grid <= h][-1])
+        lo = _count_avoiding_zeros(h)
+    ts = np.concatenate(([h], grid[grid > h]))
+    roots = find_all(_z_newton, ts, _count_avoiding_zeros(ts[-1]) - lo, _z_scan(ts))
+    return float(ts[-1]), [ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)]
 
 
 def find_zeros(t_min: float, t_max: float) -> list[ZeroRecord]:
-    """All zeros of Z in (t_min, t_max), by one Newton refiner from secant
-    seeds on Z, Z' and Z's error from one Euler-Maclaurin call a round: an
-    ordinate is within Z's error over Z' (2e-12 of the published table to
-    t = 500).  The count is cross-checked against the exact counting
-    formula; a mismatch raises :class:`MissedZeroError`.
+    """All zeros of Z in (t_min, t_max), bit for bit those of the table that
+    :func:`extend_database` builds to t_max: its scan from the multiple of
+    ZERO_GRID_STEP at or below t_min.  An ordinate is within Z's error over
+    Z' (2e-12 of the published table to t = 500); a count that disagrees
+    with the exact counting formula raises :class:`MissedZeroError`.
     """
-    lo, roots = _zero_ordinates(t_min, t_max)
-    return _fill_derivatives([ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)])
+    if not (0.0 <= t_min < t_max <= T_BUDGET):
+        raise ValueError(f"zero scan budget is 0 <= t_min < t_max <= {T_BUDGET:g}")
+    return _fill_derivatives([r for r in _lattice_scan(t_min, t_max)[1] if t_min < r.t < t_max])
 
 
 def extend_database(db: ZeroDatabase | None, t_max: float) -> ZeroDatabase:
@@ -478,11 +489,8 @@ def extend_database(db: ZeroDatabase | None, t_max: float) -> ZeroDatabase:
         raise ValueError(f"zero scan budget is t_max <= {T_BUDGET:g}")
     records, h = (db.records, db.t_max_verified) if db else ([], 0.0)
     lo = sum(1 for r in records if r.t <= h)
-    grid = np.arange(math.ceil((t_max - 1e-9) / ZERO_GRID_STEP) + 1) * ZERO_GRID_STEP
-    ts = np.concatenate(([h], grid[grid > h]))
-    roots = find_all(_z_newton, ts, _count_avoiding_zeros(ts[-1]) - lo, _z_scan(ts))
-    new = _fill_derivatives([ZeroRecord(index=lo + k + 1, t=t) for k, t in enumerate(roots)])
-    return ZeroDatabase(records[:lo] + new, db.source if db else "computed", float(ts[-1]))
+    top, new = _lattice_scan(h, t_max, lo)
+    return ZeroDatabase(records[:lo] + _fill_derivatives(new), db.source if db else "computed", top)
 
 
 # --------------------------------------------------------------------------

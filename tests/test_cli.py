@@ -193,13 +193,14 @@ class TestErrorsAndConfig:
 class TestOptionTable:
     """Flags, config keys, defaults and the README's flag table come from one option list."""
 
-    # a value of each option type inside every option's range; 16 is an integral float
+    # a value of each option type inside every option's range; 16 and 3 are integral floats
     VALUES = {float: 16, int: 7, str: "elsewhere"}
+    SAMPLES = {"vartheta": 3}  # the boundary phase lies in [0, 2 pi)
 
     @pytest.mark.parametrize("key", list(cli._OPTIONS))
     def test_flag_and_config_key_resolve_the_same(self, tmp_path, monkeypatch, key):
         monkeypatch.delenv("RZ_CACHE_DIR", raising=False)
-        value = self.VALUES[cli._OPTIONS[key][0]]
+        value = self.SAMPLES.get(key, self.VALUES[cli._OPTIONS[key][0]])
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({key: value}))
         by_flag = cli.resolve_config(["zeros", "--" + key.replace("_", "-"), str(value)])
@@ -209,15 +210,48 @@ class TestOptionTable:
         assert by_flag != cli.resolve_config(["zeros"])
 
     def test_defaults_are_the_table(self, tmp_path, monkeypatch):
-        # with neither a flag nor a config key, and with a null key where null is accepted
+        # each command's defaults, with neither a flag nor a config key, and with a null key
+        # wherever null is accepted: for t_max, vartheta, n_max, character_modulus and cache
         monkeypatch.delenv("RZ_CACHE_DIR", raising=False)
-        want = {k: default for k, (_, default, _, _) in cli._OPTIONS.items()}
-        want.update(out=Path("."), cache=Path(".") / "zeros_cache.json")
+        nullable = [k for k, (_, default, _, _) in cli._OPTIONS.items() if cli._per(None, default) is None]
+        assert nullable == ["t_max", "vartheta", "n_max", "character_modulus", "cache"]
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({k: None for k, v in want.items() if v is None}))
-        for argv in (["zeros"], ["zeros", "--config", str(cfgfile)]):
-            cfg = cli.resolve_config(argv)
-            assert {k: getattr(cfg, k) for k in cli._OPTIONS} == want
+        cfgfile.write_text(json.dumps({k: None for k in nullable}))
+        for command in cli._COMMANDS:
+            want = {k: cli._per(command, default) for k, (_, default, _, _) in cli._OPTIONS.items()}
+            want.update(out=Path("."), cache=Path(".") / "zeros_cache.json")
+            for argv in ([command], [command, "--config", str(cfgfile)]):
+                cfg = cli.resolve_config(argv)
+                assert {k: getattr(cfg, k) for k in cli._OPTIONS} == want
+                assert {k: type(getattr(cfg, k)) for k in ("t_max", "n_max", "vartheta")} == {
+                    k: type(want[k]) for k in ("t_max", "n_max", "vartheta")}
+
+    def test_each_default_is_in_its_commands_range(self):
+        for command in cli._COMMANDS:
+            defaults = {k: cli._per(command, d) for k, (_, d, _, _) in cli._OPTIONS.items()}
+            cli._check_config({k: v for k, v in defaults.items() if v is not None}, command)
+
+    def test_readme_states_the_per_command_defaults_and_ranges(self):
+        # the README's default and accepted-values cells of --t-max, --n-max and --vartheta
+        # name each command's default and range as the table gives them
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = {flag: cells for flag, *cells in re.findall(
+            r"^\| `--([a-z-]+)` \| (.*?) \| (.*?) \|$", readme, flags=re.MULTILINE)}
+
+        def bounds(text):  # ">= 3" or "1000 to 1000000"
+            lo, _, hi = text.removeprefix(">= ").partition(" to ")
+            return int(lo), int(hi) if hi else math.inf
+
+        for flag in ("t-max", "n-max", "vartheta"):
+            typ, default, rng, _ = cli._OPTIONS[flag.replace("-", "_")]
+            cell, accepted = rows[flag]
+            listed = {c: typ(v) for c, v in re.findall(r"`([a-z]+)` (\d+)", cell)}
+            assert listed == {c: cli._per(c, default) for c in cli._COMMANDS
+                              if cli._per(c, default) is not None}
+            ranges = {c: bounds(b) for c, b in re.findall(r"`([a-z]+)` (>= \d+|\d+ to \d+)", accepted)}
+            if "[0, 2π)" in accepted:  # one range for every command
+                ranges = {c: (0, math.nextafter(2 * math.pi, 0)) for c in cli._COMMANDS}
+            assert ranges == {c: cli._per(c, rng) for c in cli._COMMANDS if cli._per(c, rng) is not None}
 
     def test_readme_lists_the_flags_in_order(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -253,6 +287,7 @@ class TestSweepSizes:
                                       ["mirror", "--n-max", "500"]])
     def test_too_short_sweep_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "out"
+        out.mkdir()  # a range refusal comes before --out is created
         assert run(args + ["--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "RZError"
         assert list(out.iterdir()) == []
@@ -354,7 +389,11 @@ class TestNonFiniteAndOverBudget:
         (["mirror", "--epsilon", "-0.5", "--n-max", "1000"], "RZError"),
         (["mirror", "--n-max", "2000000"], "RZError"),
         (["perron", "--n-trivial", "81"], "RZError"),
-        (["mertens", "--n-trivial", "81"], "RZError")])
+        (["mertens", "--n-trivial", "81"], "RZError"),
+        (["interferometer", "--vartheta", "7"], "RZError"),
+        (["mirror", "--vartheta", "9", "--n-max", "1000"], "RZError"),
+        (["mirror", "--vartheta", "-0.5", "--n-max", "1000"], "RZError"),
+        (["interferometer", "--n-max", "1"], "RZError")])
     def test_refused_before_any_write(self, tmp_path, capsys, args, error):
         # no traceback, no cache and no partial artifact set
         out = tmp_path / "out"
@@ -362,6 +401,13 @@ class TestNonFiniteAndOverBudget:
         assert run(args + ["--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert list(out.iterdir()) == []
+
+    def test_mirror_past_the_zeta_height_budget(self, tmp_path, capsys):
+        # E = 1e9 is past the Euler-Maclaurin budget: a JSON error in seconds, no artifact
+        out = tmp_path / "out"
+        assert run(["mirror", "--t-min", "1e9", "--n-max", "1000", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
+        assert not (out / "mirror_diagnostic.json").exists() and not (out / "mirror.svg").exists()
 
     @pytest.mark.parametrize("command", ["mertens", "perron"])
     @pytest.mark.parametrize("flag", ["--n-zeros", "--n-trivial"])

@@ -323,6 +323,20 @@ class TestDiagnostic:
         with pytest.raises(ValueError):
             mi.normalizability_diagnostic(20.0, 0.1, 10 ** 7, 0.0)
 
+    def test_json_document_holds_every_field(self):
+        # the calibration constants nest under "calibration"; every other field is a key
+        rep = mi.DiagnosticReport(E=14.5, epsilon=0.1, vartheta=0.25, checkpoints=[10, 20],
+                                  norm_partials=[1.0, 2.0], divergent_partials=[0.5, 0.75],
+                                  cos_phase=[0.9, 0.95], cos_tail_min=0.9, growth_exponent=0.125,
+                                  classification="tuned")
+        assert rep.to_json_dict() == {
+            "E": 14.5, "epsilon": 0.1, "vartheta": 0.25, "checkpoints": [10, 20],
+            "norm_partials": [1.0, 2.0], "divergent_partials": [0.5, 0.75],
+            "cos_phase": [0.9, 0.95], "cos_tail_min": 0.9, "growth_exponent": 0.125,
+            "classification": "tuned",
+            "calibration": {"cos_floor": mi.COS_FLOOR, "power_floor": mi.POWER_FLOOR}}
+        assert rep.checkpoints == [10, 20] and rep.cos_floor == mi.COS_FLOOR
+
     @pytest.mark.parametrize("case", ["tuned", "detuned", "scattering"])
     def test_matches_angle_formula(self, t1, case):
         vt = mi.tuned_theta(t1)

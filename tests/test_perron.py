@@ -128,6 +128,16 @@ class TestResidueExpansion:
         zpp = ze.zeta_second_prime(z)
         assert abs(-zpp / (2.0 * zp * zp) - AT_ZERO_CONST_T1) < 1e-5
 
+    def test_at_zero_head_has_the_bits_of_zeta_prime_and_second_prime(self, zero_db):
+        # the head's zeta' and zeta'' come from one Euler-Maclaurin call with two columns
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)
+        xs = np.linspace(10.5, 50.5, 9)
+        for rec in zero_db.records[:10]:
+            z = complex(0.5, rec.t)
+            zp, zpp = ze.zeta_prime(z), ze.zeta_second_prime(z)
+            want = np.log(xs) / zp - zpp / (2.0 * zp * zp) + perron._residue_tail(xs, z, cfg, True)
+            assert perron.m_z_perron(xs, rec.t, cfg).tobytes() == want.tobytes()
+
     def test_at_zero_log_slope(self, zero_db):
         t = zero_db.records[0].t
         cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)

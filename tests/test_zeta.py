@@ -18,6 +18,7 @@ from rzspec.errors import (
     MissedZeroError,
     MonotonicityError,
     PoleError,
+    ToleranceNotMet,
 )
 from rzspec.specfun import log_gamma
 
@@ -55,6 +56,15 @@ class TestZeta:
     def test_pole(self):
         with pytest.raises(PoleError):
             ze.zeta(1.0 + 0j)
+
+    def test_height_past_the_budget_is_refused(self):
+        # at t = 1e9 the main sum alone would take log n for 3.8e8 terms; the budget is
+        # above the documented domain |Im s| <= 1420
+        assert ze.ZETA_T_BUDGET > 1420.0
+        for f, x in ((ze.zeta, 0.5 + 1e9j), (ze.zeta, -2.0 - 1e9j), (ze.z_function, 1e9),
+                     (ze.z_function, np.array([20.0, 2e4]))):
+            with pytest.raises(ToleranceNotMet):
+                f(x)
 
     def test_oracles(self):
         assert abs(ze.zeta(0.5 + 0j) - ZETA_HALF) < 1e-13
@@ -386,6 +396,13 @@ class TestZeroFinding:
     def test_budget(self):
         with pytest.raises(ValueError):
             ze.find_zeros(0.0, 501.0)
+
+    @pytest.mark.parametrize("t_min, t_max", [(20.013, 199.97), (20.0, 200.0), (100.02, 150.0),
+                                              (0.0, 56.447), (14.134725141734694, 21.1)])
+    def test_window_is_the_tables_records(self, t_min, t_max):
+        # a window's zeros are those of the table built to t_max, bit for bit, whatever t_min is
+        want = [r for r in ze.extend_database(None, t_max).records if t_min < r.t < t_max]
+        assert ze.find_zeros(t_min, t_max) == want and len(want) > 0
 
     def test_coarse_scan_trips_count_guard(self, monkeypatch):
         # a step of 2 puts the zeros 48.005 and 49.774 in one step [48, 50]
