@@ -36,7 +36,7 @@ import numpy as np
 
 from . import counting, dirac, landau, mirrors, perron, svg
 from . import zeta as zeta_mod
-from .errors import RZError
+from .errors import NotAZero, RZError
 from .roots import bisect
 
 # The one option list, name: (type, default, accepted range, help); the flag is the name with
@@ -50,13 +50,14 @@ _OPTIONS = {
     "vartheta": (float, {"interferometer": 0.0}, (0, math.nextafter(2.0 * math.pi, 0.0)),  # [0, 2 pi)
                  "boundary phase in [0, 2pi); tuned automatically if omitted"),
     "n_max": (int, {"landau": 200, "mirror": 100000, "perron": 50, "mertens": 100, "interferometer": 30},
-              {"landau": (1, math.inf), "mirror": (mirrors.DIAGNOSTIC_N_MIN, mirrors.DIAGNOSTIC_N_BUDGET),
-               "perron": (3, math.inf), "mertens": (4, math.inf), "interferometer": (2, math.inf)},
+              {"landau": (1, landau.PSI_GRID_N_BUDGET), "perron": (3, perron.SWEEP_N_BUDGET),
+               "mertens": (4, perron.SWEEP_N_BUDGET), "interferometer": (2, mirrors.INTERFEROMETER_N_BUDGET),
+               "mirror": (mirrors.DIAGNOSTIC_N_MIN, mirrors.DIAGNOSTIC_N_BUDGET)},
               "mirror count / sweep end / grid size, per command"),
     "n_zeros": (int, 100, (0, math.inf), "nontrivial zeros in residue series"),
     "n_trivial": (int, 20, (0, perron.TRIVIAL_ZEROS_MAX), "trivial zeros in residue series"),
-    "l_over_ell": (float, 100.0, None, "box size over magnetic length (landau)"),
-    "character_modulus": (int, None, None,
+    "l_over_ell": (float, 100.0, landau.BOX_RATIO_RANGE, "box size over magnetic length (landau)"),
+    "character_modulus": (int, None, (3, mirrors.CHARACTER_MODULUS_MAX),
                           "modulus of the built-in quadratic character (4 or odd prime)"),
     "out": (str, ".", None, "output directory"),
     "cache": (str, None, None, "zero-cache JSON path"),
@@ -212,18 +213,17 @@ def _cmd_landau(cfg: RunConfig) -> None:
 _SNAP_WINDOW = 1e-3  # a height this close to a cached zero, given to a few decimals, is that zero
 
 
-def _cached_zero(e_val: float, db) -> float | None:
-    # the cached zero nearest e_val if within _SNAP_WINDOW, else None: at-zero mode engages there
-    ts = db.ordinates()
-    j = int(np.argmin(np.abs(ts - e_val))) if len(ts) else None
-    return float(ts[j]) if j is not None and abs(float(ts[j]) - e_val) < _SNAP_WINDOW else None
-
-
 def _snap_to_ordinate(e_val: float, db) -> float:
-    return _cached_zero(e_val, db) or e_val  # the ordinates are > 0
+    # the cached zero nearest e_val if within _SNAP_WINDOW, else e_val
+    ts = db.ordinates()
+    near = float(ts[np.argmin(np.abs(ts - e_val))]) if len(ts) else math.inf
+    return near if abs(near - e_val) < _SNAP_WINDOW else e_val
 
 
 def _cmd_mirror(cfg: RunConfig) -> None:
+    if cfg.vartheta is None and cfg.t_min > 0:  # the tuned phase needs a zero near t_min
+        if np.prod(zeta_mod.z_function(cfg.t_min + np.array([-_SNAP_WINDOW, _SNAP_WINDOW]))) > 0:
+            raise NotAZero(f"Z keeps its sign on {cfg.t_min:g} +- {_SNAP_WINDOW:g}: no zero to tune to")
     db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
     e_val = _snap_to_ordinate(cfg.t_min, db) if cfg.t_min > 0 else db.records[0].t
     vt = mirrors.tuned_theta(e_val) if cfg.vartheta is None else cfg.vartheta
@@ -237,12 +237,9 @@ def _cmd_mirror(cfg: RunConfig) -> None:
 
 
 def _cmd_perron(cfg: RunConfig) -> None:
-    e_val = cfg.t_min if cfg.t_min > 0 else 20.0
     db = _ensure_zeros(cfg, count_needed=cfg.n_zeros)
-    zero = _cached_zero(e_val, db)
-    at_zero, e_val = zero is not None, zero or e_val
-    rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial,
-                                         at_zero_mode=at_zero)
+    e_val = _snap_to_ordinate(cfg.t_min if cfg.t_min > 0 else 20.0, db)  # on a zero: at-zero head
+    rcfg = perron.ResidueExpansionConfig(db, cfg.n_zeros, cfg.n_trivial)
     ns = np.arange(2, cfg.n_max + 1)
     terms = perron._dirichlet_terms(perron.moebius_sieve(cfg.n_max)[1:], e_val)
     direct = np.cumsum(terms)[1:] - 0.5 * terms[1:]  # half-weighted last term
@@ -256,7 +253,7 @@ def _cmd_perron(cfg: RunConfig) -> None:
     svg.line_plot(cfg.out / "perron.svg", ns, mags,
                   labels=["|direct|", "|residue series|"],
                   title=f"partial Dirichlet sums at E = {e_val:g}"
-                        + (" (at-zero mode)" if at_zero else ""),
+                        + (" (at-zero mode)" if e_val in db.ordinates() else ""),
                   x_label="n", y_label="|M_z|")
 
 

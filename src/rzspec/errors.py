@@ -50,7 +50,7 @@ class NotAZero(RZError):
 
 
 class OnZeroAmbiguity(RZError):
-    """Expansion point sits on a zero but the off-zero mode was requested."""
+    """Expansion point sits on a zero that the residue series' table does not hold."""
 
 
 class NoSimpleZero(RZError):

@@ -39,6 +39,8 @@ __all__ = [
 LANDAU_E_BUDGET = 1e4
 # psi_plus / psi_minus refuse a value whose Kummer bound exceeds this, relative
 PSI_REL_TOL = 1e-6
+PSI_GRID_N_BUDGET = 1000  # side of the landau command's psi grid: 1000^2 cells take 7 s, 214 MB
+BOX_RATIO_RANGE = (1e-150, 1e150)  # L / l for which log_cutoff's (L / l)^2 is a finite float > 0
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BadCharacter, NotAZero, UnimodularReflection, ZeroModulus
+from .errors import BadCharacter, NotAZero, ToleranceNotMet, UnimodularReflection, ZeroModulus
 from .perron import _dirichlet_terms, moebius_sieve
 from .zeta import theta_rs, z_function, z_prime, zeta
 
@@ -52,6 +52,8 @@ __all__ = [
 
 DIAGNOSTIC_N_BUDGET = 10 ** 6
 DIAGNOSTIC_N_MIN = 1000  # below it the diagnostic's tail n >= 1000 is empty
+INTERFEROMETER_N_BUDGET = 10 ** 5  # one Python tuple per mirror: 1e6 of them take about 900 MB
+CHARACTER_MODULUS_MAX = 1000  # DirichletCharacter checks q^2 / 2 products: 0.08 s at q = 1009
 _DIAGNOSTIC_BLOCK = 2 ** 16  # n per block of the streamed diagnostic
 COS_FLOOR = 0.9          # tuned-phase lock threshold (calibration constant)
 POWER_FLOOR = 0.1        # divergent-partial growth threshold (calibration constant)
@@ -339,16 +341,13 @@ def wavefunction_at(seq: AmplitudeSequence, m: MirrorArray, rho: float):
 # phase tuning and the normalizability dichotomy
 # --------------------------------------------------------------------------
 
-def phase_phi_z(n: int, E: float, m: MirrorArray | None = None) -> float:
-    """Phase Phi_z(n) with e^{-i Phi_z(n)} = M_z(n)/|M_z(n)|, unwrapped
-    by minimal-jump continuation in n (defaults to the Moebius array)."""
-    if m is None:
-        m = moebius_mirrors(max(n, 2))
-    mz = m_z_cumulative(m, E, n)
+def phase_phi_z(n: int, E: float) -> float:
+    """Phase Phi_z(n) with e^{-i Phi_z(n)} = M_z(n)/|M_z(n)| of the Moebius
+    array, unwrapped by minimal-jump continuation in n."""
+    mz = np.cumsum(_dirichlet_terms(moebius_sieve(n)[1:], E))
     if mz[-1] == 0.0:
         raise ZeroModulus(f"M_z({n}) = 0: phase undefined")
-    phi = np.unwrap(-np.angle(mz))
-    return float(phi[-1])
+    return float(np.unwrap(-np.angle(mz))[-1])
 
 
 def tuned_theta(E: float) -> float:
@@ -407,11 +406,13 @@ class DiagnosticReport:
         return doc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def normalizability_diagnostic(E: float, epsilon: float, N: int,
                                vartheta: float) -> DiagnosticReport:
     """Norm-series behaviour of the Moebius array state at ordinate E.
 
-    Always returns a report; the classification separates a tuned bound
+    Returns a report unless e^{2 eps |M_z|} or a norm partial sum leaves
+    the floats (ToleranceNotMet); the classification separates a tuned bound
     state (phase locked, divergent component suppressed), a detuned
     ordinate (divergent component grows like a power), and the generic
     scattering-like case of bounded M_z.  N >= 1000, so that the tail
@@ -463,6 +464,8 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
         parts[:, 0] += carry
         np.cumsum(parts, axis=1, out=parts)
         carry = parts[:, -1].copy()
+        if not np.isfinite(carry).all():  # nondecreasing sums: a finite carry, finite partials
+            raise ToleranceNotMet(f"e^(2 eps |M_z|) or a norm partial sum overflows at eps = {epsilon:g}")
         kept[1:, sel] = parts[:, picks[sel] - lo]
     # a zero ordinate announces itself through growing |M_z|;
     # bounded |M_z| means the generic scattering-like continuum

@@ -6,9 +6,10 @@ The partial Dirichlet sums
 
 are computed directly (with the half-weight convention at integer x) and
 reconstructed from the contour-inversion residue series: the constant
-1/zeta(z) (or the log x law when z sits on a zero), plus one term per
-nontrivial zero, plus a rapidly convergent trivial-zero tail whose
-zeta'(-2n) has the closed form (-1)^n zeta(2n+1) (2n)! / (2^(2n+1) pi^(2n)).
+1/zeta(z) (or the log x law when E is an ordinate of the series' own
+zero table), plus one term per nontrivial zero, plus a rapidly convergent
+trivial-zero tail whose zeta'(-2n) has the closed form
+(-1)^n zeta(2n+1) (2n)! / (2^(2n+1) pi^(2n)).
 Nontrivial zeros are summed in conjugate pairs ordered by |t|, the
 standard symmetric truncation of the conditionally convergent series; at
 real z (Mertens) a pair is twice the real part of its upper member.  Each
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSimpleZero, NotAZero, OnZeroAmbiguity
+from .errors import NoSimpleZero, OnZeroAmbiguity
 from .zeta import ZeroDatabase, _zeta_em_array, zeta
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 MOEBIUS_BUDGET = 10 ** 9
+SWEEP_N_BUDGET = 10 ** 6  # n of a perron or mertens command: perron at 1e6 takes 12 s, 340 MB
 TRIVIAL_ZEROS_MAX = 80  # zeta'(-2n) in closed form for n <= 80: (2n)! stays within a float
 _RESIDUE_BLOCK = 1 << 18  # complex entries per x-by-zeros block of a residue sum, 4 MB
 
@@ -150,15 +152,12 @@ def trivial_zero_term(x: float, E: float, n: int) -> complex:
 class ResidueExpansionConfig:
     """Truncation control: which zeros enter the residue sum.
 
-    ``at_zero_mode`` selects the expansion around a point where zeta(z)
-    itself vanishes (log x leading term) instead of the generic 1/zeta(z)
-    constant.
+    Whether a point sits on a zero is read from ``zero_db`` itself: see
+    :func:`m_z_perron`.
     """
     zero_db: ZeroDatabase
     n_nontrivial: int = 100
     n_trivial: int = 20
-    at_zero_mode: bool = False
-    _pairs: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _zeros: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -168,44 +167,37 @@ class ResidueExpansionConfig:
         if min(self.n_nontrivial, self.n_trivial) < 0:
             raise ValueError("n_nontrivial and n_trivial must be >= 0")
 
-    def pairs(self):
-        """(rho, zeta'(rho)) for the first n_nontrivial zeros and their
-        conjugates, ordered by |Im rho| ascending; built on the first call."""
-        if self._pairs is None:
-            self.zero_db.ensure_derivatives(self.n_nontrivial)
-            self._pairs = tuple(
-                p for rec in self.zero_db.records[: self.n_nontrivial]
-                for p in ((complex(0.5, rec.t), rec.zeta_prime_at_rho),
-                          (complex(0.5, -rec.t), rec.zeta_prime_at_rho.conjugate())))
-        return self._pairs
-
     def residue_zeros(self):
-        """Arrays (s_k, zeta'(s_k)) over the pairs, then -2, -4, ..., -2 n_trivial."""
+        """Arrays (s_k, zeta'(s_k)): each of the first n_nontrivial zeros, then
+        its conjugate, then -2, -4, ..., -2 n_trivial; built on the first call."""
         if self._zeros is None:
-            trivial = [(-2.0 * n, zeta_prime_trivial(n)) for n in range(1, self.n_trivial + 1)]
-            self._zeros = np.array(self.pairs() + tuple(trivial), dtype=complex).reshape(-1, 2).T
+            self.zero_db.ensure_derivatives(self.n_nontrivial)
+            recs, ns = self.zero_db.records[: self.n_nontrivial], range(1, self.n_trivial + 1)
+            self._zeros = np.array(
+                [[complex(0.5, sgn * r.t) for r in recs for sgn in (1.0, -1.0)] + [-2.0 * n for n in ns],
+                 [d for r in recs for d in (r.zeta_prime_at_rho, r.zeta_prime_at_rho.conjugate())]
+                 + [zeta_prime_trivial(n) for n in ns]], dtype=complex)
         return self._zeros
 
-    def residue_terms(self, z: complex, at_zero: bool):
+    def residue_terms(self, z: complex):
         """Arrays (e_k, c_k) of the tail sum_k c_k x^(e_k) at z: e_k = s_k - z
         over the kept zeros, c_k = 1/(e_k zeta'(s_k)), doubled on the upper
-        member of each pair at real z, whose lower member is dropped; at a
-        zero its own pair is dropped.  The arrays of the last (z, at_zero)
+        member of each pair at real z, whose lower member is dropped; a kept
+        zero within 1e-6 of z is dropped too.  The arrays of the last z
         asked for are kept, so a sweep over z holds one set."""
-        if self._terms is None or self._terms[0] != (z, at_zero):
+        if self._terms is None or self._terms[0] != z:
             s, dz = self.residue_zeros()
             real = z.imag == 0.0
-            keep = ~(real & (s.imag < 0.0) | at_zero & (np.abs(s - z) < 1e-6))
+            keep = ~(real & (s.imag < 0.0) | (np.abs(s - z) < 1e-6))
             e = s[keep] - z
-            self._terms = (z, at_zero), e, (1.0 + (real & (e.imag > 0.0))) / (e * dz[keep])
+            self._terms = z, e, (1.0 + (real & (e.imag > 0.0))) / (e * dz[keep])
         return self._terms[1:]
 
 
-def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = False):
-    # sum_k x^(s_k - z) / ((s_k - z) zeta'(s_k)), at a zero less its own pair; numpy's
+def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig):
+    # sum_k x^(s_k - z) / ((s_k - z) zeta'(s_k)), less a kept zero at z; numpy's
     # pairwise sums, not BLAS, so that the artifacts keep their bits from run to run
-    e, c = cfg.residue_terms(z, at_zero)
-    real = z.imag == 0.0
+    e, c = cfg.residue_terms(z)
     lx = np.log(np.ravel(x))
     out = np.empty(len(lx), dtype=complex)
     step = max(1, _RESIDUE_BLOCK // max(len(e), 1))
@@ -214,7 +206,7 @@ def _residue_tail(x, z: complex, cfg: ResidueExpansionConfig, at_zero: bool = Fa
         np.exp(blk, out=blk)
         blk *= c
         out[i:i + step] = blk.sum(axis=-1)
-    if real:
+    if z.imag == 0.0:
         out.imag = 0.0
     return complex(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
@@ -230,18 +222,15 @@ def _check_x(x):
 def m_z_perron(x, E: float, cfg: ResidueExpansionConfig):
     """Residue-series reconstruction of M_z(x), z = 1/2 + iE.
 
-    Off a zero: 1/zeta(z) + zero terms + trivial tail.  In at-zero mode
-    (E within 1e-6 of a database ordinate) the s = 0 double pole gives
-    log x / zeta'(z) - zeta''(z) / (2 zeta'(z)^2) instead, and the
-    coinciding zero is excluded from the sum.  ``x`` may be a scalar or
-    an array of abscissae; the result has the same shape.
+    Off a zero: 1/zeta(z) + zero terms + trivial tail.  On a zero of
+    ``cfg.zero_db`` (|E| within 1e-6 of an ordinate) the s = 0 double pole
+    gives log x / zeta'(z) - zeta''(z) / (2 zeta'(z)^2) instead, and that
+    zero leaves the sum; a zero the table lacks raises OnZeroAmbiguity.
+    ``x`` may be a scalar or an array of abscissae; the result has its shape.
     """
     x = _check_x(x)
     z = complex(0.5, E)
-    if cfg.at_zero_mode:
-        ts = cfg.zero_db.ordinates()
-        if not len(ts) or np.min(np.abs(ts - E)) > 1e-6:
-            raise NotAZero(f"E = {E:g} is not within 1e-6 of a database ordinate")
+    if np.any(np.abs(cfg.zero_db.ordinates() - abs(E)) <= 1e-6):
         zp, zpp = _zeta_em_array(np.array([z]), (1, 2))[0].tolist()  # zeta' and zeta''
         if abs(zp) < 1e-8:
             raise NoSimpleZero(f"zeta'({z}) ~ 0; multiple zero not supported")
@@ -249,10 +238,9 @@ def m_z_perron(x, E: float, cfg: ResidueExpansionConfig):
     else:
         zv = zeta(z)
         if abs(zv) < 1e-8:
-            raise OnZeroAmbiguity(
-                f"|zeta(z)| = {abs(zv):.2e} at E = {E:g}: use at_zero_mode")
+            raise OnZeroAmbiguity(f"|zeta(z)| = {abs(zv):.2e} at E = {E:g}: a zero not in the table")
         head = 1.0 / zv
-    return head + _residue_tail(x, z, cfg, at_zero=cfg.at_zero_mode)
+    return head + _residue_tail(x, z, cfg)
 
 
 def mertens_residue_complex(x, cfg: ResidueExpansionConfig):

@@ -903,18 +903,18 @@ def kummer_m_bounded(a, b, z):
     return complex(vals[0]), float(noise[0])
 
 
-def kummer_m(a, b, z, rel_tol: float = 1e-12) -> complex:
+def kummer_m(a, b, z) -> complex:
     """Confluent hypergeometric M(a, b, z) by every route of
     :func:`kummer_m_grid`, keeping the value with the smallest bound.
 
     Raises :class:`ToleranceNotMet` when |z| exceeds the documented budget
-    ``KUMMER_RADIUS`` or when the error bound exceeds ``rel_tol`` relative
+    ``KUMMER_RADIUS`` or when the error bound exceeds 1e-12 relative
     to the result, rather than returning silently degraded values.  Raises
     :class:`PoleError` for b a non-positive integer.
     """
     vals, bounds = _kummer_routed(a, b, np.array([complex(z)]), (0.0, 0.0))
     value, err = complex(vals[0]), float(bounds[0])
-    if err > rel_tol * max(abs(value), 1e-300):
+    if err > 1e-12 * max(abs(value), 1e-300):
         raise ToleranceNotMet(
             f"kummer_m cancellation leaves error {err:.2e} on |M| = {abs(value):.2e}")
     return value

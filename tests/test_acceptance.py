@@ -128,9 +128,9 @@ def test_criterion_06_polya_envelope():
 def test_criterion_07_perron_accuracy(zero_db):
     t1 = zero_db.records[0].t
     results = {}
-    for label, E, at_zero in (("off-zero E=20", 20.0, False), ("at-zero E=t1", t1, True)):
+    for label, E in (("off-zero E=20", 20.0), ("at-zero E=t1", t1)):
         for n_zeros in (25, 100):
-            cfg = perron.ResidueExpansionConfig(zero_db, n_zeros, 20, at_zero_mode=at_zero)
+            cfg = perron.ResidueExpansionConfig(zero_db, n_zeros, 20)
             dev = max(abs(perron.m_z_perron(n, E, cfg) - perron.m_z_direct(n, E, True))
                       for n in range(10, 51))
             results[(label, n_zeros)] = dev

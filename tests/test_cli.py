@@ -131,13 +131,29 @@ class TestResidueCommands:
         rows = read_csv(tmp_path / "perron.csv")
         db = ze.ingest_zeros(cache)
         e_val = cli._snap_to_ordinate(float(height), db)
-        rcfg = perron.ResidueExpansionConfig(db, 10, 20, at_zero_mode=at_zero)
+        rcfg = perron.ResidueExpansionConfig(db, 10, 20)
         ns = rows[:, 0].astype(int)
         assert ns.tolist() == list(range(2, 31))
         direct = [perron.m_z_direct(n, e_val, primed=True) for n in ns]
         resid = [perron.m_z_perron(n, e_val, rcfg) for n in ns]
         assert_close(rows[:, 1] + 1j * rows[:, 2], direct)
         assert_close(rows[:, 3] + 1j * rows[:, 4], resid)
+        assert ("(at-zero mode)" in (tmp_path / "perron.svg").read_text()) is at_zero
+
+    def test_perron_without_zeros(self, tmp_path):
+        # with no zero in it the residue series is its head 1/zeta(z) on every row; the
+        # direct columns are those of a run with zeros
+        rows = {}
+        for name, n_zeros, n_trivial in (("empty", "0", "0"), ("zeros", "10", "20")):
+            assert run(["perron", "--n-zeros", n_zeros, "--n-trivial", n_trivial, "--n-max", "20",
+                        "--out", str(tmp_path / name), "--cache", str(tmp_path / "cache.json")]) == 0
+            rows[name] = [ln.split(",") for ln in (tmp_path / name / "perron.csv").read_text().splitlines()]
+        head = 1.0 / ze.zeta(complex(0.5, 20.0))
+        assert [r[0] for r in rows["empty"][1:]] == [str(n) for n in range(2, 21)]
+        for empty, full in zip(rows["empty"][1:], rows["zeros"][1:], strict=True):
+            assert empty[:3] + empty[5:6] == full[:3] + full[5:6]
+            assert empty[3:5] + empty[6:] == ["%.17g" % v for v in (
+                head.real, head.imag, np.hypot(head.real, head.imag))]
 
 
 class TestErrorsAndConfig:
@@ -252,6 +268,16 @@ class TestOptionTable:
             if "[0, 2π)" in accepted:  # one range for every command
                 ranges = {c: (0, math.nextafter(2 * math.pi, 0)) for c in cli._COMMANDS}
             assert ranges == {c: cli._per(c, rng) for c in cli._COMMANDS if cli._per(c, rng) is not None}
+
+    @pytest.mark.parametrize("key", ["n_max", "character_modulus", "l_over_ell"])
+    def test_size_options_have_finite_ranges(self, key):
+        # every command that takes the option bounds it by a budget of the library doing the work
+        _, default, rng, _ = cli._OPTIONS[key]
+        for command in cli._COMMANDS:
+            if isinstance(default, dict) and default.get(command) is None:
+                continue  # the command does not read the option
+            lo, hi = cli._per(command, rng)
+            assert math.isfinite(lo) and math.isfinite(hi), (key, command)
 
     def test_readme_lists_the_flags_in_order(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -393,7 +419,16 @@ class TestNonFiniteAndOverBudget:
         (["interferometer", "--vartheta", "7"], "RZError"),
         (["mirror", "--vartheta", "9", "--n-max", "1000"], "RZError"),
         (["mirror", "--vartheta", "-0.5", "--n-max", "1000"], "RZError"),
-        (["interferometer", "--n-max", "1"], "RZError")])
+        (["interferometer", "--n-max", "1"], "RZError"),
+        (["landau", "--n-max", "1001"], "RZError"),
+        (["perron", "--n-max", "1000001"], "RZError"),
+        (["mertens", "--n-max", "1000001"], "RZError"),
+        (["interferometer", "--n-max", "100001"], "RZError"),
+        (["interferometer", "--character-modulus", "1009"], "RZError"),
+        (["landau", "--l-over-ell", "1e300"], "RZError"),
+        (["landau", "--l-over-ell", "1e-300"], "RZError"),
+        (["mirror", "--t-min", "20", "--n-max", "1000"], "NotAZero"),
+        (["mirror", "--t-min", "600", "--n-max", "1000"], "NotAZero")])
     def test_refused_before_any_write(self, tmp_path, capsys, args, error):
         # no traceback, no cache and no partial artifact set
         out = tmp_path / "out"
@@ -407,7 +442,18 @@ class TestNonFiniteAndOverBudget:
         out = tmp_path / "out"
         assert run(["mirror", "--t-min", "1e9", "--n-max", "1000", "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
-        assert not (out / "mirror_diagnostic.json").exists() and not (out / "mirror.svg").exists()
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("epsilon, n_max", [("20", "1000000"), ("1e300", "1000")])
+    def test_mirror_overflow_refused(self, tmp_path, capsys, epsilon, n_max):
+        # e^(2 eps |M_z|) past the floats: no diagnostic holding Infinity or NaN and no SVG; the
+        # zero cache, valid data written before the diagnostic runs, lies outside the directory
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["mirror", "--epsilon", epsilon, "--n-max", n_max,
+                    "--cache", str(tmp_path / "cache.json"), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ToleranceNotMet"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["mertens", "perron"])
     @pytest.mark.parametrize("flag", ["--n-zeros", "--n-trivial"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rzspec import mirrors as mi
 from rzspec import zeta as ze
-from rzspec.errors import BadCharacter, NotAZero, UnimodularReflection
+from rzspec.errors import BadCharacter, NotAZero, ToleranceNotMet, UnimodularReflection
 
 T1 = 14.134725141734694
 PHI_Z_100_AT_20 = -2.1383868543976183
@@ -302,6 +302,11 @@ def _assert_report_close(rep, want):
 
 
 class TestDiagnostic:
+    def test_overflowing_strength_is_refused(self, t1):
+        # e^(2 eps |M_z|) past the floats would report Infinity and NaN partial sums
+        with pytest.raises(ToleranceNotMet):
+            mi.normalizability_diagnostic(t1, 1e300, 1000, 0.0)
+
     def test_tuned_vs_detuned(self, t1):
         vt = mi.tuned_theta(t1)
         rep_t = mi.normalizability_diagnostic(t1, 0.1, 30000, vt)

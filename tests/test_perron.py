@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rzspec import perron, zeta as ze
-from rzspec.errors import NotAZero, OnZeroAmbiguity
+from rzspec.errors import OnZeroAmbiguity
 
 T1 = 14.134725141734694
 TRIVIAL_TERM_5_0_3 = 0.00074635824213665312
@@ -115,12 +115,16 @@ class TestResidueExpansion:
         assert max(devs) < 0.1
 
     def test_mode_mismatch(self, zero_db):
+        # at t1 a plain config takes the at-zero head, bit for bit; a zero
+        # that the config's table does not hold is refused
         cfg = perron.ResidueExpansionConfig(zero_db, 50, 10)
+        z = complex(0.5, zero_db.records[0].t)
+        zp, zpp = ze.zeta_prime(z), ze.zeta_second_prime(z)
+        want = np.log(20.0) / zp - zpp / (2.0 * zp * zp) + perron._residue_tail(20.0, z, cfg)
+        assert perron.m_z_perron(20.0, z.imag, cfg) == want
+        cut = perron.ResidueExpansionConfig(ze.ZeroDatabase(zero_db.records[:5]), 5, 10)
         with pytest.raises(OnZeroAmbiguity):
-            perron.m_z_perron(20.0, zero_db.records[0].t, cfg)
-        cfg_at = perron.ResidueExpansionConfig(zero_db, 50, 10, at_zero_mode=True)
-        with pytest.raises(NotAZero):
-            perron.m_z_perron(20.0, 20.0, cfg_at)
+            perron.m_z_perron(20.0, zero_db.records[9].t, cut)
 
     def test_at_zero_constant_term(self, zero_db):
         z = complex(0.5, zero_db.records[0].t)
@@ -130,17 +134,24 @@ class TestResidueExpansion:
 
     def test_at_zero_head_has_the_bits_of_zeta_prime_and_second_prime(self, zero_db):
         # the head's zeta' and zeta'' come from one Euler-Maclaurin call with two columns
-        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
         xs = np.linspace(10.5, 50.5, 9)
         for rec in zero_db.records[:10]:
             z = complex(0.5, rec.t)
             zp, zpp = ze.zeta_prime(z), ze.zeta_second_prime(z)
-            want = np.log(xs) / zp - zpp / (2.0 * zp * zp) + perron._residue_tail(xs, z, cfg, True)
+            want = np.log(xs) / zp - zpp / (2.0 * zp * zp) + perron._residue_tail(xs, z, cfg)
             assert perron.m_z_perron(xs, rec.t, cfg).tobytes() == want.tobytes()
+
+    def test_conjugate_zero_takes_the_at_zero_head(self, zero_db):
+        # M_z at z = 1/2 - i t1 is the conjugate of M_z at 1/2 + i t1, series and all
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
+        t, xs = zero_db.records[0].t, np.linspace(10.5, 50.5, 9)
+        upper, lower = perron.m_z_perron(xs, t, cfg), perron.m_z_perron(xs, -t, cfg)
+        assert np.max(np.abs(lower - upper.conj())) < 1e-13 * np.max(np.abs(upper))
 
     def test_at_zero_log_slope(self, zero_db):
         t = zero_db.records[0].t
-        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
         xs = np.linspace(10.5, 50.5, 9)
         vals = [abs(perron.m_z_perron(float(x), t, cfg)) for x in xs]
         A = np.vstack([np.log(xs), np.ones_like(xs)]).T
@@ -149,18 +160,18 @@ class TestResidueExpansion:
 
     def test_pairs_built_once(self, zero_db, monkeypatch):
         cfg = perron.ResidueExpansionConfig(zero_db, 50, 10)
-        first = cfg.pairs()
-        assert len(first) == 100
-        assert first[0] == (complex(0.5, zero_db.records[0].t),
-                            zero_db.records[0].zeta_prime_at_rho)
-        assert first[1] == (complex(0.5, -zero_db.records[0].t),
-                            zero_db.records[0].zeta_prime_at_rho.conjugate())
+        first = cfg.residue_zeros()
+        assert first.shape == (2, 110)
+        assert (first[0, 0], first[1, 0]) == (complex(0.5, zero_db.records[0].t),
+                                              zero_db.records[0].zeta_prime_at_rho)
+        assert (first[0, 1], first[1, 1]) == (complex(0.5, -zero_db.records[0].t),
+                                              zero_db.records[0].zeta_prime_at_rho.conjugate())
         walks = []
         monkeypatch.setattr(type(zero_db), "ensure_derivatives",
                             lambda self, upto=None: walks.append(upto))
         perron.mertens_residue(10.5, cfg)
         perron.mertens_residue(np.array([2.5, 20.5]), cfg)
-        assert cfg.pairs() is first and walks == []
+        assert cfg.residue_zeros() is first and walks == []
 
     def test_config_validation(self, zero_db):
         with pytest.raises(ValueError):
@@ -174,7 +185,8 @@ def _reference_tail(x, z, cfg, exclude=False):
     # the per-pair loop that the array kernel replaced, plus the sum of
     # |term| that sets the rounding scale of either summation order
     acc, scale = 0.0 + 0.0j, 0.0
-    for rho, zp in cfg.pairs():
+    s, dz = cfg.residue_zeros()
+    for rho, zp in zip(s[:2 * cfg.n_nontrivial].tolist(), dz.tolist()):
         if exclude and abs(rho - z) < 1e-6:
             continue
         term = x ** (rho - z) / ((rho - z) * zp)
@@ -189,7 +201,7 @@ class TestResidueKernel:
     def _check(self, x, z, cfg, exclude=False):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = perron._residue_tail(x, z, cfg, at_zero=exclude)
+            got = perron._residue_tail(x, z, cfg)
         want, scale = _reference_tail(x, z, cfg, exclude)
         assert np.shape(got) == np.shape(x)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
@@ -203,7 +215,7 @@ class TestResidueKernel:
         self._check(np.linspace(1.5, 400.5, 50), z, cfg)
 
     def test_at_zero_drops_its_pair(self, zero_db):
-        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20, at_zero_mode=True)
+        cfg = perron.ResidueExpansionConfig(zero_db, 100, 20)
         z = complex(0.5, zero_db.records[0].t)
         self._check(37.5, z, cfg, exclude=True)
         self._check(np.linspace(2.5, 200.5, 40), z, cfg, exclude=True)
@@ -236,23 +248,23 @@ class TestResidueKernel:
         cfg = perron.ResidueExpansionConfig(zero_db, 10, 5)
         s, dz = cfg.residue_zeros()
         assert cfg.residue_zeros() is cfg.residue_zeros()
-        assert s.tolist() == [rho for rho, _ in cfg.pairs()] + [-2.0, -4.0, -6.0, -8.0, -10.0]
+        upper = [complex(0.5, r.t) for r in zero_db.records[:10]]
+        assert s.tolist() == [v for u in upper for v in (u, u.conjugate())] + [-2.0, -4.0, -6.0, -8.0, -10.0]
         assert dz[-1] == perron.zeta_prime_trivial(5)
 
     def test_residue_terms_cached_per_point_and_mode(self, zero_db):
-        # one config serving several (z, at_zero) in turn keeps each tail's
+        # one config serving several z in turn keeps each tail's
         # bits: a fresh config per call gives the same values
         cfg = perron.ResidueExpansionConfig(zero_db, 20, 5)
         xs = np.linspace(1.5, 300.5, 30)
-        keys = [(0j, False), (complex(0.5, 20.0), False),
-                (complex(0.5, zero_db.records[0].t), True), (complex(0.5, 20.0), True)]
+        keys = [0j, complex(0.5, 20.0), complex(0.5, zero_db.records[0].t)]
         for _ in range(2):
-            for z, at_zero in keys:
+            for z in keys:
                 fresh = perron.ResidueExpansionConfig(zero_db, 20, 5)
-                assert (perron._residue_tail(xs, z, cfg, at_zero).tobytes()
-                        == perron._residue_tail(xs, z, fresh, at_zero).tobytes())
-        e, c = cfg.residue_terms(0j, False)
-        again = cfg.residue_terms(0j, False)
+                assert (perron._residue_tail(xs, z, cfg).tobytes()
+                        == perron._residue_tail(xs, z, fresh).tobytes())
+        e, c = cfg.residue_terms(0j)
+        again = cfg.residue_terms(0j)
         assert again[0] is e and again[1] is c
 
 
