@@ -37,7 +37,7 @@ import numpy as np
 from . import counting, dirac, landau, mirrors, perron, svg
 from . import zeta as zeta_mod
 from .errors import NotAZero, RZError
-from .roots import bisect
+from .roots import newton
 
 # The one option list, name: (type, default, accepted range, help); the flag is the name with
 # dashes and the config key the name.  A dict gives a default or range per command, None for the
@@ -125,12 +125,14 @@ def _height_sweep(lo: float, hi: float, step: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _t_for_count(n: int) -> float:
-    # smallest t with n_average(t) comfortably above n, by 60 bisection steps
+    # the Gram point g_(n+1), theta(t) = (n + 1) pi, where n_average(t) = n + 2: Newton on theta from the
+    # budget down, where theta is convex and rising, in [10, T_BUDGET] since theta(10) < 0 < (n + 1) pi
     if counting.n_average(zeta_mod.T_BUDGET) < n + 2:
         raise RZError(
             f"{n} zeros exceed the computed-scan budget (t <= {zeta_mod.T_BUDGET:g}); "
             "ingest a published table instead")
-    return bisect(lambda t: counting.n_average(t) < n + 2, 10.0, zeta_mod.T_BUDGET)[1]
+    gram = lambda t: (zeta_mod.theta_rs(t) - (n + 1) * math.pi, zeta_mod._theta_prime(t), np.zeros_like(t))
+    return float(newton(gram, [10.0], [zeta_mod.T_BUDGET], [zeta_mod.T_BUDGET], [-1.0])[0])
 
 
 def _ensure_zeros(cfg: RunConfig, t_needed: float | None = None,
@@ -181,6 +183,7 @@ def _cmd_xih(cfg: RunConfig) -> None:
 
 def _cmd_polya(cfg: RunConfig) -> None:
     betas = np.arange(-3.0, 3.0 + 1e-9, 0.02)
+    betas[:150] = -betas[:150:-1]  # mirrored, so the even kernels write equal rows at -beta and beta
     kinds = [dirac.SpectralFunctionKind.XI_RIEMANN,
              dirac.SpectralFunctionKind.XI_POLYA_STAR,
              dirac.SpectralFunctionKind.XI_DIRAC_H]
@@ -224,7 +227,9 @@ def _cmd_mirror(cfg: RunConfig) -> None:
     if cfg.vartheta is None and cfg.t_min > 0:  # the tuned phase needs a zero near t_min
         if np.prod(zeta_mod.z_function(cfg.t_min + np.array([-_SNAP_WINDOW, _SNAP_WINDOW]))) > 0:
             raise NotAZero(f"Z keeps its sign on {cfg.t_min:g} +- {_SNAP_WINDOW:g}: no zero to tune to")
-    db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), zeta_mod.T_BUDGET))
+    # a tuned phase needs the zero in the table; a given one reads the table to the budget at most
+    cap = zeta_mod.T_BUDGET if cfg.vartheta is not None else max(zeta_mod.T_BUDGET, cfg.t_min + _SNAP_WINDOW)
+    db = _ensure_zeros(cfg, t_needed=min(max(15.0, cfg.t_min + 1.0), cap))
     e_val = _snap_to_ordinate(cfg.t_min, db) if cfg.t_min > 0 else db.records[0].t
     vt = mirrors.tuned_theta(e_val) if cfg.vartheta is None else cfg.vartheta
     report = mirrors.normalizability_diagnostic(e_val, cfg.epsilon, cfg.n_max, vt)

@@ -33,8 +33,8 @@ from enum import Enum
 import numpy as np
 
 from .counting import ModelScales
-from .errors import MissedZeroError, ToleranceNotMet
-from .roots import find_all, scan_grid
+from .errors import ToleranceNotMet
+from .roots import level_roots, scan_grid
 from .specfun import (_bessel_k, _digamma_right, _nested_trapezoid, _number_or_array,
                       bessel_k_complex_order, log_gamma)
 from .zeta import _lattice_scan, zeta
@@ -124,7 +124,8 @@ def _riemann_xi_complex(t):
 # --------------------------------------------------------------------------
 
 def _phi_riemann(beta):
-    beta = np.asarray(beta, dtype=float)
+    # even by the theta functional equation; the series at |beta| needs no cancellation
+    beta = np.abs(np.asarray(beta, dtype=float))
     eb = np.exp(beta)
     # Gaussian decay in n; 0.5 + sqrt(745/(pi e^beta)) terms suffice
     n_max = int(np.ceil(np.sqrt(746.0 / (math.pi * float(eb.min()))))) + 1
@@ -168,9 +169,7 @@ def xi_via_fourier(kind: SpectralFunctionKind, t: float) -> float:
 
     Independent of the closed-form route; |t| budget is 100.  The
     integrand is even, so the nested trapezoidal rule on [0, beta_max] with
-    weight 1/2 at 0 is the full-line rule.  Phi is never evaluated at
-    beta < 0, where the theta series of the Riemann kernel needs e^(-beta/2)
-    times more terms.
+    weight 1/2 at 0 is the full-line rule.
     """
     if abs(t) > FOURIER_T_BUDGET:
         raise ToleranceNotMet(f"|t| = {abs(t):g} beyond the Fourier budget {FOURIER_T_BUDGET:g}")
@@ -209,27 +208,17 @@ def _k_phase_slope(t, a: float, x: float):
 
 
 def _phase_scan(a: float, x: float, t_min: float, t_max: float):
-    """Grid, principal arg K_(a+it/2)(x) and node slopes of a checked phase scan.
+    """Scan grid for arg K_(a+it/2)(x) on [t_min, t_max].
 
     The step moves the phase by about ``_PHASE_PER_STEP`` at the slope
     (1/2) Re psi(a + i t_max/2) - (1/2) log(x/2) of K ~ Gamma(nu) (x/2)^(-nu) / 2
     (DLMF 10.30.2), floored at ``_MIN_SLOPE``: an estimate, not a bound (for
     a = 1/2 the slope is not monotone, 1.83 against 1.73 on (0, 200] at
-    x = 2 pi, and 2.6 times it near t = 2x at x = 90).  Each step must move
-    the unwrapped phase by (0, pi/2], and each node slope be > 0, else
-    :class:`MissedZeroError`.
+    x = 2 pi, and 2.6 times it near t = 2x at x = 90), which the level scan checks.
     """
     s = max(0.5 * _digamma_right(np.array([a + 0.5j * t_max]))[0].real - 0.5 * math.log(0.5 * x),
             _MIN_SLOPE)
-    ts = scan_grid(t_min, t_max, _PHASE_PER_STEP / s)
-    arg, slope, _ = _k_phase_slope(ts, a, x)
-    step = np.diff(np.unwrap(arg))
-    if not (np.all((step > 0.0) & (step <= 0.5 * math.pi)) and slope.min() > 0.0):
-        raise MissedZeroError(
-            f"the phase of K moves by {step.min():.3g} .. {step.max():.3g} a step of "
-            f"{ts[1] - ts[0]:.3g} on ({t_min:g}, {t_max:g}), node slopes "
-            f"{slope.min():.3g} .. {slope.max():.3g}: not within (0, pi/2] and > 0")
-    return ts, arg, slope
+    return scan_grid(t_min, t_max, _PHASE_PER_STEP / s)
 
 
 def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
@@ -240,8 +229,8 @@ def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
     xi_H, xi* and the boundary residual vanish where arg K_(a+it/2)(x)
     passes c (mod pi), (a, x, c) = (1/2, 2 pi, pi/2), (9/4, 2 pi, pi/2),
     (1/2, m l_x, vartheta/2), on a grid sized from the phase slope
-    (:func:`_phase_scan`); the count is the levels c + k pi it passes.
-    Newton on the unwrapped phase, from inverse cubic Hermite seeds on the
+    (:func:`_phase_scan`), checked and counted by :func:`rzspec.roots.level_roots`.
+    Newton on the phase less its nearest level, from inverse cubic Hermite seeds on the
     node phases and slopes (dK/dnu on K's own nodes), refines each root
     until its step is below 1e-10 or below the phase error of K's error
     estimate over the slope; K's phase noise over the slope then sets the
@@ -257,12 +246,4 @@ def find_dirac_zeros(target, t_min: float, t_max: float) -> list[float]:
         target = BoundaryData(math.pi, 2.0 * math.pi)
     a, x, c = ((2.25, 2.0 * math.pi, 0.5 * math.pi) if target is SpectralFunctionKind.XI_POLYA_STAR
                else (0.5, target.m_lx, 0.5 * target.vartheta))
-    ts, arg, slope = _phase_scan(a, x, t_min, t_max)
-    phase = np.unwrap(arg)
-    expected = int(np.floor((phase[-1] - c) / math.pi) - np.floor((phase[0] - c) / math.pi))
-
-    def fold(arg, slope, err=None):
-        # asin sin(arg K - c): the phase less its nearest level c + k pi,
-        # signed as sin(arg K - c), so linear in the phase between levels
-        return np.arcsin(np.sin(arg - c)), np.copysign(slope, np.cos(arg - c)), err
-    return find_all(lambda t: fold(*_k_phase_slope(t, a, x)), ts, expected, *fold(arg, slope)[:2])
+    return level_roots(lambda t: _k_phase_slope(t, a, x), _phase_scan(a, x, t_min, t_max), c)

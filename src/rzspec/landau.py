@@ -7,9 +7,8 @@ turns the critical-line phase into the quantization condition
 
     2 theta(E) - E log(L^2 / (2 pi l^2)) = 0  (mod 2 pi),
 
-whose roots are the levels: the sign changes of sin(phase / 2), found
-by the shared verified-root scan.  The smooth count n_landau is concave,
-so the exact level count follows from it at E_max and at its maximum.
+whose roots are the levels: where the half phase crosses a multiple of
+pi, found and counted by the shared level-crossing scan.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .roots import bisect, find_all, scan_grid
-from .specfun import kummer_m_bounded, kummer_m_grid
+from .roots import level_roots, newton, scan_grid
+from .specfun import _trigamma_right, kummer_m_bounded, kummer_m_grid
 from .zeta import _theta_prime, theta_rs
 
 __all__ = [
@@ -137,14 +136,6 @@ def _phase(E: float, g: LandauGeometry) -> float:
     return 2.0 * theta_rs(E) - E * g.log_cutoff
 
 
-def _half_phase(E, g: LandauGeometry):
-    # sin(phase / 2) at an array of E, its slope cos(phase / 2) (theta' - log(L^2/2 pi l^2) / 2), and
-    # as its error the rounding of theta and E log(L^2/2 pi l^2), |theta| <= |phase / 2| + |E log(...)|
-    half = 0.5 * _phase(E, g)
-    return (np.sin(half), np.cos(half) * (_theta_prime(E) - 0.5 * g.log_cutoff),
-            2.2e-16 * (np.abs(half) + 2.0 * np.abs(E * g.log_cutoff)))
-
-
 def quantization_residual(E: float, g: LandauGeometry) -> float:
     """Box-quantization phase 2 theta(E) - E log(L^2/2 pi l^2), reduced
     mod 2 pi to (-pi, pi]; levels are its zeros."""
@@ -160,38 +151,38 @@ def n_landau(E, g: LandauGeometry):
     return E / (2.0 * math.pi) * g.log_cutoff - theta_rs(E) / math.pi
 
 
-def _level_count(E_max: float, g: LandauGeometry, slope) -> int:
-    # the integers that N = n_landau passes on (0, E_max], given the phase
-    # slope -2 pi N' at 0 and E_max: N(0) = 0 and N is concave (theta is
-    # convex), so floor N(E_max) while N rises, else floor N* + ceil N* -
-    # ceil N(E_max) with N* at the maximum, where 2 theta' = log(L^2/2 pi l^2)
-    n_end = n_landau(E_max, g)
-    if slope[1] <= 0.0:
-        return math.floor(n_end)
-    n_star = 0.0 if slope[0] >= 0.0 else n_landau(bisect(
-        lambda E: 2.0 * _theta_prime(E) < g.log_cutoff, 0.0, E_max)[0], g)
-    return math.floor(n_star) + math.ceil(n_star) - math.ceil(n_end)
-
-
 def landau_levels(E_max: float, g: LandauGeometry) -> list[float]:
     """Positive roots of the quantization condition below E_max.
 
-    The levels are the sign changes of sin(phase / 2): continuous in E
-    and zero exactly where the unreduced phase crosses a multiple of
-    2 pi, so the branch cut of the reduced residual adds no spurious
-    roots.  The scan step lets at most 0.8 pi of phase pass; the phase
-    slope 2 theta'(E) - log(L^2/2 pi l^2), with theta' in closed form
-    from the digamma function, increases with E, so its largest size on
-    [0, E_max] is at an end; one Newton refiner runs on sin(phase / 2)
-    and its closed-form slope.  A root count other than the exact level
-    count (past the phase's turning point too) raises :class:`MissedZeroError`;
-    E_max above ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` before scanning.
+    The levels are where the half phase theta(E) - E log(L^2/2 pi l^2) / 2,
+    continuous in E, crosses a multiple of pi (:func:`rzspec.roots.level_roots`).
+    Its slope, with theta' in closed form from the digamma function,
+    increases with E, so its largest size is at 0 or E_max, and a scan
+    step lets at most 0.4 pi of half phase pass; where the slope changes
+    sign, the turn 2 theta' = log(L^2/2 pi l^2) is found by Newton on
+    theta'' from the trigamma function and becomes a scan node.  A root
+    count other than the levels passed raises :class:`MissedZeroError`;
+    E_max above ``LANDAU_E_BUDGET`` raises :class:`ToleranceNotMet` first.
     """
     if E_max <= 0:
         raise ValueError("E_max must be positive")
     if E_max > LANDAU_E_BUDGET:
         raise ToleranceNotMet(f"E_max = {E_max:g} beyond the level-scan budget {LANDAU_E_BUDGET:g}")
-    slope = 2.0 * _theta_prime(np.array([0.0, E_max])) - g.log_cutoff
-    # phase(0) = 0 is not a level; the scan steps off a zero at its start
-    ts = scan_grid(0.0, E_max, 0.8 * math.pi / float(np.max(np.abs(slope))))
-    return find_all(lambda E: _half_phase(E, g), ts, _level_count(E_max, g, slope))
+    half_log = 0.5 * g.log_cutoff
+
+    def half_phase(E):
+        # with the rounding of theta and E log(...) / 2 as its error, |theta| <= |half| + |E log(...) / 2|
+        half = theta_rs(E) - E * half_log
+        return half, _theta_prime(E) - half_log, 2.2e-16 * (np.abs(half) + 4.0 * np.abs(E * half_log))
+
+    def slope(E):
+        # the slope and theta'' = -Im psi'(1/4 + iE/2) / 4, with psi'(z) = psi'(z + 1) + 1/z^2
+        z = 0.25 + 0.5j * E
+        return (_theta_prime(E) - half_log, -0.25 * (_trigamma_right(z + 1.0) + 1.0 / (z * z)).imag,
+                np.zeros_like(E))
+    ends = slope(np.array([0.0, E_max]))[0]
+    # the phase falls, then rises from its turn, near E = L^2 / l^2 since 2 theta'(E) ~ log(E / 2 pi)
+    turns = (tuple(newton(slope, [0.0], [E_max], [min((g.box_size / g.magnetic_length) ** 2, E_max)],
+                          ends[:1])) if ends[0] < 0.0 < ends[1] else ())
+    ts = scan_grid(0.0, E_max, 0.4 * math.pi / float(np.max(np.abs(ends))))
+    return level_roots(half_phase, ts, 0.0, turns)

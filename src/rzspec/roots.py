@@ -4,9 +4,10 @@
 uniform grid feeds one Newton refiner, on closed-form slopes, kept in the
 brackets and run on all of them in lockstep on numpy arrays, and the
 number of roots found must equal an exact count that the caller gets
-independently.  Nothing here knows about zeta; the zeros of Z, of the
-Dirac/Polya spectral functions and the Landau levels all come from
-``find_all``; ``bisect`` finds where a monotone condition switches.
+independently; ``level_roots`` is that scan and count for a phase that
+crosses the levels c + k pi.  Nothing here knows about zeta; the zeros of
+Z, of the Dirac/Polya spectral functions and the Landau levels all come
+from ``find_all``.
 """
 
 from __future__ import annotations
@@ -17,28 +18,10 @@ import numpy as np
 
 from .errors import MissedZeroError
 
-__all__ = ["bisect", "find_all", "newton", "scan_grid", "scan_sign_changes"]
+__all__ = ["find_all", "level_roots", "newton", "scan_grid", "scan_sign_changes"]
 
 NEWTON_XTOL = 1e-10  # a Newton step below this closes its bracket
 NEWTON_MAX_ITER = 50
-
-
-def bisect(right, lo, hi):
-    """The last bracket [lo, hi] of 60 bisection steps, each to the right
-    half where ``right``, a monotone condition on an array, is True at the
-    midpoint.  One call of ``right`` takes the 63 midpoints the next six
-    steps may visit, each 0.5 * (lo + hi) of its neighbours in the sorted
-    ends, so ten calls give the bits of the one-point loop."""
-    for _ in range(10):
-        ends, tree = np.array([lo, hi]), []
-        for _ in range(6):
-            tree.append(0.5 * (ends[:-1] + ends[1:]))
-            ends = np.insert(ends, np.arange(1, len(ends)), tree[-1])
-        go, i = right(np.concatenate(tree)), 0
-        for level in range(6):  # node i of a level has children 2i and 2i + 1
-            i = 2 * i + int(go[2 ** level - 1 + i])
-        lo, hi = float(ends[i]), float(ends[i + 1])
-    return lo, hi
 
 
 def newton(f, a, b, x0, fa):
@@ -127,3 +110,34 @@ def find_all(f, ts, expected, fs=None, dfs=None):
                   + (s - 1.0) * s * h * ((s - 1.0) / da + s / db))
         x0 = np.where((xh > a) & (xh < b), xh, x0)
     return newton(f, a, b, x0, fa).tolist()
+
+
+def level_roots(phase, ts, c, turns=()):
+    """Every t between the ends of the grid ts where the phase crosses a
+    level c + k pi, checked against the number of levels it passes.
+
+    ``phase`` maps an array to its values (principal or continuous), slopes
+    and errors.  ``turns``, sorted turning points inside the grid, become
+    nodes; on each monotone piece between them every step must move the
+    unwrapped phase by (0, pi/2] in the piece's direction s, and each node
+    slope but a turn's have the sign s, else :class:`MissedZeroError`.  The
+    count sums floor(s (phi_end - c) / pi) - floor(s (phi_start - c) / pi)
+    over the pieces (a level at ts[0] is not counted); :func:`find_all`
+    refines on asin sin(phi - c), with slope sign(cos(phi - c)) phi'.
+    """
+    ts = np.insert(ts, np.searchsorted(ts, turns), turns)  # np.union1d would import numpy.ma, 2 MB
+    phi, slope, _ = phase(ts)
+    up, count = np.unwrap(phi), 0
+    ends = np.searchsorted(ts, [ts[0], *turns, ts[-1]])
+    for i, j in zip(ends[:-1], ends[1:]):  # the nodes i > 0 and j < len(ts) - 1 are turns
+        s = np.sign(up[j] - up[i])
+        step, node = s * np.diff(up[i:j + 1]), s * slope[i + (i > 0):j + (j == len(ts) - 1)]
+        if not (np.all((step > 0.0) & (step <= 0.5 * math.pi)) and np.all(node > 0.0)):
+            raise MissedZeroError(f"the phase moves by {step.min():.3g} .. {step.max():.3g} a step of "
+                                  f"{ts[i + 1] - ts[i]:.3g} on ({ts[i]:g}, {ts[j]:g}), node slopes "
+                                  f"{node.min():.3g} .. {node.max():.3g}: not within (0, pi/2] and > 0")
+        count += int(np.floor(s * (up[j] - c) / math.pi) - np.floor(s * (up[i] - c) / math.pi))
+
+    def fold(phi, slope, err=None):
+        return np.arcsin(np.sin(phi - c)), np.copysign(1.0, np.cos(phi - c)) * slope, err
+    return find_all(lambda t: fold(*phase(t)), ts, count, *fold(phi, slope)[:2])

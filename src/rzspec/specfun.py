@@ -178,6 +178,14 @@ def _digamma_right(z):
     return np.log(t) - _LANCZOS_G / t - (terms * inv).sum(axis=0) / (_LANCZOS_C[0] + terms.sum(axis=0))
 
 
+def _trigamma_right(z):
+    # psi'(z), Re z >= 1/2, 1-d: _digamma_right differentiated once more, with S the Lanczos sum
+    inv = 1.0 / (z - 1.0 + _LANCZOS_K)
+    t, terms = z + _LANCZOS_G - 0.5, _LANCZOS_C[1:] * inv
+    s, ds = _LANCZOS_C[0] + terms.sum(axis=0), (terms * inv).sum(axis=0)  # S and -S'
+    return 1.0 / t + _LANCZOS_G / (t * t) + (2.0 * (terms * inv * inv).sum(axis=0) - ds * ds / s) / s
+
+
 def _log_sin_pi_array(z: np.ndarray) -> np.ndarray:
     # log sin(pi z) without overflow for large |Im z|: for Im z >= 0,
     # sin(pi z) = (i/2) exp(-i pi z)(1 - exp(2 i pi z)), conjugated onto

@@ -4,6 +4,7 @@ import re
 import shutil
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -97,6 +98,10 @@ class TestSweepCommands:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         mid = min(rows, key=lambda r: abs(r[0]))
         assert mid[3] == pytest.approx(2.0 * math.exp(-2.0 * math.pi), rel=1e-9)
+        # the grid is mirrored about its middle row and the kernels are even: the
+        # rows at -beta and beta write the same kernel values
+        fields = [ln.split(",") for ln in lines[1:]]
+        assert all(fields[k] == ["-" + fields[-1 - k][0]] + fields[-1 - k][1:] for k in range(150))
 
 
 def read_csv(path):
@@ -289,7 +294,9 @@ class TestOptionTable:
 
 class TestTForCount:
     def test_equals_the_scalar_bisection(self):
-        # six steps to a theta call visit the midpoints of 60 one-point steps
+        # Newton on theta finds the Gram point g_(n+1) within 1e-12 of 60
+        # one-point bisection steps on n_average, so it asks for the same
+        # 0.05-lattice table height, and within 1e-12 of mpmath's
         def scalar(n):
             lo, hi = 10.0, ze.T_BUDGET
             for _ in range(60):
@@ -299,8 +306,13 @@ class TestTForCount:
                 else:
                     hi = mid
             return hi
+
+        def lattice(t):  # the table height extend_database builds for t
+            return math.ceil((t - 1e-9) / ze.ZERO_GRID_STEP)
         for n in range(1, 266):
-            assert cli._t_for_count(n).hex() == scalar(n).hex()
+            got, want = cli._t_for_count(n), scalar(n)
+            assert lattice(got) == lattice(want) and abs(got - want) <= 1e-12
+            assert abs(got - float(mp.grampoint(n + 1))) <= 1e-12
 
     def test_past_the_budget_raises(self):
         with pytest.raises(cli.RZError):
@@ -428,7 +440,8 @@ class TestNonFiniteAndOverBudget:
         (["landau", "--l-over-ell", "1e300"], "RZError"),
         (["landau", "--l-over-ell", "1e-300"], "RZError"),
         (["mirror", "--t-min", "20", "--n-max", "1000"], "NotAZero"),
-        (["mirror", "--t-min", "600", "--n-max", "1000"], "NotAZero")])
+        (["mirror", "--t-min", "600", "--n-max", "1000"], "NotAZero"),
+        (["mirror", "--t-min", "601.602", "--n-max", "1000"], "RZError")])
     def test_refused_before_any_write(self, tmp_path, capsys, args, error):
         # no traceback, no cache and no partial artifact set
         out = tmp_path / "out"
@@ -436,6 +449,17 @@ class TestNonFiniteAndOverBudget:
         assert run(args + ["--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert list(out.iterdir()) == []
+
+    def test_mirror_past_the_scan_budget_from_the_published_table(self, tmp_path, data_dir):
+        # the zero at 601.602 lies past the computed-scan budget: the published
+        # table serves the tuned phase as a cache, and is left as it was
+        cache = tmp_path / "zeros_1000.txt"
+        shutil.copyfile(data_dir / "zeros_1000.txt", cache)
+        out = tmp_path / "out"
+        assert run(["mirror", "--t-min", "601.602", "--n-max", "1000", "--cache", str(cache),
+                    "--out", str(out)]) == 0
+        assert cache.read_bytes() == (data_dir / "zeros_1000.txt").read_bytes()
+        assert json.loads((out / "mirror_diagnostic.json").read_text())["E"] == pytest.approx(601.602, abs=1e-3)
 
     def test_mirror_past_the_zeta_height_budget(self, tmp_path, capsys):
         # E = 1e9 is past the Euler-Maclaurin budget: a JSON error in seconds, no artifact

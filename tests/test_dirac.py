@@ -174,7 +174,14 @@ class TestKernels:
         rng = np.random.default_rng(11)
         for betas in (np.arange(-3.0, 3.0 + 1e-9, 0.02), rng.uniform(-3.0, 5.6, 2000),
                       rng.uniform(-3.0, 5.6, (3, 7)), *rng.uniform(-3.0, 5.6, (50, 1))):
-            assert dirac.phi_kernel(Kind.XI_RIEMANN, betas).tobytes() == loop(betas).tobytes()
+            assert dirac.phi_kernel(Kind.XI_RIEMANN, betas).tobytes() == loop(np.abs(betas)).tobytes()
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_kernels_are_even_bit_for_bit(self, kind):
+        # on the polya command's grid; the Riemann series is summed at |beta|,
+        # where its terms do not cancel
+        betas = np.arange(-3.0, 3.0 + 1e-9, 0.02)
+        assert dirac.phi_kernel(kind, -betas).tobytes() == dirac.phi_kernel(kind, betas).tobytes()
 
     def test_phi_riemann_tail_envelope(self):
         def ratio(b):
@@ -287,7 +294,8 @@ class TestZeroScans:
         # xi_H, xi* and the boundary family at m l_x in {0.5, 1, 2 pi, 20, 60}:
         # every step of the slope-sized scan grid on (0, 200] moves the phase
         # by (0, pi/2], and dK/dnu gives every node a slope > 0
-        ts, arg, slope = dirac._phase_scan(a, x, 0.0, dirac.DIRAC_T_BUDGET)
+        ts = dirac._phase_scan(a, x, 0.0, dirac.DIRAC_T_BUDGET)
+        arg, slope, _ = dirac._k_phase_slope(ts, a, x)
         step = np.diff(np.unwrap(arg))
         assert np.all(step > 0.0) and np.all(step <= 0.5 * math.pi)
         assert np.all(slope > 0.0)
@@ -306,7 +314,8 @@ class TestZeroScans:
         # fixed step of 0.4 would move the phase by up to 1.52 of the pi/2
         # allowed; the slope-sized step, 0.207, keeps every move below 0.8
         b = BoundaryData(1.0, 0.1)
-        ts, arg, slope = dirac._phase_scan(0.5, 0.1, 0.0, dirac.DIRAC_T_BUDGET)
+        ts = dirac._phase_scan(0.5, 0.1, 0.0, dirac.DIRAC_T_BUDGET)
+        arg, slope, _ = dirac._k_phase_slope(ts, 0.5, 0.1)
         assert np.diff(np.unwrap(arg)).max() < 0.8 and np.all(slope > 0.0)
         zs = dirac.find_dirac_zeros(b, 0.0, dirac.DIRAC_T_BUDGET)
         assert len(zs) == 210

@@ -8,13 +8,22 @@ import pytest
 from rzspec import landau
 from rzspec.errors import MissedZeroError, ToleranceNotMet
 from rzspec.landau import LandauGeometry
-from rzspec.roots import find_all, scan_grid
+from rzspec.roots import level_roots, scan_grid
 from rzspec.specfun import kummer_m_bounded, kummer_m_grid
 from rzspec.zeta import _theta_prime, theta_rs
 
 GEOM = LandauGeometry(magnetic_length=1.0, box_size=100.0)
 FIRST_ROOT = 0.53260437203513055
 SECOND_ROOT = 1.1788967506616517
+
+
+def level_scan(monkeypatch, e_max, g):
+    # the half phase, grid, level and turns that landau_levels gives the level scan, and its levels
+    calls = []
+    monkeypatch.setattr(landau, "level_roots", lambda *args: calls.append(args) or level_roots(*args))
+    levels = landau.landau_levels(e_max, g)
+    monkeypatch.undo()
+    return calls[0], levels
 
 
 class TestWavefunctions:
@@ -162,7 +171,7 @@ class TestQuantization:
             assert abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9
 
     @pytest.mark.parametrize("e_max", [20.0, 200.0])
-    def test_levels_keep_the_bits_of_the_closed_form_slope(self, e_max):
+    def test_levels_keep_the_bits_of_the_closed_form_slope(self, monkeypatch, e_max):
         # the scan step lets 0.8 pi of phase pass at the larger phase slope
         # |2 theta'(E) - log(L^2/2 pi l^2)| of E = 0 and E_max, with theta' in
         # closed form; the levels are the bits of the scan at that step
@@ -170,12 +179,16 @@ class TestQuantization:
         with mp.workdps(25):
             ref = max(abs(2 * mp.siegeltheta(e, derivative=1) - GEOM.log_cutoff) for e in (0, e_max))
         assert slope == pytest.approx(float(ref), rel=1e-14)
-        # below E = L^2 the phase only falls, so the count is floor n_landau
-        want = find_all(lambda E: landau._half_phase(E, GEOM),
-                        scan_grid(0.0, e_max, 0.8 * math.pi / slope),
-                        math.floor(landau.n_landau(e_max, GEOM)))
-        got = landau.landau_levels(e_max, GEOM)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        (phase, ts, c, turns), got = level_scan(monkeypatch, e_max, GEOM)
+        grid = scan_grid(0.0, e_max, 0.8 * math.pi / slope)
+        assert ts.tobytes() == grid.tobytes() and c == 0.0
+        # the scanned phase is half the phase, its slope theta' - log(L^2/2 pi l^2) / 2
+        half, dhalf, _ = phase(grid)
+        assert np.allclose(half, 0.5 * landau._phase(grid, GEOM), rtol=1e-14, atol=1e-13)
+        assert np.allclose(dhalf, _theta_prime(grid) - 0.5 * GEOM.log_cutoff, rtol=1e-15, atol=0.0)
+        # below E = L^2 the phase only falls, so no turn, and the count is floor n_landau
+        assert turns == () and len(got) == math.floor(landau.n_landau(e_max, GEOM))
+        assert np.array(got).tobytes() == np.array(level_roots(phase, grid, 0.0)).tobytes()
 
     def test_energy_budget_refused_before_scanning(self):
         # 1e9 would ask for a scan grid of billions of points
@@ -204,17 +217,17 @@ class TestQuantization:
         assert all(abs(math.remainder(landau._phase(e, g), 2.0 * math.pi)) < 1e-9 for e in lv)
 
     @pytest.mark.parametrize("box_size, e_max", [(100.0, 20.0), (10.0, 200.0)])
-    def test_too_coarse_step_raises(self, box_size, e_max):
+    def test_too_coarse_step_raises(self, monkeypatch, box_size, e_max):
         # eight times the step lets up to 6.4 pi of phase pass, so some steps
-        # hold two levels; the exact count sees the missing pairs
+        # hold two levels; the level scan refuses steps past a quarter turn
         g = LandauGeometry(magnetic_length=1.0, box_size=box_size)
         slope = 2.0 * _theta_prime(np.array([0.0, e_max])) - g.log_cutoff
         step = 0.8 * math.pi / float(np.max(np.abs(slope)))
-        f = lambda E: landau._half_phase(E, g)
-        n = landau._level_count(e_max, g, slope)
-        assert len(find_all(f, scan_grid(0.0, e_max, step), n)) == n
+        (phase, _, c, turns), levels = level_scan(monkeypatch, e_max, g)
+        assert len(levels) == 23  # floor n_landau(20) at L / l = 100; past the turn at L / l = 10
+        assert level_roots(phase, scan_grid(0.0, e_max, step), c, turns) == levels
         with pytest.raises(MissedZeroError):
-            find_all(f, scan_grid(0.0, e_max, 8.0 * step), n)
+            level_roots(phase, scan_grid(0.0, e_max, 8.0 * step), c, turns)
 
     def test_spacing_near_10(self):
         lv = landau.landau_levels(13.0, GEOM)

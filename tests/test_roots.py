@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rzspec.errors import MissedZeroError
-from rzspec.roots import bisect, find_all, newton, scan_grid, scan_sign_changes
+from rzspec.roots import find_all, level_roots, newton, scan_grid, scan_sign_changes
 
 
 def sin(x):
@@ -159,17 +159,38 @@ class TestLockstepNewton:
         assert len(calls) <= 3
 
 
-class TestBisect:
-    def test_equals_the_scalar_bisection(self):
-        # ten calls of six levels each visit the midpoints of 60 one-point steps
+class TestLevelRoots:
+    @pytest.mark.parametrize("phase", [
+        lambda t: (t, np.ones_like(t), np.zeros_like(t)),
+        lambda t: (-t, -np.ones_like(t), np.zeros_like(t)),
+        lambda t: (np.angle(np.exp(1j * t)), np.ones_like(t), np.zeros_like(t))],
+        ids=["rising", "falling", "rising-principal"])
+    def test_monotone_phase_from_a_level(self, phase):
+        # the level 0 at ts[0] = 0 is not counted; the phase crosses 0 mod pi
+        # at pi, 2 pi and 3 pi, whether it rises or falls, continuous or principal
+        roots = level_roots(phase, scan_grid(0.0, 10.0, 0.1), 0.0)
+        assert roots == pytest.approx([math.pi, 2.0 * math.pi, 3.0 * math.pi], abs=1e-12)
+
+    def test_one_turn(self):
+        # (t - 5.05)^2 / 2 falls through the levels 0.5 + k pi below 12.5 and
+        # rises through them again; its turn becomes a node of the scan
         calls = []
 
-        def right(x):
-            calls.append(len(x))
-            return x * x < 2.0
-        lo, hi = 0.0, 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if mid * mid < 2.0 else (lo, mid)
-        assert bisect(right, 0.0, 2.0) == (lo, hi)
-        assert lo < math.sqrt(2.0) <= hi and calls == [63] * 10
+        def phase(t):
+            calls.append(np.array(t))
+            return 0.5 * (t - 5.05) ** 2, t - 5.05, np.zeros_like(t)
+        ts = scan_grid(0.0, 10.0, 0.1)
+        roots = level_roots(phase, ts, 0.5, (5.05,))
+        crossings = np.sqrt(2.0 * (0.5 + math.pi * np.arange(4)))
+        assert roots == pytest.approx(np.concatenate((5.05 - crossings[::-1], 5.05 + crossings)), abs=1e-12)
+        assert calls[0].tolist() == sorted(ts.tolist() + [5.05])
+        # without the turn the piece holds no monotone phase
+        with pytest.raises(MissedZeroError, match="pi/2"):
+            level_roots(phase, ts, 0.5)
+
+    def test_step_past_a_quarter_turn_raises(self):
+        # 2t moves by 1.6 > pi/2 a step of 0.8, where a step may hide two levels
+        phase = lambda t: (2.0 * t, np.full_like(t, 2.0), np.zeros_like(t))
+        assert len(level_roots(phase, scan_grid(0.1, 10.0, 0.7), 0.0)) == 6
+        with pytest.raises(MissedZeroError, match="pi/2"):
+            level_roots(phase, scan_grid(0.1, 10.0, 0.8), 0.0)

@@ -121,6 +121,16 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             log_gamma(np.array([0.5 + 1j, z]))
 
+    def test_theta_second_by_trigamma_against_mpmath(self):
+        # theta''(t) = -Im psi'(1/4 + it/2) / 4, the slope of the Landau turn's
+        # Newton, on [0, 1e4]: worst measured 2.7e-16 absolute, 1.5e-14 relative
+        ts = np.concatenate([[0.0], np.sort(np.random.default_rng(17).uniform(0.0, 1e4, 200))])
+        z = 0.25 + 0.5j * ts
+        got = -0.25 * (specfun._trigamma_right(z + 1.0) + 1.0 / (z * z)).imag
+        with mp.workdps(25):
+            ref = np.array([float(mp.siegeltheta(t, derivative=2)) for t in ts.tolist()])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-15)
+
 
 class TestBesselK:
     def test_half_order_closed_form(self):
