@@ -22,13 +22,13 @@ Three evaluators live here:
   shares, converges geometrically; arrays run in numpy blocks, no threads.
 
 * :func:`kummer_m_grid` -- the confluent hypergeometric function
-  M(a, b, z) for ``|z| <= 200``, each cell by the cheapest valid route:
-  the power series in complex double, the large-|z| asymptotic expansion
-  (DLMF 13.7.2), or the power series in double-double arithmetic, which
-  absorbs the cancellation of strongly complex z, by Horner's rule on z
-  2^-7 over coefficients P_k 2^(7k) cached per (a, b).  The first two
-  share one kernel that forms the terms x^k c_k of a chunk of indices as
-  arrays, x^k by a recipe fixed by k, and then runs the sums in order.
+  M(a, b, z) = e^(z/2) F(z) for ``|z| <= 200``, each cell by the cheapest
+  valid route: the power series of F (DLMF 13.14) in complex double, the
+  large-|z| asymptotic expansion (DLMF 13.7.2), or F's series in double-
+  double arithmetic, which absorbs the cancellation of strongly complex
+  z, by Horner's rule on z 2^-7 over coefficients cached per (a, b).  The
+  first two share one kernel that forms the terms x^k c_k of a chunk of
+  indices as arrays, x^k by a recipe fixed by k, and runs the sums in order.
   Every value carries an absolute error bound, certified on the series
   routes and, in its truncation part, on the asymptotic one.  A one-cell
   call gives its grid cell's bits.
@@ -352,9 +352,9 @@ _ACCUMULATE_SERIES = 8   # up to this many series a call has few (see _chunk_len
 _KUMMER_BLOCK = 4096     # cells per asymptotic or plain call, which runs to its slowest cell
 _INDICES = np.arange(_KUMMER_KMAX, dtype=float)  # term indices k as floats
 _Q_OF, _I_OF = np.arange(_POWERS) >> 3, np.arange(_POWERS) & 7  # k - 32 j = 8 q + i
-# Rounding the double-double sum to double costs at most u|M| (u = eps/2).
-# On flipped cells e^z carries at most 5u (exp, cos and sin within one ulp
-# each, plus the rounding of their product) and the complex product with
+# Rounding the double-double sum to double costs at most u|F| (u = eps/2).
+# e^(z/2) of M = e^(z/2) F carries at most 5u (exp, cos and sin within one
+# ulp each, plus the rounding of their product) and the complex product with
 # it sqrt(5) u (Brent, Percival and Zimmermann, Math. Comp. 2007): 8.3u in
 # all, which 5 eps = 10u covers with room for the second-order terms.
 _ROUNDING_EPS = 5.0 * np.finfo(float).eps
@@ -372,22 +372,17 @@ def _rational(re, im=0.0):
     return re.numerator * (q // re.denominator), im.numerator * (q // im.denominator), q
 
 
-def _rational_series(tops, bottoms, shift, n):
-    """Exact c_k = prod_(i<k) [prod_t (t + i) / prod_b (b + i)] 2^(shift k)
-    for k < n, each as integers (re, im, den) with c_k = (re + i im) / den;
-    a top is complex and a bottom real, both as :func:`_rational` triples."""
+def _rational_series(tops, n):
+    """Exact c_k = prod_(i<k) [prod_t (t + i) / (i + 1)] 2^(-7k) for k < n,
+    each as integers (re, im, den) with c_k = (re + i im) / den; a top is
+    complex, as a :func:`_rational` triple."""
     nr, ni, den = 1, 0, 1
     for k in range(n):
         yield nr, ni, den
         for tr, ti, q in tops:
             fr = tr + k * q
             nr, ni, den = nr * fr - ni * ti, nr * ti + ni * fr, den * q
-        for p, _, q in bottoms:
-            nr, ni, den = nr * q, ni * q, den * (p + k * q)
-        if shift >= 0:
-            nr, ni = nr << shift, ni << shift
-        else:
-            den <<= -shift
+        den *= (k + 1) << 7
 
 
 def _rounded(num: int, den: int) -> float:
@@ -426,16 +421,22 @@ def _table_length(k: int) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _kummer_coeffs(a: complex, b_re: float, n: int):
-    """Q_k = P_k 2^(7k), P_k = (a)_k / ((b)_k k!), for k < n, from exact
-    integers: (cols, table) with cols four tuples (re_hi, re_lo, im_hi,
-    im_lo), each correctly rounded to double-double, and table the
-    :func:`_term_table` of Q.  No entry depends on n or on earlier tables.
-    P_k alone underflows from about k = 150; 1e-87 < |Q_k| < 1e67 for the
-    k < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
+    """Q_k = f_k 2^(7k) for k < n, F(w) = e^(-w/2) M(a, b, w) = sum f_k w^k
+    (DLMF 13.14.1-2), from exact integers: (cols, table) with cols four
+    tuples (re_hi, re_lo, im_hi, im_lo), each correctly rounded to double-
+    double, and table the :func:`_term_table` of Q.  No entry depends on n
+    or on earlier tables.  F solves w F'' + b F' + (b/2 - a - w/4) F = 0,
+    so (k + 1)(k + b) Q_(k+1) = 2^12 Q_(k-1) - 2^7 c Q_k with c = b/2 - a,
+    and f_k(b - a) = (-1)^k f_k(a).  F has exponential type 1/2: |Q_k|
+    falls like 64^k / k! past k = 64, and 1e-241 < |Q_k| < 2e40 for the k
+    < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
     """
-    exact = list(_rational_series([_rational(a.real, a.imag)], [_rational(b_re), _rational(1)], 7, n))
-    cols = ([], [], [], [])
-    for nr, ni, den in exact:
+    cr, ci, qc = _rational(Fraction(b_re) / 2 - Fraction(a.real), -Fraction(a.imag))
+    bp, _, bq = _rational(b_re)
+    # Q_k = (nr + i ni) / den and Q_(k-1) = (lr + i li) / (den / step)
+    exact, cols, nr, ni, den, lr, li, step = [], ([], [], [], []), 1, 0, 1, 0, 0, 1
+    for k in range(n):
+        exact.append((nr, ni, den))
         for num, hi_col, lo_col in ((nr, cols[0], cols[1]), (ni, cols[2], cols[3])):
             hi, lo = _rounded(num, den), 0.0
             if math.isfinite(hi):
@@ -443,6 +444,11 @@ def _kummer_coeffs(a: complex, b_re: float, n: int):
                 lo = (num * q - p * den) / (den * q)
             hi_col.append(hi)
             lo_col.append(lo)
+        t = qc * step << 12
+        lr, li, nr, ni = (nr, ni, bq * (t * lr - (cr * nr - ci * ni << 7)),
+                          bq * (t * li - (cr * ni + ci * nr << 7)))
+        step = qc * (k + 1) * (bp + k * bq)
+        den *= step
     return tuple(map(tuple, cols)), _term_table([exact])
 
 
@@ -452,9 +458,8 @@ def _asymptotic_coeffs(a: complex, b_re: float, n: int):
     # c2 = b - a) and of (-1)^s times it for S2 (c1 = a, c2 = a - b + 1) of
     # _kummer_asymptotic, whose sums both run on x = 2^7 / w
     ar, ai, b = Fraction(a.real), Fraction(a.imag), Fraction(b_re)
-    one = [_rational(1)]
-    s1 = _rational_series([_rational(1 - ar, -ai), _rational(b - ar, -ai)], one, -7, n)
-    s2 = _rational_series([_rational(ar, ai), _rational(ar - b + 1, ai)], one, -7, n)
+    s1 = _rational_series([_rational(1 - ar, -ai), _rational(b - ar, -ai)], n)
+    s2 = _rational_series([_rational(ar, ai), _rational(ar - b + 1, ai)], n)
     return _term_table([list(s1), [(-nr, -ni, den) if s % 2 else (nr, ni, den)
                                    for s, (nr, ni, den) in enumerate(s2)]])
 
@@ -549,14 +554,14 @@ def _after(row, block):
 
 
 def _kummer_series_plain(a: complex, b_re: float, w):
-    # The power series in complex double, each cell to its own last term K,
-    # the first k > |w| + 6 with |term_k| <= 1e-20 sum|term|, over the terms
-    # x^k Q_k of _term_chunks (x = w 2^-7 exact, Q_k of _kummer_coeffs).
-    # Term j is within (sqrt(5) j + 1) u, the partial sums S_j add u
-    # sum|S_j| <= u sum (K + 1 - j)|term_j|: the bound u (1.25 sum j|term_j|
-    # + (K + 3) sum|term|) also covers the tail.  sens bounds |w M'(w)| =
-    # |sum j term_j|.
-    hump = np.abs(w) + 6.0
+    # F(w) = e^(-w/2) M(a, b, w) by its power series in complex double, each
+    # cell to its own last term K, the first k > |w|/2 + 6 with |term_k| <=
+    # 1e-20 sum|term|, over the terms x^k Q_k of _term_chunks (x = w 2^-7
+    # exact, Q_k of _kummer_coeffs).  Term j is within (sqrt(5) j + 1) u,
+    # the partial sums S_j add u sum|S_j| <= u sum (K + 1 - j)|term_j|: the
+    # bound u (1.25 sum j|term_j| + (K + 3) sum|term|) also covers the tail.
+    # sens bounds |w F'(w)| = |sum j term_j|.
+    hump = 0.5 * np.abs(w) + 6.0
     first, left = hump.min(initial=np.inf), w.size
     # the running sums through term k, carried from chunk to chunk: partial
     # sums S_k, sum_j<=k S_j, sum|term| and sum j|term|, and per cell K and
@@ -595,17 +600,18 @@ def _kummer_log_gammas(a: complex, b_re: float):
 
 
 def _kummer_asymptotic(a: complex, b_re: float, w):
-    """M(a, b, w), Re w >= 0, by DLMF 13.7.2: M = Gamma(b) [e^w w^(a-b) S1 /
-    Gamma(a) + e^(+-i pi a) w^(-a) S2 / Gamma(b-a)] = T1 S1 + T2 S2, upper
-    sign for Im w >= 0, S1 and S2 expanding U(b - a, b, -w) and U(a, b, w).
+    """F(w) = e^(-w/2) M(a, b, w), Re w >= 0, by DLMF 13.7.2: F = Gamma(b)
+    [e^(w/2) w^(a-b) S1 / Gamma(a) + e^(+-i pi a) e^(-w/2) w^(-a) S2 /
+    Gamma(b-a)] = T1 S1 + T2 S2, upper sign for Im w >= 0, S1 and S2
+    expanding U(b - a, b, -w) and U(a, b, w).
 
     The bound covers each sum's truncation by DLMF 13.7.5 (C_n = chi(n) <=
     sqrt(pi (n + 1) / 2) for S1, 1 for S2; it needs |w| > |b - 2a|) and
     rounding, 7.25 (n + 1) u sum|term|; as estimates, the rounding of the
-    exponents, 4u (|w| + |a - b||log w| + |log Gamma| + 8), and within pi/4
-    of ph w = 0, the Stokes line of T2 S2, twice its size under either
-    sign.  Otherwise, or where not below |M|, it is infinite.  sens
-    estimates |w M'(w)| by (|w| + |a - b|)|T1 S1| + |a||T2 S2|.
+    exponents, 4u (|w|/2 + |a - b||log w| + |log Gamma| + 8), and within
+    pi/4 of ph w = 0, the Stokes line of T2 S2, twice its size under either
+    sign.  Otherwise, or where not below |F|, it is infinite.  sens
+    estimates |w F'(w)| by (|w|/2 + |a - b|)|T1 S1| + (|w|/2 + |a|)|T2 S2|.
     """
     # S1 and S2 as two rows of terms x^s c_s (_term_chunks), x = 2^7 / w and
     # c_s = (c1)_s (c2)_s / (s! 2^(7s)) for S1, (-1)^s times that for S2,
@@ -647,8 +653,8 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     r, log_w = np.abs(w), np.log(w)
     abs_log = np.abs(log_w)
     lg_b, lg_a, lg_ba = _kummer_log_gammas(a, b_re)
-    t1 = np.exp(lg_b - lg_a + w + (a - b_re) * log_w)
-    base2 = np.exp(lg_b - lg_ba - a * log_w)
+    t1 = np.exp(lg_b - lg_a + 0.5 * w + (a - b_re) * log_w)
+    base2 = np.exp(lg_b - lg_ba - 0.5 * w - a * log_w)
     t2 = base2 * np.where(w.imag >= 0.0, cmath.exp(1j * math.pi * a), cmath.exp(-1j * math.pi * a))
     p1, p2 = t1 * sums[0], t2 * sums[1]
     m1, m2 = np.abs(p1), np.abs(p2)
@@ -660,41 +666,50 @@ def _kummer_asymptotic(a: complex, b_re: float, w):
     grow[0] *= np.sqrt(0.5 * math.pi * (n[0] + 1.0))
     trunc = grow + 7.25 * _U * (n + 1.0) * s_abs
     # the exponents' rounding, 4u (... + 8) each, and 8u (m1 + m2) for T1 S1 + T2 S2
-    expo = 4.0 * _U * (m1 * (r + abs(a - b_re) * abs_log + (abs(lg_a) + abs(lg_b) + 10.0))
-                       + m2 * (abs(a) * abs_log + (abs(a) * math.pi + abs(lg_ba) + abs(lg_b) + 10.0)))
+    expo = 4.0 * _U * (m1 * (0.5 * r + abs(a - b_re) * abs_log + (abs(lg_a) + abs(lg_b) + 10.0))
+                       + m2 * (0.5 * r + abs(a) * abs_log + (abs(a) * math.pi + abs(lg_ba) + abs(lg_b) + 10.0)))
     stokes = np.where(np.abs(log_w.imag) < 0.25 * math.pi,
                       4.0 * math.cosh(math.pi * a.imag) * np.abs(base2 * sums[1]), 0.0)
+    # an imaginary part that cancels exactly (F is real on the imaginary axis
+    # where b - a = conj a) takes the sign of p1's, which conj a, conj w flip
     value = p1 + p2
+    value.imag = np.where(value.imag == 0.0, np.copysign(0.0, p1.imag), value.imag)
     bound = np.abs(t1) * trunc[0] + np.abs(t2) * trunc[1] + expo + stokes
-    sens = (r + abs(a - b_re)) * m1 + abs(a) * m2
+    sens = (0.5 * r + abs(a - b_re)) * m1 + (0.5 * r + abs(a)) * m2
     return value, np.where((bound < np.abs(value)) & (sigma < 1.0), bound, np.inf), sens
 
 
 def _abs_terms(a: complex, b_re: float, r):
-    # (k, |term_k+1|, sum_j<=k+1 |term_j|) for k = 0, 1, ... by the plain-
-    # double recurrence |term_k+1| = |term_k| r |a + k| / ((b + k)(k + 1)),
-    # for a float r or, with the same bits per element, an array
-    t = s = 1.0 if isinstance(r, float) else np.ones(r.size)
-    for k in range(_KUMMER_KMAX):
-        t = t * r * (math.hypot(a.real + k, a.imag) / ((b_re + k) * (k + 1.0)))
+    # (k, |term_k-1| + |term_k|, sum_j<=k |term_j|) for k = 1, 2, ..., with
+    # |term_k| = |Q_k| (r 2^-7)^k in plain double from the high parts of
+    # the double-double table, for a float r or, with the same bits per
+    # element, an array
+    x, q = r * (1.0 / _HORNER_SCALE), ((),) * 4
+    p = t = s = 1.0 if isinstance(r, float) else np.ones(r.size)
+    for k in range(1, _KUMMER_KMAX):
+        if k >= len(q[0]):
+            q = _kummer_coeffs(a, b_re, _table_length(k + 1))[0]
+        p = p * x
+        prev, t = t, math.hypot(q[0][k], q[2][k]) * p
         s = s + t
-        yield k, t, s
+        yield k, prev + t, s
     raise ToleranceNotMet("kummer series did not converge within the term budget")
 
 
 def _kummer_last_terms(a: complex, b_re: float, r):
-    # Per cell of |w| = r: the last term K, the first index past r + 6 whose
-    # |term| is at most 1e-34 times the sum of |term| so far, and that sum
-    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), r + 6.0
+    # Per cell of |w| = r: the last term K, the first index past r/2 + 6
+    # whose |term| and the one before add to at most 1e-34 times the sum of
+    # |term| so far, and that sum
+    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), 0.5 * r + 6.0
     for k, t, s in _abs_terms(a, b_re, r):
         done = ((k > hump) & (t <= 1e-34 * s)).nonzero()[0]
-        last[done], sums[done], hump[done] = k + 1, s[done], np.inf
+        last[done], sums[done], hump[done] = k, s[done], np.inf
         if last.all():
             return last, sums
 
 
 def _kummer_horner(a: complex, b_re: float, w):
-    """The series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule in double-
+    """F's series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule in double-
     double: per cell the four parts (re_hi, re_lo, im_hi, im_lo) and the
     bound ``_NOISE_PER_TERM K sum|term|``.  A one-cell call runs the
     steps of :func:`_horner_block` on Python floats.
@@ -702,11 +717,10 @@ def _kummer_horner(a: complex, b_re: float, w):
     r, x = np.abs(w), w * (1.0 / _HORNER_SCALE)  # the scale is exact
     if w.size > 1:
         return _horner_block(a, b_re, r, x)
-    hump = float(r[0]) + 6.0
-    for k, t, s in _abs_terms(a, b_re, float(r[0])):
-        if k > hump and t <= 1e-34 * s:
+    hump = 0.5 * float(r[0]) + 6.0
+    for last, t, s in _abs_terms(a, b_re, float(r[0])):
+        if last > hump and t <= 1e-34 * s:
             break
-    last = k + 1
     q, _ = _kummer_coeffs(a, b_re, _table_length(last + 1))
     x_re, x_im = split(float(x.real[0])), split(float(x.imag[0]))
     acc = tuple(col[last] for col in q)
@@ -741,12 +755,12 @@ def _horner_block(a: complex, b_re: float, r, x):
 
 
 def _kummer_series_dd(a: complex, b_re: float, w):
-    """M(a, b, w) by the power series in double-double arithmetic, which
-    absorbs the cancellation of strongly complex w.
+    """F(w) = e^(-w/2) M(a, b, w) by its power series in double-double
+    arithmetic, which absorbs the cancellation of strongly complex w.
 
     Each cell finds its own last term K by a plain-double pass over
-    |term_k| (:func:`_abs_terms`), then sums terms K down to 0 by
-    Horner's rule on x = w 2^-7 with the cached Q_k = P_k 2^(7k) of
+    |term_k| (:func:`_abs_terms`), then sums terms K down to 0 by Horner's
+    rule on x = w 2^-7 with the cached Q_k = f_k 2^(7k) of
     :func:`_kummer_coeffs`.  The scale is exact, so a cell's bits do not
     depend on the other cells.
 
@@ -755,11 +769,12 @@ def _kummer_series_dd(a: complex, b_re: float, w):
     + 5 |Q_k|) (:func:`~rzspec.ddouble.horner_step`) and |acc_k+1||x|^(k+1)
     <= sum_j>k |term_j|, so the steps add at most u^2 (17 K + 5) sum|term|;
     the correctly rounded Q_k add u^2 sum|term|, and 40.6 K u^2 >= (17 K +
-    6) u^2 for K >= 1 (K >= 8 here, as K passes |w| + 6).  The slack also
-    covers the plain-double sum|term|, within 3Ku of its value, and the
-    tail past K, about 1e-34 sum|term|.  The rounding of the result to
-    double is not covered.
-    Returns (values, bounds, None): |w M'| keeps the plain series' bound.
+    6) u^2 for K >= 1.  The slack also covers the plain-double sum|term|,
+    within (2K + 2)u of its value, and the tail past K: terms K - 1 and K
+    add to at most 1e-34 sum|term|, and from them the majorant g_(k+1) =
+    (g_(k-1) / 4 + |b/2 - a| g_k) / ((k + 1)(k + b)) of |f_k| keeps the
+    tail near that size.  Rounding the result to double is not covered.
+    Returns (values, bounds, None): |w F'| keeps the plain series' bound.
     """
     (rh, rl, ih, il), noise = _kummer_horner(a, b_re, w)
     vals = np.empty(w.size, dtype=complex)
@@ -786,9 +801,9 @@ def _distinct(w):
 
 
 def _kummer_routes(a: complex, b_re: float, w, rel_tols):
-    # (values, bounds, sens) of M(a, b, w), Re w >= 0, each cell from the
-    # first route whose bound is within that route's tolerance of |M|, else
-    # the smallest bound any route gave
+    # (values, bounds, sens) of F(w) = e^(-w/2) M(a, b, w), Re w >= 0, each
+    # cell from the first route whose bound is within that route's tolerance
+    # of |F|, else the smallest bound any route gave
     r = np.abs(w)
     vals, bounds, sens = np.zeros(w.size, dtype=complex), np.full(w.size, np.inf), np.zeros(w.size)
     pending = np.ones(w.size, dtype=bool)
@@ -826,8 +841,9 @@ def _kummer_routed(a, b, z, rel_tols):
     if z.size and float(np.max(np.abs(z))) > KUMMER_RADIUS:
         raise ToleranceNotMet(f"|z| beyond the documented series budget {KUMMER_RADIUS:g}")
     zf = z.ravel()
-    # Kummer transformation M(a,b,z) = e^z M(b-a, b, -z) keeps Re(argument)
-    # nonnegative, which minimizes the cancellation of the series.
+    # M(a, b, z) = e^(z/2) F_a(z), and by the Kummer transformation F_a(z) =
+    # F_(b-a)(-z): the asymptotic route sees Re(argument) >= 0, the series
+    # the terms of F_a at z, as f_k(b - a) = (-1)^k f_k(a).
     flip = zf.real < 0
     w = np.where(flip, -zf, zf)
     # For real b, M(b-a, b, w) = conj M(conj(b-a), b, conj w), and every
@@ -849,14 +865,14 @@ def _kummer_routed(a, b, z, rel_tols):
             v, e, s = _kummer_routes(a_eff, b.real, key[cells[first]], rel_tols)
             vals[cells], bounds[cells], sens[cells] = v[inv], e[inv], s[inv]
     vals = np.where(fold, vals.conjugate(), vals)
-    pref = np.ones_like(vals)
-    pref[flip] = np.exp(zf[flip])
+    pref = np.exp(0.5 * zf)
     m = vals * pref  # out of place: numpy's in-place complex product may round differently
     apref, am = np.abs(pref), np.abs(m)
     bounds *= apref
     bounds += _ROUNDING_EPS * am
+    # z M'(z) = e^(z/2) (z F / 2 + w F'(w)), the routes bounding |w F'(w)|
     sens *= apref
-    sens += np.where(flip, np.abs(zf) * am, 0.0)
+    sens += 0.5 * np.abs(zf) * am
     out = _KummerGrid((m.reshape(z.shape), bounds.reshape(z.shape)))
     out.sens = sens.reshape(z.shape)
     return out
@@ -867,11 +883,11 @@ def kummer_m_grid(a, b, z):
 
     Returns ``(values, bounds)`` for a scalar a and real b (all uses here
     have b = 1/2 or 3/2).  After the Kummer transformation to Re z >= 0 a
-    cell ends on the first route whose bound is small enough: from |z| =
-    2|a| + 20 the large-|z| asymptotic expansion (DLMF 13.7.2), within
-    1e-10 of |M|; the power series in complex double, within 1e-13; or the
-    power series in double-double arithmetic, by Horner's rule on z 2^-7
-    with cached coefficients P_k 2^(7k).  It keeps the value with the
+    cell of M = e^(z/2) F ends on the first route for F whose bound is small
+    enough: from |z| = 2|a| + 20 the asymptotic expansion (DLMF 13.7.2),
+    within 1e-10 of |F|; the series of F = e^(-z/2) M (DLMF 13.14), of
+    exponential type 1/2, in complex double, within 1e-13; or F's series in
+    double-double, by Horner's rule on z 2^-7.  It keeps the value with the
     smallest bound.  Where b - a = conj(a), as in both Landau sectors, a
     flipped cell off the real axis is evaluated as conj M(a, b, conj(-z)),
     which every route gives with the bits of M(b - a, b, -z); on a grid
@@ -879,7 +895,7 @@ def kummer_m_grid(a, b, z):
     of the other.  Each distinct argument is evaluated once.
 
     The plain and asymptotic routes sum terms x^k c_k, with x = w 2^-7 and
-    the coefficients P_k 2^(7k) of the Horner pass or x = 2^7 / w, w the
+    the coefficients f_k 2^(7k) of the Horner pass or x = 2^7 / w, w the
     transformed argument.  The terms are formed a chunk of indices at a
     time: 32 for a call with up to eight series, one for a block of more.
     x^k = (x^(32 j) x^(8 q)) x^i for k = 32 j + 8 q + i, from tables of
@@ -894,11 +910,11 @@ def kummer_m_grid(a, b, z):
     :func:`kummer_m_bounded` call bit for bit, whatever the chunk length.
 
     A bound covers, for the given double z, the rounding of the route and
-    of the result to double, including the factor e^z of the Kummer
-    transformation.  It is certified on series cells; on asymptotic cells
-    only the truncation is (DLMF 13.7.5).  Cells whose cancellation
-    exhausts every route's precision do not raise -- callers decide what
-    to do with the bound.  An empty ``z`` gives two empty arrays; a NaN or
+    of the result to double, including the factor e^(z/2), and the tail
+    of F's series past its last term.  It is certified on series cells; on
+    asymptotic cells only the truncation is (DLMF 13.7.5).  Cells whose
+    cancellation exhausts every route's precision do not raise -- callers
+    decide what to do with the bound.  An empty ``z`` gives two empty arrays; a NaN or
     infinite a or z raises ``ValueError``.  The pair also carries ``sens``,
     a bound on |z dM/dz|.
     """

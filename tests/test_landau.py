@@ -64,6 +64,15 @@ class TestWavefunctions:
                 want = abs(mp.exp(-x * x / 2) * mp.hyp1f1(a, b, w * w / 2) * (w if odd else 1))
                 assert abs(amp[i, j] - want) <= bound[i, j], (xs[i], xs[j])
 
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_default_grid_bounds_within_1e_8(self, odd):
+        # the largest relative abs_psi bound of the default E = 10 grid:
+        # 9.9e-11 in both sectors with the series of e^(-w/2) M, against
+        # 1.2e-9 (even) and 4.1e-9 (odd) with the series of M
+        xs = np.linspace(-10.0, 10.0, 200)
+        amp, bound = landau.psi_abs_grid(10.0, xs, xs, GEOM, odd=odd)
+        assert np.max(bound / amp) <= 1e-8
+
     def test_out_of_budget_value_is_refused(self):
         # the E = 40 Kummer cell M(1/4 + 20i, 1/2, 1 + 50i) that no route covers
         w = cmath.sqrt(2.0 + 100.0j)

@@ -1,8 +1,12 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,16 @@ class TestDiagnostic:
     def test_budget(self):
         with pytest.raises(ValueError):
             mi.normalizability_diagnostic(20.0, 0.1, 10 ** 7, 0.0)
+
+    def test_fresh_run_does_not_import_numpy_ma(self):
+        # np.unique and np.union1d import numpy.ma, about 14 ms and 0.6 MB of
+        # every fresh mirror run: one diagnostic call in one fresh interpreter
+        code = ("import sys; from rzspec import mirrors; "
+                "mirrors.normalizability_diagnostic(20.0, 0.1, 5000, 1.0); print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(mi.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert run.stdout.split() == ["False"]
 
     def test_json_document_holds_every_field(self):
         # the calibration constants nest under "calibration"; every other field is a key

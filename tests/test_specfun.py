@@ -27,7 +27,8 @@ M_EXAMPLE = complex(1.0949105136486249, 4.0249315749327309)
 # (a, b) of the even and odd Landau sectors at E = 10, and at E = 40
 LANDAU_SECTORS = [(0.25 + 5j, 0.5), (0.75 + 5j, 1.5)]
 LANDAU_SECTORS_40 = [(0.25 + 20j, 0.5), (0.75 + 20j, 1.5)]
-# an E = 40 cell that no route covers: its bound exceeds |M|
+# an E = 40 cell that no route covers within the 1e-6 of psi_plus: its
+# bound is 1.3e-4 |M|
 UNCOVERED = (0.25 + 20j, 0.5, 1.0 + 50.0j)
 
 
@@ -47,9 +48,10 @@ def landau_grid_z(n):
 @functools.lru_cache(maxsize=None)
 def flipped_routes(a, b):
     """Each Kummer route on every cell of the 41 x 41 Landau grid, after the
-    flip to M(a_eff, b, w) with Re w >= 0: (a_eff, w, {route: (values,
-    bounds)}); the asymptotic route from |w| = 10, with infinite bounds
-    below, and the double-double bound with the rounding to double."""
+    flip to F(w) = e^(-w/2) M(a_eff, b, w) with Re w >= 0: (a_eff, w,
+    {route: (values, bounds)}); the asymptotic route from |w| = 10, with
+    infinite bounds below, and the double-double bound with the rounding
+    to double."""
     z = landau_grid_z(41)
     flip = z.real < 0
     a_eff, w = np.where(flip, b - a, a), np.where(flip, -z, z)
@@ -317,9 +319,14 @@ class TestKummer:
             kummer_m(*UNCOVERED)
 
     def test_certified_bound_covers_error(self):
-        # the cell is out of budget on every route, but the bound must say so
+        # the cell is out of budget on every route, and the bound says so:
+        # it exceeds the 1e-6 |M| of psi_plus, and it covers the error
+        # against mpmath
         v, bound = kummer_m_bounded(*UNCOVERED)
-        assert bound > 1e3 * max(abs(v), 1.0) or bound > 1e6
+        a, b, z = UNCOVERED
+        with mp.workdps(60):
+            want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b, mp.mpc(z.real, z.imag)))
+        assert landau.PSI_REL_TOL * abs(v) < bound and abs(v - want) <= bound
 
     def test_kummer_m_falls_back_to_double_double(self):
         # 45 - 5j at E = 10: the asymptotic bound meets 1e-10 but not 1e-12
@@ -348,10 +355,11 @@ class TestKummer:
         # each cell stops at its own last term, so it does not depend on the
         # other cells: bit-equal to its one-cell call and to any regrouping.
         # The cells take in z = 0, flipped cells (Re z < 0), both signs of
-        # Re z at the budget |z| = 200, three default-grid cells whose bound
-        # would move if the double-double float path took |term| from
-        # math.hypot instead of np.hypot, and the uncovered E = 40 cell.
-        z = np.concatenate([landau_grid_z(5), landau_grid_z(200)[[560, 35760, 36200]],
+        # Re z at the budget |z| = 200, six default-grid cells, the last
+        # three on the double-double series at E = 40 with bounds that move
+        # if the float path of _abs_terms took |w| from abs() of a Python
+        # complex instead of np.abs, and the uncovered E = 40 cell.
+        z = np.concatenate([landau_grid_z(5), landau_grid_z(200)[[560, 35760, 36200, 1591, 1792, 38408]],
                             [KUMMER_RADIUS, -KUMMER_RADIUS, UNCOVERED[2]]])
         vals, bounds = kummer_m_grid(a, b, z)
         assert np.any(z == 0.0) and np.any(z.real < 0.0)
@@ -447,8 +455,8 @@ class TestKummer:
 
     def test_fold_halves_the_double_double_cells(self, monkeypatch):
         # on the default E = 10 grid the flipped cells off the real axis
-        # read their mirrors' keys, evaluated once: 9361 cells end on the
-        # double-double series, against 18658 before the fold
+        # read their mirrors' keys, evaluated once: 7208 cells end on the
+        # double-double series, against 14382 without the fold
         sent = []
         route = specfun._kummer_series_dd
 
@@ -457,13 +465,13 @@ class TestKummer:
             return route(a, b, w)
         monkeypatch.setattr(specfun, "_kummer_series_dd", counted)
         kummer_m_grid(*LANDAU_SECTORS[0], landau_grid_z(200))
-        assert 0 < sum(sent) <= 9400
+        assert 0 < sum(sent) <= 7300
 
     def test_double_double_cells_take_one_horner_pass(self, monkeypatch):
         # the Horner pass keeps only the cells still summing, so one call
         # does each cell's arithmetic once: on the default E = 10 grid its
-        # 175 steps replace the 105 + 139 + 175 of three 4096-cell blocks,
-        # and the bits equal those of the blocks
+        # 118 steps replace the 84 + 118 of two 4096-cell blocks, and the
+        # bits equal those of the blocks
         blocks, steps, calls = [], [], []
         block, step, route = specfun._horner_block, specfun.horner_step, specfun._kummer_series_dd
 
@@ -483,20 +491,21 @@ class TestKummer:
         monkeypatch.setattr(specfun, "_kummer_series_dd", recorded)
         xs = np.linspace(-10.0, 10.0, 200)
         landau.psi_abs_grid(10.0, xs, xs, landau.LandauGeometry(1.0, 100.0))
-        assert len(blocks) == 1 and len(steps) == 175
+        assert len(blocks) == 1 and len(steps) == 118
         (a, b, w), = calls
-        assert w.size == blocks[0] > 2 * 4096
+        assert w.size == blocks[0] > 4096
         whole = route(a, b, w)
-        parts = [route(a, b, p) for p in np.split(w, [4096, 8192])]
+        parts = [route(a, b, p) for p in np.split(w, [4096])]
         for k in range(2):
             assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_horner_bound_covers_error(self, a, b):
-        # the double-double sum itself, before rounding to double, against
-        # mpmath at 80 digits: for both a-groups at |w| = 200 on both axes,
-        # w = 0 and |w| = 1e-3 at eight angles, and on the 20 default-grid
-        # cells with the largest sum|term| / |M| after the Kummer flip
+        # the double-double sum of F(w) = e^(-w/2) M(a, b, w) itself, before
+        # rounding to double, against mpmath at 80 digits: for both a-groups
+        # at |w| = 200 on both axes, w = 0 and |w| = 1e-3 at eight angles,
+        # and on the 20 default-grid cells with the largest sum|term| / |F|
+        # after the Kummer flip
         edge = np.concatenate([[200.0, -200.0, 200.0j, -200.0j, 0.0],
                                1e-3 * np.exp(0.25j * math.pi * np.arange(8))])
         z = landau_grid_z(200)
@@ -507,7 +516,7 @@ class TestKummer:
         for a_g in (a, b - a):
             cells = np.flatnonzero(a_eff == a_g)
             _, sums = specfun._kummer_last_terms(a_g, b, np.abs(w[cells]))
-            ratio[cells] = sums / np.abs(vals[cells] * np.where(flip[cells], np.exp(-z[cells]), 1.0))
+            ratio[cells] = sums / np.abs(vals[cells] * np.exp(-0.5 * z[cells]))
         worst = np.argsort(ratio)[-20:]
         checked = 0
         with mp.workdps(80):
@@ -517,10 +526,80 @@ class TestKummer:
                 for k, wk in enumerate(ws):
                     got = mp.mpc(mp.mpf(parts[0][k]) + mp.mpf(parts[1][k]),
                                  mp.mpf(parts[2][k]) + mp.mpf(parts[3][k]))
-                    want = mp.hyp1f1(mp.mpc(a_g.real, a_g.imag), b, mp.mpc(wk.real, wk.imag))
+                    wm = mp.mpc(wk.real, wk.imag)
+                    want = mp.exp(-wm / 2) * mp.hyp1f1(mp.mpc(a_g.real, a_g.imag), b, wm)
                     assert abs(got - want) <= noise[k], (a_g, wk)
                     checked += 1
         assert checked == 2 * edge.size + 20
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_coefficient_table_against_mpmath(self, a, b):
+        # the exact Q_k = f_k 2^(7k) of F(w) = e^(-w/2) M(a, b, w) against
+        # the recurrence (k + 1)(k + b) f_(k+1) = f_(k-1) / 4 - (b/2 - a) f_k
+        # at 60 digits, k < 512: each double-double entry is correctly
+        # rounded, and each double entry of the term table is within its
+        # rounding.  Then at |w| from 1e-3 to 200 the noise bound of the
+        # Horner pass covers its steps, u^2 (17 K + 6) sum|term|, and the
+        # tail past K by the majorant g_(k+1) = (g_(k-1) / 4 + |b/2 - a|
+        # g_k) / ((k + 1)(k + b)) from g_(K-1) = |f_(K-1)|, g_K = |f_K|
+        n = 512
+        cols, (c, g) = specfun._kummer_coeffs(a, b, n)
+        with mp.workdps(60):
+            cm = mp.mpf(b) / 2 - mp.mpc(a.real, a.imag)
+            f = [mp.mpc(0), mp.mpc(1)]  # f_(-1), f_0, f_1, ...
+            for k in range(n):
+                f.append((f[k] / 4 - cm * f[k + 1]) / ((k + 1) * (k + mp.mpf(b))))
+            f = f[1:]
+            for k in range(n):
+                want = f[k] * mp.mpf(2) ** (7 * k)
+                tol = 1e-50 * abs(want)
+                for part, hi, lo, t in ((want.real, cols[0][k], cols[1][k], c[k, 0].real),
+                                        (want.imag, cols[2][k], cols[3][k], c[k, 0].imag)):
+                    assert abs(part - hi) <= math.ulp(hi) / 2 + tol, k
+                    assert abs(part - hi - lo) <= math.ulp(lo) / 2 + tol, k
+                    e = int(g[k // specfun._POWERS])
+                    assert abs(part - math.ldexp(t, e)) <= math.ldexp(math.ulp(t), e) / 2 + tol, k
+            r = np.array([1e-3, 1.0, 10.0, 50.0, 100.0, 150.0, 200.0])
+            last, sums = specfun._kummer_last_terms(a, b, r)
+            u2 = mp.mpf(2) ** -106
+            for rk, big_k, s in zip(r, last.tolist(), sums):
+                x = mp.mpf(rk)
+                g_prev, g_k, tail, k = abs(f[big_k - 1]), abs(f[big_k]), mp.mpf(0), big_k
+                while k < 4 * big_k + 100:
+                    g_prev, g_k = g_k, (g_prev / 4 + abs(cm) * g_k) / ((k + 1) * (k + mp.mpf(b)))
+                    k += 1
+                    tail += g_k * x ** k
+                steps = u2 * (17 * big_k + 6) * s * (1 + 1e-6)
+                assert tail + steps <= specfun._NOISE_PER_TERM * big_k * s, rk
+
+    @pytest.mark.parametrize("a, b", LANDAU_SECTORS)
+    def test_most_cancelling_double_double_cells_within_bounds(self, a, b, monkeypatch):
+        # on the default E = 10 grid, the 200 cells of the double-double
+        # series with the largest sum|f_k w^k| / |F| and every 97th of them
+        # in grid order, each against mpmath at 60 digits
+        sent = []
+        route = specfun._kummer_series_dd
+
+        def kept(a_g, b_g, w):
+            out = route(a_g, b_g, w)
+            sent.append((a_g, w, out[0]))
+            return out
+        monkeypatch.setattr(specfun, "_kummer_series_dd", kept)
+        z = landau_grid_z(200)
+        vals, bounds = kummer_m_grid(a, b, z)
+        at = {v.tobytes(): k for k, v in enumerate(z)}
+        cells, ratio = [], []
+        for a_g, w, f_vals in sent:
+            # a key w of the a side is the grid cell z = w, of the b - a side z = -w
+            cells += [at[(w[k] if a_g == a else -w[k]).tobytes()] for k in range(w.size)]
+            ratio.append(specfun._kummer_last_terms(a_g, b, np.abs(w))[1] / np.abs(f_vals))
+        cells, ratio = np.array(cells), np.concatenate(ratio)
+        assert cells.size > 7000 and ratio.max() > 1e12
+        picked = set(cells[np.argsort(ratio)[-200:]].tolist()) | set(np.sort(cells)[::97].tolist())
+        with mp.workdps(60):
+            for k in sorted(picked):
+                want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b, mp.mpc(z[k].real, z[k].imag)))
+                assert abs(vals[k] - want) <= bounds[k], (k, z[k])
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_bound_covers_error_on_landau_grid(self, a, b):
@@ -546,7 +625,8 @@ class TestKummer:
         # finite (the asymptotic one from |w| = 10, below its domain)
         a_eff, w, routes = flipped_routes(a, b)
         with mp.workdps(40):
-            want = np.array([complex(mp.hyp1f1(mp.mpc(p.real, p.imag), b, mp.mpc(q.real, q.imag)))
+            want = np.array([complex(mp.exp(-mp.mpc(q.real, q.imag) / 2)
+                                     * mp.hyp1f1(mp.mpc(p.real, p.imag), b, mp.mpc(q.real, q.imag)))
                              for p, q in zip(a_eff, w)])
         for name, (v, e) in routes.items():
             checked = np.isfinite(e)
