@@ -426,11 +426,8 @@ def normalizability_diagnostic(E: float, epsilon: float, N: int,
         raise ValueError("epsilon must be >= 0")
     checkpoints = sorted({min(int(c), N) for c in np.geomspace(10, N, 12)})
     # growth exponent of the divergent component over the last two decades
-    # repeats dropped by a neighbour mask: np.unique and np.union1d import numpy.ma (14 ms)
-    ks = np.geomspace(max(10, N // 100), N, 16).astype(int)
-    ks = ks[np.diff(ks, prepend=-1) != 0]
-    picks = np.sort(np.concatenate([checkpoints, ks]))
-    picks = picks[np.diff(picks, prepend=-1) != 0]  # the n whose values the report keeps
+    ks = np.array(sorted({int(k) for k in np.geomspace(max(10, N // 100), N, 16)}))
+    picks = np.array(sorted(set(checkpoints).union(ks.tolist())))  # the n whose values the report keeps
     kept = np.empty((3, len(picks)))  # at picks: cos(vartheta - Phi_z), divergent and norm partials
     t0 = max(1000, N // 100)  # the tail is n >= t0
     cos_tail_min, tail_sum = math.inf, 0.0

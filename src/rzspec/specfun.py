@@ -427,9 +427,8 @@ def _kummer_coeffs(a: complex, b_re: float, n: int):
     double, and table the :func:`_term_table` of Q.  No entry depends on n
     or on earlier tables.  F solves w F'' + b F' + (b/2 - a - w/4) F = 0,
     so (k + 1)(k + b) Q_(k+1) = 2^12 Q_(k-1) - 2^7 c Q_k with c = b/2 - a,
-    and f_k(b - a) = (-1)^k f_k(a).  F has exponential type 1/2: |Q_k|
-    falls like 64^k / k! past k = 64, and 1e-241 < |Q_k| < 2e40 for the k
-    < 512 that |w| <= 200 needs in the Landau sectors up to E = 40.
+    and f_k(b - a) = (-1)^k f_k(a).  1e-241 < |Q_k| < 2e40 for the k < 512
+    that |w| <= 200 needs in the Landau sectors up to E = 40.
     """
     cr, ci, qc = _rational(Fraction(b_re) / 2 - Fraction(a.real), -Fraction(a.imag))
     bp, _, bq = _rational(b_re)
@@ -553,29 +552,37 @@ def _after(row, block):
     return row[None] if len(block) == 1 else np.concatenate([row[None], block[:-1]])
 
 
+def _kummer_hump(a: complex, b_re: float, r):
+    # past k > hump, (k + 1)(k + b) > r^2/2 + 2|b/2 - a| r, so the majorant
+    # (r^2/4 g_(k-1) + |b/2 - a| r g_k) / ((k + 1)(k + b)) of |term_(k+1)| halves
+    # max(g_(k-1), g_k) in two steps: past K the tail is <= 2|term_(K-1)| + 2|term_K|
+    return np.maximum(0.5 * r + 6.0, np.sqrt(0.5 * r * r + 2.0 * abs(0.5 * b_re - a) * r) - min(b_re, 1.0))
+
+
 def _kummer_series_plain(a: complex, b_re: float, w):
     # F(w) = e^(-w/2) M(a, b, w) by its power series in complex double, each
-    # cell to its own last term K, the first k > |w|/2 + 6 with |term_k| <=
-    # 1e-20 sum|term|, over the terms x^k Q_k of _term_chunks (x = w 2^-7
-    # exact, Q_k of _kummer_coeffs).  Term j is within (sqrt(5) j + 1) u,
-    # the partial sums S_j add u sum|S_j| <= u sum (K + 1 - j)|term_j|: the
-    # bound u (1.25 sum j|term_j| + (K + 3) sum|term|) also covers the tail.
-    # sens bounds |w F'(w)| = |sum j term_j|.
-    hump = 0.5 * np.abs(w) + 6.0
+    # cell to its own last term K, the first k - 1 past _kummer_hump where
+    # |term_(k-1)| + |term_k| is not above 1e-20 sum|term| (NaN on overflow),
+    # over the terms x^k Q_k of _term_chunks (x = w 2^-7, Q_k of _kummer_coeffs).
+    # Term j is within (sqrt(5) j + 1) u, the partial sums S_j add u sum|S_j|
+    # <= u sum (K + 1 - j)|term_j|: the bound u (1.25 sum j|term_j| + (K + 3)
+    # sum|term|) also covers the tail.  sens bounds |w F'(w)| = |sum j term_j|.
+    hump = _kummer_hump(a, b_re, np.abs(w))
     first, left = hump.min(initial=np.inf), w.size
     # the running sums through term k, carried from chunk to chunk: partial
-    # sums S_k, sum_j<=k S_j, sum|term| and sum j|term|, and per cell K and
-    # the four at K
-    part, part_sum, s_abs, s_j_abs = np.zeros_like(w), np.zeros_like(w), np.zeros(w.size), np.zeros(w.size)
+    # sums S_k, sum_j<=k S_j, sum|term|, sum j|term| and |term_k|, and per
+    # cell K and the four sums at K
+    part, part_sum, s_abs, s_j_abs, t_last = (np.zeros(w.size, d) for d in (complex,) * 2 + (float,) * 3)
     last, at_last = np.empty(w.size), (np.empty_like(w), np.empty_like(w), np.empty(w.size), np.empty(w.size))
     for k, t in _term_chunks((w * (1.0 / _HORNER_SCALE))[None], lambda m: _kummer_coeffs(a, b_re, m)[1]):
         t_abs = np.abs(t[:, 0])
+        pair, t_last = t_abs + _after(t_last, t_abs), t_abs[-1]
         p = _running(part, t[:, 0])
         ps, sa, sj = _running(part_sum, p), _running(s_abs, t_abs), _running(s_j_abs, k[:, None] * t_abs)
         part, part_sum, s_abs, s_j_abs = p[-1], ps[-1], sa[-1], sj[-1]
         if k[-1] <= first + 1.0:
             continue
-        stop = ((k - 1.0)[:, None] > hump) & (t_abs <= 1e-20 * sa)
+        stop = ((k - 1.0)[:, None] > hump) & ~(pair > 1e-20 * sa)
         if stop.any():
             done = np.flatnonzero(np.logical_or.reduce(stop))
             r = stop[:, done].argmax(axis=0)
@@ -697,10 +704,9 @@ def _abs_terms(a: complex, b_re: float, r):
 
 
 def _kummer_last_terms(a: complex, b_re: float, r):
-    # Per cell of |w| = r: the last term K, the first index past r/2 + 6
-    # whose |term| and the one before add to at most 1e-34 times the sum of
-    # |term| so far, and that sum
-    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), 0.5 * r + 6.0
+    # Per cell of |w| = r: the last term K, the first index past _kummer_hump whose
+    # |term| and the one before add to at most 1e-34 sum|term| so far, and that sum
+    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), _kummer_hump(a, b_re, r)
     for k, t, s in _abs_terms(a, b_re, r):
         done = ((k > hump) & (t <= 1e-34 * s)).nonzero()[0]
         last[done], sums[done], hump[done] = k, s[done], np.inf
@@ -717,7 +723,7 @@ def _kummer_horner(a: complex, b_re: float, w):
     r, x = np.abs(w), w * (1.0 / _HORNER_SCALE)  # the scale is exact
     if w.size > 1:
         return _horner_block(a, b_re, r, x)
-    hump = 0.5 * float(r[0]) + 6.0
+    hump = float(_kummer_hump(a, b_re, r[0]))
     for last, t, s in _abs_terms(a, b_re, float(r[0])):
         if last > hump and t <= 1e-34 * s:
             break
@@ -770,10 +776,8 @@ def _kummer_series_dd(a: complex, b_re: float, w):
     <= sum_j>k |term_j|, so the steps add at most u^2 (17 K + 5) sum|term|;
     the correctly rounded Q_k add u^2 sum|term|, and 40.6 K u^2 >= (17 K +
     6) u^2 for K >= 1.  The slack also covers the plain-double sum|term|,
-    within (2K + 2)u of its value, and the tail past K: terms K - 1 and K
-    add to at most 1e-34 sum|term|, and from them the majorant g_(k+1) =
-    (g_(k-1) / 4 + |b/2 - a| g_k) / ((k + 1)(k + b)) of |f_k| keeps the
-    tail near that size.  Rounding the result to double is not covered.
+    within (2K + 2)u of its value, and the tail past K, at most 2e-34
+    sum|term| (:func:`_kummer_hump`).  Rounding the result to double is not covered.
     Returns (values, bounds, None): |w F'| keeps the plain series' bound.
     """
     (rh, rl, ih, il), noise = _kummer_horner(a, b_re, w)

@@ -50,19 +50,25 @@ class TestWavefunctions:
         assert np.all(amp + bound <= amp[i, j] + bound[i, j] + amp[i, j] * 1e-9)
 
     @pytest.mark.parametrize("odd", [False, True])
-    def test_bound_covers_error_at_exact_point(self, odd):
+    def test_bound_covers_error_at_exact_point(self, odd, energy=10.0, stride=90):
         # against mpmath at the exact (x, y), so the bound must also cover
         # the rounding of (x - iy)^2 / 2 and of the Gaussian exponent
         xs = np.linspace(-10.0, 10.0, 200)
-        amp, bound = landau.psi_abs_grid(10.0, xs, xs, GEOM, odd=odd)
-        a, b = mp.mpc(0.75 if odd else 0.25, 5.0), mp.mpf(1.5 if odd else 0.5)
+        amp, bound = landau.psi_abs_grid(energy, xs, xs, GEOM, odd=odd)
+        a, b = mp.mpc(0.75 if odd else 0.25, energy / 2), mp.mpf(1.5 if odd else 0.5)
         with mp.workdps(40):
-            for k in range(0, amp.size, 90):
+            for k in range(0, amp.size, stride):
                 i, j = divmod(k, xs.size)
                 x, y = mp.mpf(float(xs[i])), mp.mpf(float(xs[j]))
                 w = mp.mpc(x, -y)
                 want = abs(mp.exp(-x * x / 2) * mp.hyp1f1(a, b, w * w / 2) * (w if odd else 1))
                 assert abs(amp[i, j] - want) <= bound[i, j], (xs[i], xs[j])
+
+    @pytest.mark.parametrize("energy", [0.0, 1e-30])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_bound_covers_error_near_zero_energy(self, odd, energy):
+        # at E = 0 every odd coefficient of the series of e^(-w/2) M is 0
+        self.test_bound_covers_error_at_exact_point(odd, energy, 397)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_default_grid_bounds_within_1e_8(self, odd):

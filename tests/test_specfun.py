@@ -328,6 +328,20 @@ class TestKummer:
             want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b, mp.mpc(z.real, z.imag)))
         assert landau.PSI_REL_TOL * abs(v) < bound and abs(v - want) <= bound
 
+    @pytest.mark.parametrize("a, b", [(0.25, 0.5), (0.5, 1.0), (0.75, 1.5), (0.25 + 5e-31j, 0.5),
+                                      (0.75 + 5e-31j, 1.5)])
+    def test_half_b_against_mpmath(self, a, b):
+        # at a = b/2 every odd f_k of F = e^(-z/2) M is 0 (the Landau
+        # sectors at E = 0), and near it tiny: a series that stopped at one
+        # small term would drop the even tail
+        zs = [1.0, -1.0, 1j, 10.0, -10.0, 10j, 1.0 + 3.0j, 3.0 - 7.0j, 6.0 + 8.0j]
+        vals, bounds = kummer_m_grid(a, b, np.array(zs))
+        with mp.workdps(40):
+            for z, v, bound in zip(zs, vals, bounds):
+                want = complex(mp.hyp1f1(mp.mpc(a.real, a.imag), b, mp.mpc(z.real, z.imag)))
+                assert abs(v - want) <= bound <= 1e-13 * abs(want), (a, z)
+                assert kummer_m_bounded(a, b, z) == (v, bound)
+
     def test_kummer_m_falls_back_to_double_double(self):
         # 45 - 5j at E = 10: the asymptotic bound meets 1e-10 but not 1e-12
         a, b, z = 0.25 + 5j, 0.5, 45.0 - 5.0j
@@ -455,8 +469,8 @@ class TestKummer:
 
     def test_fold_halves_the_double_double_cells(self, monkeypatch):
         # on the default E = 10 grid the flipped cells off the real axis
-        # read their mirrors' keys, evaluated once: 7208 cells end on the
-        # double-double series, against 14382 without the fold
+        # read their mirrors' keys, evaluated once: 7226 cells end on the
+        # double-double series, about half as many as without the fold
         sent = []
         route = specfun._kummer_series_dd
 
@@ -709,7 +723,7 @@ class TestKummer:
             assert terms > least and chunked <= -(-terms // chunk) + 1, route.__name__
 
     def test_coefficients_beyond_double_range_give_infinite_bounds(self):
-        # at a = 1/4 + 2500i the coefficients P_k 2^(7k) of the long series
+        # at a = 1/4 + 2500i the coefficients f_k 2^(7k) of the long series
         # of the last two cells leave the double range: their bounds are
         # infinite instead of the table raising OverflowError
         zs = np.array([0.5, 3.0 + 4.0j, 30.0 - 40.0j, 100.0j])
