@@ -109,12 +109,12 @@ def psi_abs_grid(E: float, xs, ys, g: LandauGeometry, odd: bool = False):
     A bound is the Kummer bound of ``kummer_m_grid`` (certified on series
     cells, only in its truncation on asymptotic ones) at the double
     argument z, plus the rounding of the inputs: z is within 5u|z| of its
-    exact value (u = eps/2), which moves M by at most 5u
-    |z dM/dz|, and the Gaussian exponent x^2 / 2l^2 = q within 3uq; the
-    Gaussian, the |x - iy| factor and the products add 8u.  Cells whose
-    cancellation exhausts every route's precision do not raise; their
-    bound lets callers exclude them from, e.g., a ridge search.  Returns
-    arrays of shape (len(xs), len(ys)).
+    exact value (u = eps/2), which moves M by at most 5u |z dM/dz| (the
+    grid's ``sens``, on some cells an estimate), and the Gaussian exponent
+    x^2 / 2l^2 = q within 3uq; the Gaussian, the |x - iy| factor and the
+    products add 8u.  Cells whose cancellation exhausts every route's
+    precision do not raise; their bound lets callers exclude them from,
+    e.g., a ridge search.  Returns arrays of shape (len(xs), len(ys)).
     """
     xs = np.asarray(xs, dtype=float)[:, None]
     ys = np.asarray(ys, dtype=float)[None, :]

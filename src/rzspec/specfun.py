@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ddouble import horner_step, split
+from .ddouble import horner_step, horner_step_into, split
 from .errors import PoleError, ToleranceNotMet
 
 __all__ = [
@@ -345,6 +345,7 @@ def _bessel_k(nu, z):
 KUMMER_RADIUS = 200.0   # documented series budget
 _KUMMER_KMAX = 1600
 _NOISE_PER_TERM = 5e-31  # double-double rounding per term (see _kummer_series_dd)
+_PLAIN_TAIL = 1e-17      # share of sum|term| past the double-double entry (see _kummer_series_dd)
 _HORNER_SCALE = 2 ** 7   # the series run on x = w / 2^7 (power series) and 2^7 / w (asymptotic)
 _POWERS = 32             # x^k from x^(32 j) 2^g_j, k = 32 j + 8 q + i (see _term_chunks)
 _TERM_CHUNK = 32         # term indices per pass of a call with few series, at most _POWERS
@@ -704,81 +705,84 @@ def _abs_terms(a: complex, b_re: float, r):
 
 
 def _kummer_last_terms(a: complex, b_re: float, r):
-    # Per cell of |w| = r: the last term K, the first index past _kummer_hump whose
-    # |term| and the one before add to at most 1e-34 sum|term| so far, and that sum
-    last, sums, hump = np.zeros(r.size, dtype=int), np.empty(r.size), _kummer_hump(a, b_re, r)
+    # Per cell of |w| = r: the last term K, the first index past _kummer_hump whose |term| and
+    # the one before add to at most 1e-34 sum|term| so far, that sum, and K', the same at _PLAIN_TAIL
+    (last, entry), sums, hump = np.zeros((2, r.size), dtype=int), np.empty(r.size), _kummer_hump(a, b_re, r)
     for k, t, s in _abs_terms(a, b_re, r):
-        done = ((k > hump) & (t <= 1e-34 * s)).nonzero()[0]
+        entry[(k > hump) & (entry == 0) & (t <= _PLAIN_TAIL * s)] = k
+        done = (k > hump) & (t <= 1e-34 * s)
         last[done], sums[done], hump[done] = k, s[done], np.inf
         if last.all():
-            return last, sums
+            return last, sums, entry
+
+
+def _tail_step(p_re, p_im, x_re, x_im, q_re, q_im):
+    # p x + q in plain double by one formula: the same bits on floats and on float64 arrays
+    return (p_re * x_re - p_im * x_im) + q_re, (p_re * x_im + p_im * x_re) + q_im
 
 
 def _kummer_horner(a: complex, b_re: float, w):
-    """F's series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule in double-
-    double: per cell the four parts (re_hi, re_lo, im_hi, im_lo) and the
-    bound ``_NOISE_PER_TERM K sum|term|``.  A one-cell call runs the
-    steps of :func:`_horner_block` on Python floats.
+    """F's series sum_k<=K Q_k x^k, x = w 2^-7, by Horner's rule, in plain
+    double from K to K' + 1: per cell the double-double parts (re_hi, re_lo,
+    im_hi, im_lo) and the bound ``_NOISE_PER_TERM K sum|term|``.  A one-cell
+    call runs the steps of :func:`_horner_block` on Python floats.
     """
     r, x = np.abs(w), w * (1.0 / _HORNER_SCALE)  # the scale is exact
     if w.size > 1:
         return _horner_block(a, b_re, r, x)
-    hump = float(_kummer_hump(a, b_re, r[0]))
+    hump, entry = float(_kummer_hump(a, b_re, r[0])), 0
     for last, t, s in _abs_terms(a, b_re, float(r[0])):
+        entry = entry or (last if last > hump and t <= _PLAIN_TAIL * s else 0)
         if last > hump and t <= 1e-34 * s:
             break
-    q, _ = _kummer_coeffs(a, b_re, _table_length(last + 1))
-    x_re, x_im = split(float(x.real[0])), split(float(x.imag[0]))
-    acc = tuple(col[last] for col in q)
-    for k in range(last - 1, -1, -1):
+    q, xc, p = _kummer_coeffs(a, b_re, _table_length(last + 1))[0], complex(x[0]), (0.0, 0.0)
+    for k in range(last, entry, -1):
+        p = _tail_step(*p, xc.real, xc.imag, q[0][k], q[2][k])
+    x_re, x_im, acc = split(xc.real), split(xc.imag), (p[0], 0.0, p[1], 0.0)
+    for k in range(entry, -1, -1):
         acc = horner_step(acc, x_re, x_im, tuple(col[k] for col in q))
     return tuple(np.array([v]) for v in acc), np.array([_NOISE_PER_TERM * last * s])
 
 
 def _horner_block(a: complex, b_re: float, r, x):
-    # Cells run in order of falling K, so the cells still summing at step k
-    # are a prefix; a cell joins at its K with acc = Q_K.
-    last, s = _kummer_last_terms(a, b_re, r)
-    order = np.argsort(-last, kind="stable")
-    last_sorted = last[order]
-    q, _ = _kummer_coeffs(a, b_re, _table_length(int(last_sorted[0]) + 1))
-    x_re, x_im = split(x.real[order]), split(x.imag[order])
-    acc = [np.zeros(x.size) for _ in range(4)]
-    # live[k]: the number of cells whose last term is k or later
-    live = np.searchsorted(-last_sorted, -np.arange(last_sorted[0] + 1), side="right")
-    n = 0
-    for k in range(last_sorted[0], -1, -1):
-        qk = tuple(col[k] for col in q)
-        if n:
-            step = horner_step([p[:n] for p in acc], [v[:n] for v in x_re], [v[:n] for v in x_im], qk)
-            for p, v in zip(acc, step):
-                p[:n] = v
-        for p, v in zip(acc, qk):
-            p[n:live[k]] = v
-        n = live[k]
-    unsort = np.argsort(order)
-    return tuple(p[unsort] for p in acc), _NOISE_PER_TERM * last * s
+    # The tail runs in order of falling K - K', the double-double steps on rows allocated once in order
+    # of falling K', so that the cells still summing at a step are a prefix; acc is (p, 0) until K'.
+    last, s, entry = _kummer_last_terms(a, b_re, r)
+    q, _ = _kummer_coeffs(a, b_re, _table_length(int(last.max()) + 1))
+    (q_re, q_im), p, order = np.array(q[::2]), np.zeros((2, x.size)), np.argsort(entry - last, kind="stable")
+    top, xr, xi, rest = last[order], x.real[order], x.imag[order], (entry - last)[order]
+    for j, n in enumerate(np.searchsorted(rest, -np.arange(-rest[0]))):  # n cells with over j tail terms
+        p[:, :n] = _tail_step(*p[:, :n], xr[:n], xi[:n], q_re[top[:n] - j], q_im[top[:n] - j])
+    acc, work = [np.zeros(x.size) for _ in range(4)], [np.empty(x.size) for _ in range(9)]
+    acc[0][order], acc[2][order] = p
+    order = np.argsort(-entry, kind="stable")
+    acc, top, xs = [v[order] for v in acc], entry[order], split(x.real[order]) + split(x.imag[order])
+    for k in range(top[0], -1, -1):  # on the cells with K' >= k
+        horner_step_into(acc, xs, tuple(col[k] for col in q), work, np.searchsorted(-top, -k, side="right"))
+    return tuple(v[np.argsort(order)] for v in acc), _NOISE_PER_TERM * last * s
 
 
 def _kummer_series_dd(a: complex, b_re: float, w):
     """F(w) = e^(-w/2) M(a, b, w) by its power series in double-double
     arithmetic, which absorbs the cancellation of strongly complex w.
 
-    Each cell finds its own last term K by a plain-double pass over
-    |term_k| (:func:`_abs_terms`), then sums terms K down to 0 by Horner's
-    rule on x = w 2^-7 with the cached Q_k = f_k 2^(7k) of
-    :func:`_kummer_coeffs`.  The scale is exact, so a cell's bits do not
-    depend on the other cells.
+    Each cell finds its last term K and its entry K' by a plain-double
+    pass over |term_k| (:func:`_abs_terms`), then sums terms K down to 0 by
+    Horner's rule on x = w 2^-7 with the cached Q_k = f_k 2^(7k) of
+    :func:`_kummer_coeffs`, in plain double down to K' + 1.  The scale is
+    exact, so a cell's bits do not depend on the other cells.
 
     The bound is ``_NOISE_PER_TERM K sum|term|``, 40.6 u^2 K sum|term|
-    with u = 2^-53.  A Horner step errs by at most u^2 (17 |acc||x|
-    + 5 |Q_k|) (:func:`~rzspec.ddouble.horner_step`) and |acc_k+1||x|^(k+1)
-    <= sum_j>k |term_j|, so the steps add at most u^2 (17 K + 5) sum|term|;
-    the correctly rounded Q_k add u^2 sum|term|, and 40.6 K u^2 >= (17 K +
-    6) u^2 for K >= 1.  The slack also covers the plain-double sum|term|,
-    within (2K + 2)u of its value, and the tail past K, at most 2e-34
-    sum|term| (:func:`_kummer_hump`).  Rounding the result to double is not covered.
-    Returns (values, bounds, None): |w F'| keeps the plain series' bound.
+    with u = 2^-53.  The terms past K' add to at most 2 tau sum|term|
+    (tau = ``_PLAIN_TAIL``, :func:`_kummer_hump`), so a plain step errs
+    by (sqrt(5) + 2) u 2 tau sum|term| = 0.77 u^2 sum|term|, and their
+    sum p enters as (p, 0).  A double-double step errs by u^2 (17 |acc||x|
+    + 5 |Q_k|) (:func:`~rzspec.ddouble.horner_step`), |acc_k+1||x|^(k+1)
+    <= sum_j>k |term_j|: u^2 (17 K + 22) sum|term| with the tail.  The
+    rounded Q_k add u^2 sum|term|, and 40.6 K >= 17 K + 23.  The slack
+    covers the plain sum|term|, within (2K + 2)u, and the tail past K,
+    at most 2e-34 sum|term|; not the rounding of the result to double.
+    Returns (values, bounds, None): |w F'| keeps the bound it had.
     """
     (rh, rl, ih, il), noise = _kummer_horner(a, b_re, w)
     vals = np.empty(w.size, dtype=complex)
@@ -891,36 +895,34 @@ def kummer_m_grid(a, b, z):
     enough: from |z| = 2|a| + 20 the asymptotic expansion (DLMF 13.7.2),
     within 1e-10 of |F|; the series of F = e^(-z/2) M (DLMF 13.14), of
     exponential type 1/2, in complex double, within 1e-13; or F's series in
-    double-double, by Horner's rule on z 2^-7.  It keeps the value with the
-    smallest bound.  Where b - a = conj(a), as in both Landau sectors, a
-    flipped cell off the real axis is evaluated as conj M(a, b, conj(-z)),
+    double-double, by Horner's rule on z 2^-7 (terms below 1e-17 sum|term|
+    in double).  It keeps the value with the smallest bound.  Where b - a
+    = conj(a), as in both Landau sectors, a flipped cell off the real axis
+    is evaluated as conj M(a, b, conj(-z)),
     which every route gives with the bits of M(b - a, b, -z); on a grid
     symmetric under z -> -conj z the flipped half thus reads the values
     of the other.  Each distinct argument is evaluated once.
 
     The plain and asymptotic routes sum terms x^k c_k, with x = w 2^-7 and
     the coefficients f_k 2^(7k) of the Horner pass or x = 2^7 / w, w the
-    transformed argument.  The terms are formed a chunk of indices at a
-    time: 32 for a call with up to eight series, one for a block of more.
-    x^k = (x^(32 j) x^(8 q)) x^i for k = 32 j + 8 q + i, from tables of
-    x^i and x^(8q) and a chain of x^32, is a recipe fixed by k, and the
-    sums run in order of k, by np.add.accumulate over a chunk or one term
-    at a time over a block: the same additions.  Term k is within
-    (sqrt(5) k + 1) u of its value (u = eps/2) on the plain series, which
-    bounds the error by u (1.25 sum k|term_k| + (K + 3) sum|term|) at its
-    last term K, and within (7.24 k + 1) u on the asymptotic sums, whose
-    rounding is within 7.25 (n + 1) u sum|term| over n terms.  Every route
-    stops each cell at its own last term, so a cell equals its one-cell
+    transformed argument, each x^k by a recipe fixed by k and the sums in
+    order of k (:func:`_term_chunks`).  Term k is within (sqrt(5) k + 1) u
+    of its value (u = eps/2) on the plain series, which bounds the error by
+    u (1.25 sum k|term_k| + (K + 3) sum|term|) at its last term K, and
+    within (7.24 k + 1) u on the asymptotic sums, whose rounding is within
+    7.25 (n + 1) u sum|term| over n terms.  Every route stops each cell at
+    its own last term, so a cell equals its one-cell
     :func:`kummer_m_bounded` call bit for bit, whatever the chunk length.
 
     A bound covers, for the given double z, the rounding of the route and
     of the result to double, including the factor e^(z/2), and the tail
-    of F's series past its last term.  It is certified on series cells; on
-    asymptotic cells only the truncation is (DLMF 13.7.5).  Cells whose
+    of F's series past its last term.  That bound is certified on series
+    cells; on asymptotic cells only the truncation is (DLMF 13.7.5).  Cells whose
     cancellation exhausts every route's precision do not raise -- callers
     decide what to do with the bound.  An empty ``z`` gives two empty arrays; a NaN or
     infinite a or z raises ``ValueError``.  The pair also carries ``sens``,
-    a bound on |z dM/dz|.
+    a bound on |z dM/dz|, but an estimate on the double-double cells that
+    keep the asymptotic route's (562 of 7226 on the E = 10 |psi| grid).
     """
     return _kummer_routed(a, b, z, _ROUTE_REL_TOLS)
 

@@ -212,9 +212,37 @@ class TestPropagation:
                 abs(seq.amplitudes[n - 1, 1]), rel=1e-12)
 
 
+def phi_z_reference(n, E):
+    """Phi_z(n) from Python integers and complex numbers alone: mu(k) by
+    trial division, M_z(k) = sum mu(j) j^(-1/2 - iE) term by term, and the
+    phase -arg M_z(k) unwrapped by steps in (-pi, pi] as k runs to n."""
+    def mu(k):
+        sign, d = 1, 2
+        while d * d <= k:
+            if k % d == 0:
+                k //= d
+                if k % d == 0:
+                    return 0
+                sign = -sign
+            d += 1
+        return -sign if k > 1 else sign
+
+    total, phi = 0j, 0.0
+    for k in range(1, n + 1):
+        total += mu(k) * k ** complex(-0.5, -E)
+        phi += math.remainder(-cmath.phase(total) - phi, 2.0 * math.pi)
+    return phi
+
+
 class TestPhaseTuning:
     def test_phi_z_trivial(self):
         assert mi.phase_phi_z(1, 17.0) == 0.0
+
+    @pytest.mark.parametrize("n, E", [(30, T1), (300, 16.84), (2000, 28.31), (10000, 18.32), (20000, 50.0)])
+    def test_phi_z_against_plain_python(self, n, E):
+        # the unwrapped phase itself, not modulo 2 pi, so the branch count
+        # too: three of these wind past 2 pi (about 7.4, -7.6 and 12.7)
+        assert abs(mi.phase_phi_z(n, E) - phi_z_reference(n, E)) < 1e-9
 
     def test_phi_z_oracle(self):
         val = mi.phase_phi_z(100, 20.0)

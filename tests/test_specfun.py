@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rzspec import landau, specfun
+from rzspec.ddouble import horner_step, horner_step_into, split
 from rzspec.errors import PoleError, ToleranceNotMet
 from rzspec.specfun import (
     KUMMER_RADIUS,
@@ -43,6 +44,25 @@ def landau_grid_z(n):
     grid's x <-> y mirror is z -> -conj z exactly."""
     xs = np.linspace(-10.0, 10.0, n)
     return landau._z_arg(xs[:, None], xs[None, :], landau.LandauGeometry()).ravel()
+
+
+def full_length_horner(a, b, w):
+    """F's series in double-double from each cell's last term K, by
+    horner_step on every term and with no plain tail, as
+    _kummer_series_dd summed it before: (values, bounds) of that route."""
+    x = w * (1.0 / specfun._HORNER_SCALE)
+    last, sums, _ = specfun._kummer_last_terms(a, b, np.abs(w))
+    q, _ = specfun._kummer_coeffs(a, b, specfun._table_length(int(last.max()) + 1))
+    x_re, x_im = split(x.real), split(x.imag)
+    acc = [np.zeros(w.size)] * 4
+    for k in range(int(last.max()), -1, -1):
+        qk = tuple(col[k] for col in q)
+        # cells past their K step, a cell at its K joins with acc = Q_K
+        acc = [np.where(last > k, v, np.where(last == k, c, p))
+               for p, v, c in zip(acc, horner_step(acc, x_re, x_im, qk), qk)]
+    vals = np.empty(w.size, dtype=complex)
+    vals.real, vals.imag = acc[0] + acc[1], acc[2] + acc[3]
+    return vals, np.where(np.isfinite(vals), specfun._NOISE_PER_TERM * last * sums, np.inf)
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,35 +503,92 @@ class TestKummer:
 
     def test_double_double_cells_take_one_horner_pass(self, monkeypatch):
         # the Horner pass keeps only the cells still summing, so one call
-        # does each cell's arithmetic once: on the default E = 10 grid its
-        # 118 steps replace the 84 + 118 of two 4096-cell blocks, and the
-        # bits equal those of the blocks
-        blocks, steps, calls = [], [], []
-        block, step, route = specfun._horner_block, specfun.horner_step, specfun._kummer_series_dd
+        # does each cell's arithmetic once: on the default E = 10 grid 31
+        # plain tail steps, then 88 double-double steps on the workspace
+        # kernel from each cell's entry K' (118 would start at the last
+        # terms K), where two 4096-cell blocks would take more; the float
+        # step of one-cell calls never runs, and the bits equal those of
+        # the blocks.  The steps cover sum (K - K') = 167,016 and sum (K' +
+        # 1) = 395,788 cell-steps (sum K = 555,578)
+        blocks, steps, tails, floats, calls = [], [], [], [], []
+        block, step, tail, route = (specfun._horner_block, specfun.horner_step_into,
+                                    specfun._tail_step, specfun._kummer_series_dd)
 
         def counted_block(*args):
             blocks.append(args[2].size)
             return block(*args)
 
         def counted_step(*args):
-            steps.append(1)
+            steps.append(int(args[-1]))
             return step(*args)
+
+        def counted_tail(p_re, *args):
+            tails.append(p_re.size)
+            return tail(p_re, *args)
 
         def recorded(a, b, w):
             calls.append((a, b, w))
             return route(a, b, w)
         monkeypatch.setattr(specfun, "_horner_block", counted_block)
-        monkeypatch.setattr(specfun, "horner_step", counted_step)
+        monkeypatch.setattr(specfun, "horner_step_into", counted_step)
+        monkeypatch.setattr(specfun, "_tail_step", counted_tail)
+        monkeypatch.setattr(specfun, "horner_step", lambda *args: floats.append(1))
         monkeypatch.setattr(specfun, "_kummer_series_dd", recorded)
         xs = np.linspace(-10.0, 10.0, 200)
         landau.psi_abs_grid(10.0, xs, xs, landau.LandauGeometry(1.0, 100.0))
-        assert len(blocks) == 1 and len(steps) == 118
+        assert len(blocks) == 1 and len(tails) == 31 and len(steps) == 88 and not floats
+        assert sum(tails) == 167016 and sum(steps) == 395788
         (a, b, w), = calls
         assert w.size == blocks[0] > 4096
         whole = route(a, b, w)
         parts = [route(a, b, p) for p in np.split(w, [4096])]
         for k in range(2):
             assert np.concatenate([p[k] for p in parts]).tobytes() == whole[k].tobytes()
+
+    def test_in_place_step_is_horner_step(self):
+        # the workspace kernel against the float step on random double-
+        # doubles over 40 orders of magnitude, with zeros of both signs:
+        # the same bits on its first n cells, the others untouched
+        rng = np.random.default_rng(11)
+        n, size = 1000, 1200
+        hi = rng.standard_normal((2, size)) * 10.0 ** rng.integers(-20, 20, (2, size))
+        hi[:, :8] = [[0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0]] * 2
+        acc = np.array([hi[0], hi[0] * 1e-17 * rng.uniform(-1, 1, size),
+                        hi[1], hi[1] * 1e-17 * rng.uniform(-1, 1, size)])
+        x = rng.standard_normal((2, size))
+        x[:, :4] = [[0.0, -0.0, 2.0, -0.0]] * 2
+        q = (1.5e3, -2.0e-14, -0.0, 0.0)
+        xs = split(x[0]) + split(x[1])
+        want = horner_step(tuple(acc), xs[:3], xs[3:], q)
+        got = acc.copy()
+        horner_step_into(got, xs, q, np.full((9, size), np.nan), n)
+        for g, w, a in zip(got, want, acc):
+            assert g[:n].tobytes() == w[:n].tobytes() and g[n:].tobytes() == a[n:].tobytes()
+
+    @pytest.mark.parametrize("a, b", [(0.25, 0.5), (0.75, 1.5)] + LANDAU_SECTORS + LANDAU_SECTORS_40)
+    def test_plain_tail_keeps_the_full_length_bits(self, a, b, monkeypatch):
+        # every double-double cell of the default grid against the Horner
+        # pass in double-double from each cell's last term: at E = 0 and
+        # E = 10 the same value and bound bit for bit; at E = 40, where
+        # sum|term| / |F| reaches 6e33, the bounds bit for bit and each
+        # value that moves within 1e-3 of its bound
+        sent = []
+        route = specfun._kummer_series_dd
+
+        def kept(a_g, b_g, w):
+            out = route(a_g, b_g, w)
+            sent.append((a_g, w, out))
+            return out
+        monkeypatch.setattr(specfun, "_kummer_series_dd", kept)
+        kummer_m_grid(a, b, landau_grid_z(200))
+        assert sum(w.size for _, w, _ in sent) > 2000
+        for a_g, w, (vals, bounds, _) in sent:
+            want, want_bounds = full_length_horner(a_g, b, w)
+            assert bounds.tobytes() == want_bounds.tobytes()
+            if (a, b) in LANDAU_SECTORS_40:
+                assert np.all(np.abs(vals - want)[vals != want] <= 1e-3 * bounds[vals != want])
+            else:
+                assert vals.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("a, b", LANDAU_SECTORS + LANDAU_SECTORS_40)
     def test_horner_bound_covers_error(self, a, b):
@@ -529,7 +606,7 @@ class TestKummer:
         vals, _ = kummer_m_grid(a, b, z)
         for a_g in (a, b - a):
             cells = np.flatnonzero(a_eff == a_g)
-            _, sums = specfun._kummer_last_terms(a_g, b, np.abs(w[cells]))
+            _, sums, _ = specfun._kummer_last_terms(a_g, b, np.abs(w[cells]))
             ratio[cells] = sums / np.abs(vals[cells] * np.exp(-0.5 * z[cells]))
         worst = np.argsort(ratio)[-20:]
         checked = 0
@@ -574,7 +651,7 @@ class TestKummer:
                     e = int(g[k // specfun._POWERS])
                     assert abs(part - math.ldexp(t, e)) <= math.ldexp(math.ulp(t), e) / 2 + tol, k
             r = np.array([1e-3, 1.0, 10.0, 50.0, 100.0, 150.0, 200.0])
-            last, sums = specfun._kummer_last_terms(a, b, r)
+            last, sums, _ = specfun._kummer_last_terms(a, b, r)
             u2 = mp.mpf(2) ** -106
             for rk, big_k, s in zip(r, last.tolist(), sums):
                 x = mp.mpf(rk)
